@@ -30,26 +30,29 @@ func (k recvKey) DMTWaitKey() uint64 { return 2<<62 | k.conn }
 // gate is check_add_timebubble (paper Fig. 10), invoked by the DMT
 // scheduler's token holder at every synchronization operation:
 //
-//  1. While the Paxos sequence is empty, spin (the server must not tick
+//  1. While the Paxos sequence is empty, block (the server must not tick
 //     logical clocks, §4 rule 2), asking the proxy to request a time
 //     bubble once the sequence has been empty for W_timeout.
-//  2. If the head is a time bubble, consume one logical clock from it.
+//  2. If the head is a time bubble, consume logical clocks from it: one per
+//     operation while any application thread is runnable, all that remain
+//     at once when the caller is the idle thread of a parked lane.
 //  3. If the head is a client socket call, signal the thread blocked on
 //     the matching socket operation, if any.
 //
-// With bubbling disabled (the paper's §7.2 "plan II"), step 1 is skipped:
-// socket calls are admitted at whatever logical time they happen to
-// arrive, which is exactly the nondeterminism that makes replicas diverge.
+// Invariant: the gate never returns with an empty sequence after it popped
+// an entry itself (an exhausted bubble, a discarded call of a closed
+// connection) — it waits for the next entry first. Whether that entry has
+// arrived yet is physical timing, and the socket wrapper that runs next
+// (ReadInto, Head) must not branch on it: one replica would consume the
+// entry at this clock and another tick a wait first.
+//
+// With bubbling disabled (the paper's §7.2 "plan II"), step 1 and the
+// invariant are skipped: socket calls are admitted at whatever logical time
+// they happen to arrive, which is exactly the nondeterminism that makes
+// replicas diverge.
 type gate struct {
 	r        *Replica
 	bubbling bool
-	// spinSleep bounds how hot the empty-sequence spin runs.
-	spinSleep time.Duration
-	// dead flips when a speculation rollback retires this gate: the old
-	// scheduler's threads spinning in the empty-sequence loop (their
-	// speculative entries were just truncated) must unwind so Kill/Wait
-	// can complete, even though the replica itself is not being killed.
-	dead atomic.Bool
 	// booted[L] flips when lane L's first application thread is admitted
 	// (nil when single-lane). Until then the lane's sequence is withheld:
 	// idle ticks consume nothing, so entries (bubble clones) pile up and
@@ -65,7 +68,7 @@ type gate struct {
 }
 
 func newGate(r *Replica, bubbling bool) *gate {
-	g := &gate{r: r, bubbling: bubbling, spinSleep: 25 * time.Microsecond}
+	g := &gate{r: r, bubbling: bubbling}
 	if r.lanes > 1 {
 		g.booted = make([]atomic.Bool, r.lanes)
 	}
@@ -82,28 +85,14 @@ func (g *gate) CheckAdmit(t *dmt.Thread) {
 	if g.booted != nil && !g.booted[lane].Load() {
 		if t.IsIdle() {
 			// Withhold the sequence until the lane boots (see the booted
-			// field): a pre-boot idle tick must not consume, spin, or
+			// field): a pre-boot idle tick must not consume, wait, or
 			// signal — the lane has nothing admissible yet.
 			return
 		}
 		g.booted[lane].Store(true)
 	}
-	if g.bubbling {
-		// Exponential backoff: the spin only delays physical time, never
-		// logical time, so backing off is determinism-neutral — and it
-		// keeps a starved replica (e.g. during a leader election) from
-		// monopolizing low-core machines.
-		sleep := g.spinSleep
-		for sq.Empty() {
-			if g.r.killed() || g.dead.Load() {
-				return // the wrapper's next scheduler call unwinds
-			}
-			g.r.maybeRequestBubble()
-			time.Sleep(sleep)
-			if sleep < time.Millisecond {
-				sleep *= 2
-			}
-		}
+	if !g.awaitInput(t, sq) {
+		return // killed: the wrapper's next scheduler call unwinds
 	}
 	h, ok := sq.Head()
 	if !ok {
@@ -111,7 +100,15 @@ func (g *gate) CheckAdmit(t *dmt.Thread) {
 	}
 	switch h.Kind {
 	case seq.KindBubble:
-		sq.TickBubble()
+		// On a parked lane the next NClock operations are idle ticks
+		// nothing can interleave with, so the idle thread takes them in one
+		// turn: drain the bubble and move the clock as far as those ticks
+		// would have (this operation's own PutTurn supplies the last of
+		// them). Anyone else ticks once.
+		if !t.IdleAdvance(func() uint64 { return g.drainBubble(sq) }) {
+			sq.TickBubble()
+		}
+		g.awaitInput(t, sq)
 	case seq.KindConnect:
 		t.SignalKey(acceptKey{h.Port})
 	case seq.KindSend, seq.KindClose:
@@ -120,10 +117,60 @@ func (g *gate) CheckAdmit(t *dmt.Thread) {
 			// client calls can never be consumed by a recv. Discard so
 			// the head does not wedge the sequence.
 			sq.PopIfConn(h.Conn)
+			g.awaitInput(t, sq)
 			return
 		}
 		t.SignalKey(recvKey{h.Conn})
 	}
+}
+
+// drainBubble consumes every remaining clock of sq's head bubble and returns
+// how many idle turns that stands in for beyond the current one.
+func (g *gate) drainBubble(sq *seq.Sequence) uint64 {
+	n := sq.DrainBubble()
+	if n == 0 {
+		return 0
+	}
+	g.r.ro.bulkBubbles.Inc()
+	g.r.ro.bulkClocks.Add(n)
+	return n - 1
+}
+
+// awaitInput blocks the token holder while sq is empty (bubbling only). The
+// wait delays physical time, never logical time, so it is determinism-
+// neutral. It ends when an entry is enqueued. The timer exists only to drive
+// the bubble request, and is armed for exactly as long as
+// maybeRequestBubble says nothing new can happen: once for W_timeout on the
+// way to starvation, then at the pending request's grace or, on a replica
+// that leads nothing, at the pace leadership can change. A wake that leaves
+// the sequence empty (the pending request landed without an enqueue) asks
+// again. It reports false when the scheduler was killed — a replica stop or
+// a speculation rollback retiring this scheduler — with the sequence still
+// empty.
+func (g *gate) awaitInput(t *dmt.Thread, sq *seq.Sequence) bool {
+	if !g.bubbling || !sq.Empty() {
+		return true
+	}
+	tm := time.NewTimer(g.r.maybeRequestBubble())
+	defer tm.Stop()
+	for sq.Empty() {
+		select {
+		case <-sq.Wake():
+			if !tm.Stop() {
+				select {
+				case <-tm.C:
+				default:
+				}
+			}
+		case <-tm.C:
+		case <-t.Done():
+			return false
+		}
+		if sq.Empty() {
+			tm.Reset(g.r.maybeRequestBubble())
+		}
+	}
+	return true
 }
 
 // Busy implements dmt.BusyGate: while entries are pending the idle thread

@@ -159,6 +159,9 @@ func TestMetricsScrapeEndpoints(t *testing.T) {
 		"paxos_view",
 		"wal_appends_total",
 		"seq_queue_wait_seconds_count",
+		"seq_bubble_clocks_total",
+		"gate_bubbles_bulk_drained_total",
+		"gate_bubble_clocks_bulk_total",
 		"dmt_clock",
 		"dmt_turn_wait_seconds",
 		"transport_msgs_sent_total",

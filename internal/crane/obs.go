@@ -36,6 +36,8 @@ type replicaObs struct {
 	burstSize     *obs.Histogram // value: entries per proxy ProposeBatch burst
 	admitToCommit *obs.Histogram // admission -> consensus commit (primary)
 	admitToExec   *obs.Histogram // admission -> DMT consumption (primary)
+	bulkBubbles   *obs.Counter   // bubbles the gate drained in one idle turn
+	bulkClocks    *obs.Counter   // logical clocks those drains consumed
 }
 
 // newReplicaObs builds the registry and instruments for one replica. The
@@ -59,6 +61,10 @@ func newReplicaObs(r *Replica) *replicaObs {
 			"proxy admission to consensus commit"),
 		admitToExec: reg.Histogram("proxy_admit_to_exec_seconds",
 			"proxy admission to DMT-turn consumption by the server"),
+		bulkBubbles: reg.Counter("gate_bubbles_bulk_drained_total",
+			"time bubbles whose remaining clocks the idle thread of a parked lane consumed in one turn"),
+		bulkClocks: reg.Counter("gate_bubble_clocks_bulk_total",
+			"logical clocks consumed by bulk bubble drains (the O(1) share of seq_bubble_clocks_total, all lanes)"),
 	}
 	reg.GaugeFunc("crane_open_conns", "alive server-side connections", func() float64 {
 		return float64(r.openConns.Load())

@@ -423,10 +423,9 @@ func (r *Replica) start(hub *paxos.ChanHub, peers []int) error {
 		pproc.SetLanes(r.lanes)
 		r.wireFlight(pproc)
 		pproc.SetSocketLayer(&dmtSockets{r: r})
-		g := newGate(r, r.mode == ModeCrane)
-		pproc.Sched.SetGate(g)
+		pproc.Sched.SetGate(newGate(r, r.mode == ModeCrane))
 		if r.cfg.Speculation && r.mode == ModeCrane && r.node != nil {
-			r.spec = newSpeculator(r, g)
+			r.spec = newSpeculator(r)
 		}
 		r.pprocA.Store(pproc)
 	}
@@ -579,6 +578,12 @@ func (r *Replica) afterMerge(ent *seq.Entry) {
 		// second time.
 		if ent.Kind == seq.KindBubble {
 			r.bubblePending.Store(false)
+			// The bubble was enqueued when it was fed, so its commit
+			// enqueues nothing; a token holder sleeping out the request's
+			// grace must still learn that it may ask again.
+			for _, lsq := range r.sqs {
+				lsq.Nudge()
+			}
 		}
 		return
 	}
@@ -623,10 +628,16 @@ func (r *Replica) enqueueDelivered(ent *seq.Entry) {
 	}
 }
 
+// bubbleGrace is how long an outstanding bubble request is trusted before it
+// is presumed lost (a view change can drop it) and re-issued.
+const bubbleGrace = 50 * time.Millisecond
+
 // maybeRequestBubble implements the proxy side of Fig. 13: when the DMT
 // has been starved of input for W_timeout, the primary invokes consensus
-// on a time-bubble insertion (backups drop the request).
-func (r *Replica) maybeRequestBubble() {
+// on a time-bubble insertion (backups drop the request). It returns how long
+// the caller, a token holder waiting on an empty sequence, may sleep before
+// calling again could do anything new.
+func (r *Replica) maybeRequestBubble() time.Duration {
 	// A bubble is due when any lane's sequence has starved for W_timeout
 	// (with one lane this is exactly the pre-lane condition): starved
 	// lanes need bubbles to tick their clocks even while other lanes have
@@ -639,10 +650,15 @@ func (r *Replica) maybeRequestBubble() {
 		}
 	}
 	if !starved {
-		return
+		return r.cfg.Wtimeout
 	}
+	// A replica that leads nothing cannot propose; all it has to notice is
+	// becoming a leader, which the Paxos node itself only does on its
+	// quarter-heartbeat tick. Waking at W_timeout here would have every
+	// backup's token holders polling at 10 kHz through a whole outage.
+	idle := r.cfg.HeartbeatInterval / 4
 	if r.node == nil {
-		return
+		return idle
 	}
 	r.alignGroupLeadership()
 	// Per-group primaryship: after a failover the groups can transiently
@@ -659,29 +675,33 @@ func (r *Replica) maybeRequestBubble() {
 		}
 	}
 	if !leads {
-		return
+		return idle
 	}
 	now := time.Now().UnixNano()
 	if r.bubblePending.Load() {
 		// An outstanding request can be lost across a view change;
-		// re-arm after a generous grace period.
-		if now-r.bubbleSince.Load() < int64(50*time.Millisecond) {
-			return
+		// re-arm after a generous grace period. Its commit wakes the
+		// waiter through the sequence, so until then there is nothing to
+		// poll for.
+		if left := bubbleGrace - time.Duration(now-r.bubbleSince.Load()); left > 0 {
+			return left
 		}
 		r.bubblePending.Store(false)
 	}
 	if !r.bubblePending.CompareAndSwap(false, true) {
-		return
+		return bubbleGrace
 	}
 	r.bubbleSince.Store(now)
 	// One bubble is cloned into every lane (afterMerge), so the
 	// replica-wide clock grant of a single bubble round is
-	// NClock x lanes x groups — and every granted clock costs one
-	// idle-thread token turn to consume. Dividing the per-bubble grant by
-	// lanes x groups keeps the grant (and the chew cost) per round
-	// constant as either axis scales; a starved lane simply requests
-	// bubbles more often. The divided value rides the committed entries,
-	// so replicas agree by construction. Single-lane single-group is the
+	// NClock x lanes x groups. Dividing the per-bubble grant by
+	// lanes x groups keeps the grant per round constant as either axis
+	// scales; a starved lane simply requests bubbles more often. (The
+	// split was introduced to bound the idle thread's chew cost, one
+	// token turn per clock; a parked lane now drains a bubble in one
+	// turn, and the split stays only because changing it would move
+	// clock values.) The divided value rides the committed entries, so
+	// replicas agree by construction. Single-lane single-group is the
 	// identity: pre-lane bubbles are unchanged.
 	nclock := r.cfg.Nclock / uint64(r.lanes*r.groups)
 	if nclock == 0 {
@@ -705,7 +725,9 @@ func (r *Replica) maybeRequestBubble() {
 	}
 	if !proposed {
 		r.bubblePending.Store(false)
+		return idle
 	}
+	return bubbleGrace
 }
 
 // alignGroupLeadership pulls every Paxos group's leadership onto this

@@ -77,9 +77,6 @@ type speculator struct {
 	// repairing is true while a rollback goroutine owns the execution
 	// state; feeds are refused and commits are swallowed into the log.
 	repairing bool
-	// curGate is the gate wired to the live scheduler; rollback marks it
-	// dead so threads spinning in its empty-sequence loop unwind.
-	curGate *gate
 	// pendingCalls counts the non-bubble entries of the open window —
 	// "real work is executing ahead", the signal that makes speculative
 	// time grants (see feed's bubble re-arm) worth their consensus cost.
@@ -192,10 +189,9 @@ type SpecStats struct {
 	Disabled    bool   // feeding refused until a boundary capture re-arms
 }
 
-func newSpeculator(r *Replica, g *gate) *speculator {
+func newSpeculator(r *Replica) *speculator {
 	sp := &speculator{
 		r:                  r,
-		curGate:            g,
 		specBase:           make([]uint64, r.lanes),
 		recorded:           make([]uint64, r.lanes),
 		replayed:           make([]uint64, r.lanes),
@@ -543,10 +539,9 @@ func (sp *speculator) rollback() {
 	t0 := time.Now()
 	r := sp.r
 	old := r.proc()
-	// Mark the old gate dead first: threads spinning in its
-	// empty-sequence loop (the queues were just truncated) re-check it
-	// and unwind; only then can Wait return.
-	sp.curGate.dead.Store(true)
+	// Kill also unwinds a token holder blocked in the gate's
+	// empty-sequence wait (the queues were just truncated): the wait
+	// selects on the scheduler's kill channel.
 	old.Kill()
 	old.Wait()
 	// Every pre-rollback thread has exited: the execution state is
@@ -591,8 +586,7 @@ func (sp *speculator) rollback() {
 	proc := papi.NewParrotProc(r.net, r.host, fs)
 	proc.SetLanes(r.lanes)
 	proc.SetSocketLayer(&dmtSockets{r: r})
-	ng := newGate(r, r.mode == ModeCrane)
-	proc.Sched.SetGate(ng)
+	proc.Sched.SetGate(newGate(r, r.mode == ModeCrane))
 	proc.Sched.SetObs(r.ro.reg)
 
 	sp.mu.Lock()
@@ -636,7 +630,6 @@ func (sp *speculator) rollback() {
 	for _, lsq := range r.sqs {
 		lsq.Reset()
 	}
-	sp.curGate = ng
 	r.execMu.Lock()
 	r.fs = fs
 	r.inst = inst

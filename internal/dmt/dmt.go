@@ -511,6 +511,11 @@ func (t *Thread) Name() string { return t.name }
 // sequence is withheld until its first application thread is admitted).
 func (t *Thread) IsIdle() bool { return t.isIdle }
 
+// Done returns a channel that is closed when the thread's scheduler is
+// killed. A gate that blocks inside CheckAdmit selects on it so Kill can
+// unwind the token holder.
+func (t *Thread) Done() <-chan struct{} { return t.s.killCh }
+
 func (t *Thread) poke() {
 	select {
 	case t.wake <- struct{}{}:
@@ -1112,10 +1117,11 @@ func (s *Scheduler) idleLoop(t *Thread) {
 			// timer-heap and GC storm that starves everything else.
 			time.Sleep(sleep)
 		} else {
-			// Busy rotation (e.g. exhausting a time bubble): yield so
-			// runnable application threads and the consensus stack get
-			// CPU even on low-core machines, with a periodic real sleep
-			// so sustained exhaustion cannot starve timer goroutines.
+			// Busy rotation (application threads runnable, or entries
+			// pending behind the gate): yield so they and the consensus
+			// stack get CPU even on low-core machines, with a periodic
+			// real sleep so a sustained rotation cannot starve timer
+			// goroutines.
 			busySpins++
 			if busySpins%64 == 0 {
 				time.Sleep(10 * time.Microsecond)

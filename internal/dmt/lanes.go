@@ -241,6 +241,39 @@ func (s *Scheduler) parkedLane() bool {
 		s.activeBarriersA.Load() == 0
 }
 
+// IdleAdvance lets the idle thread of a parked lane stand in for a run of its
+// own consecutive operations. When the caller is that thread it calls turns,
+// which does whatever those operations would have done and returns how many
+// there were, advances the lane clock by that count and reports true. Nothing
+// can interleave with the skipped operations — no application thread is
+// runnable, none is re-entering, no soft-barrier deadline is counting ticks —
+// and idle ticks fold into neither the schedule hash, the recordings nor the
+// flight chain, so the only thing they would have changed is the clock value
+// the next application operation reads, which this sets directly. For any
+// other caller it calls nothing and reports false: a clock jump would skip
+// turns other threads were owed, and the caller takes its turns one by one
+// instead. The caller must hold the token (it panics otherwise); turns runs
+// outside the scheduler lock.
+func (t *Thread) IdleAdvance(turns func() uint64) bool {
+	s := t.s
+	s.mu.Lock()
+	if s.rlen == 0 || s.runq[s.rhead] != t {
+		s.mu.Unlock()
+		panic(fmt.Sprintf("dmt: IdleAdvance by thread %d (%s) without the token", t.id, t.name))
+	}
+	ok := t.isIdle && s.parkedLane()
+	s.mu.Unlock()
+	if !ok {
+		return false
+	}
+	n := turns()
+	s.mu.Lock()
+	s.clock += n
+	s.clockA.Store(s.clock)
+	s.mu.Unlock()
+	return true
+}
+
 // stampOf reads lane ln's merge stamp: under a gate, the gate-provided
 // consumption position of the lane's committed input stream (see the
 // package comment — the only replica-deterministic choice); the app clock

@@ -183,6 +183,9 @@ type Node struct {
 
 	events chan event
 	done   chan struct{}
+	// exited is closed when the event loop returns; Stop waits on it so a
+	// caller may release what the loop writes to (the WAL) right after.
+	exited chan struct{}
 
 	// All fields below are owned by the event loop goroutine.
 	status     Status
@@ -238,6 +241,7 @@ type Node struct {
 	extCommit  uint64
 	extGCFloor uint64
 	viewCount  uint64
+	started    bool
 	stopped    bool
 }
 
@@ -268,6 +272,7 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		events:   make(chan event, 4096),
 		done:     make(chan struct{}),
+		exited:   make(chan struct{}),
 		primary:  cfg.InitialPrimary,
 		acks:     make(map[uint64]map[int]bool),
 		peerDone: make(map[int]uint64),
@@ -337,19 +342,27 @@ func (n *Node) Start() {
 		case <-n.done:
 		}
 	})
+	n.mu.Lock()
+	n.started = true
+	n.mu.Unlock()
 	go n.loop()
 }
 
-// Stop terminates the event loop.
+// Stop terminates the event loop and returns once it has exited: no commit
+// is in flight afterwards, so the caller may close the WAL. Every call
+// waits, not only the first. Must not be called from an OnDeliver,
+// OnViewChange or OnAudit callback (they run on the loop).
 func (n *Node) Stop() {
 	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
+	started := n.started
+	if !n.stopped {
+		n.stopped = true
+		close(n.done)
 	}
-	n.stopped = true
 	n.mu.Unlock()
-	close(n.done)
+	if started {
+		<-n.exited
+	}
 }
 
 // Propose submits a payload for consensus. Only the primary accepts
@@ -563,6 +576,7 @@ func (n *Node) publish() {
 }
 
 func (n *Node) loop() {
+	defer close(n.exited)
 	tick := n.cfg.HeartbeatInterval / 4
 	if tick <= 0 {
 		tick = time.Millisecond
@@ -1028,6 +1042,10 @@ func (n *Node) onProposeView(msg Message) {
 	n.promised = msg.View
 	n.status = StatusViewChange
 	n.electing = false // defer to the candidate
+	// Give the candidate a full timeout to finish: an acceptor whose own
+	// timer fired between this promise and the NewPrimary it leads to
+	// would depose the winner the moment it starts serving.
+	n.lastHB = time.Now() //crane:detflow-ok election timer, below the consensus boundary
 	n.send(msg.From, Message{Type: MsgPromiseView, View: msg.View,
 		CommitIdx: n.commitIdx, LastNorm: n.lastNorm,
 		Entries: n.entriesAbove(msg.CommitIdx)})

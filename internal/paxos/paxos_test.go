@@ -391,7 +391,6 @@ func TestDeliverFromSuppressesReplay(t *testing.T) {
 	}
 	waitFor(t, "single-node commit", func() bool { return n1.CommitIndex() == 10 })
 	n1.Stop()
-	time.Sleep(5 * time.Millisecond)
 
 	// Restart with DeliverFrom=6: only 7..10 are re-delivered.
 	mu.Lock()

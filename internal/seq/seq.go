@@ -275,11 +275,21 @@ type Sequence struct {
 	// (lock-free read); nil when recording is off.
 	flight      *flight.Journal
 	flightClock func() uint64
+
+	// wake holds at most one token, posted by every Enqueue: the admission
+	// gate's token holder blocks on it while the sequence is empty, so a
+	// committed entry wakes it directly. One slot suffices because only the
+	// lane's token holder ever waits, and it re-checks Empty after every
+	// wake-up (a token left over from an earlier enqueue is harmless).
+	wake chan struct{}
 }
 
 // New creates an empty sequence.
 func New() *Sequence {
-	return &Sequence{lastDrain: time.Now()} //crane:detflow-ok drain-interval stat, never marshaled onto the wire
+	return &Sequence{
+		lastDrain: time.Now(), //crane:detflow-ok drain-interval stat, never marshaled onto the wire
+		wake:      make(chan struct{}, 1),
+	}
 }
 
 // SetObs registers the sequence's instruments into reg: the queue-wait
@@ -349,6 +359,22 @@ func (s *Sequence) Enqueue(e *Entry) {
 		s.bubbles++
 	} else {
 		s.clientCalls++
+	}
+	s.Nudge()
+}
+
+// Wake returns the channel every Enqueue (and EnqueueSpec) posts to. A
+// consumer that found the sequence empty blocks on it instead of polling,
+// and must re-check Empty after each receive.
+func (s *Sequence) Wake() <-chan struct{} { return s.wake }
+
+// Nudge posts the wake without enqueueing, for a producer-side change the
+// waiting consumer has to re-examine: the commit of an entry that was
+// already enqueued speculatively.
+func (s *Sequence) Nudge() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -484,18 +510,35 @@ func (s *Sequence) EmptyFor(d time.Duration) bool {
 // when exhausted (Fig. 10 lines 6–7). It reports whether the head was a
 // bubble.
 func (s *Sequence) TickBubble() bool {
+	_, ok := s.consumeBubble(1)
+	return ok
+}
+
+// DrainBubble consumes every remaining clock of the head bubble in one act
+// and removes it, returning how many clocks that was (0 when the head is not
+// a bubble). The counters, the consumption position and the single EvBubble
+// journal event end up exactly as after that many TickBubble calls.
+func (s *Sequence) DrainBubble() uint64 {
+	n, _ := s.consumeBubble(^uint64(0))
+	return n
+}
+
+// consumeBubble takes up to limit clocks from the head bubble, popping it when
+// none remain; ok is false when the head is not a bubble.
+func (s *Sequence) consumeBubble(limit uint64) (n uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pendingLocked() == 0 || s.headLocked().Kind != KindBubble {
-		return false
+		return 0, false
 	}
 	e := s.headLocked()
-	if e.NClock > 0 {
-		e.NClock--
-		s.bubbleClocks++
-		s.progressA.Add(1)
+	n = min(e.NClock, limit)
+	if n > 0 {
+		e.NClock -= n
+		s.bubbleClocks += n
+		s.progressA.Add(n)
 		if e.Spec {
-			s.specConsumed++
+			s.specConsumed += n
 		}
 	}
 	if e.NClock == 0 {
@@ -504,7 +547,7 @@ func (s *Sequence) TickBubble() bool {
 			s.flightEmit(flight.EvBubble, e.Req)
 		}
 	}
-	return true
+	return n, true
 }
 
 // PopConnect consumes a head CONNECT entry, returning its connection id and
