@@ -48,7 +48,10 @@ type Config struct {
 	Groups int
 
 	// Wtimeout is the empty-sequence duration after which the primary
-	// requests a time bubble (default 100µs, §7).
+	// requests a time bubble (default 100µs, §7). A gate waiting for
+	// that moment never sleeps for less than hrtimer.Floor (20µs) at a
+	// time, so Figure 16's 1µs and 10µs points re-arm its deadline at most
+	// 50,000 times a second instead of once per microsecond.
 	Wtimeout time.Duration
 	// Nclock is the number of logical clocks per bubble (default 1000, §7).
 	Nclock uint64

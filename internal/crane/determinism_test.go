@@ -158,7 +158,7 @@ func waitBubbleFreeWindow(t *testing.T, cluster *Cluster, deadline time.Time) {
 	half := primary.cfg.Wtimeout / 2
 	for time.Now().Before(deadline) {
 		if primary.sq.Empty() && !primary.bubblePending.Load() &&
-			!primary.sq.EmptyFor(half) {
+			primary.sq.StarvesIn(half) > 0 {
 			return
 		}
 		time.Sleep(200 * time.Microsecond)

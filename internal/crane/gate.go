@@ -6,9 +6,9 @@ package crane
 
 import (
 	"sync/atomic"
-	"time"
 
 	"crane/internal/dmt"
+	"crane/internal/hrtimer"
 	"crane/internal/seq"
 )
 
@@ -138,36 +138,30 @@ func (g *gate) drainBubble(sq *seq.Sequence) uint64 {
 
 // awaitInput blocks the token holder while sq is empty (bubbling only). The
 // wait delays physical time, never logical time, so it is determinism-
-// neutral. It ends when an entry is enqueued. The timer exists only to drive
-// the bubble request, and is armed for exactly as long as
-// maybeRequestBubble says nothing new can happen: once for W_timeout on the
-// way to starvation, then at the pending request's grace or, on a replica
-// that leads nothing, at the pace leadership can change. A wake that leaves
-// the sequence empty (the pending request landed without an enqueue) asks
-// again. It reports false when the scheduler was killed — a replica stop or
-// a speculation rollback retiring this scheduler — with the sequence still
-// empty.
+// neutral. It ends when an entry is enqueued. The deadline exists only to
+// drive the bubble request, and is armed for exactly as long as
+// maybeRequestBubble says nothing new can happen: for what is left of
+// W_timeout on the way to starvation, then at the pending request's grace or,
+// on a replica that leads nothing, at the pace leadership can change. It is an
+// hrtimer, not a runtime timer: with every P idle the runtime would round
+// W_timeout up to a millisecond. A wake that leaves the sequence empty (the
+// pending request landed without an enqueue) asks again. It reports false
+// when the scheduler was killed — a replica stop or a speculation rollback
+// retiring this scheduler — with the sequence still empty.
 func (g *gate) awaitInput(t *dmt.Thread, sq *seq.Sequence) bool {
 	if !g.bubbling || !sq.Empty() {
 		return true
 	}
-	tm := time.NewTimer(g.r.maybeRequestBubble())
+	tm := hrtimer.New()
 	defer tm.Stop()
 	for sq.Empty() {
+		tm.Reset(g.r.maybeRequestBubble())
 		select {
 		case <-sq.Wake():
-			if !tm.Stop() {
-				select {
-				case <-tm.C:
-				default:
-				}
-			}
-		case <-tm.C:
+		case due := <-tm.C:
+			g.r.ro.wtimeoutLate.Since(due)
 		case <-t.Done():
 			return false
-		}
-		if sq.Empty() {
-			tm.Reset(g.r.maybeRequestBubble())
 		}
 	}
 	return true

@@ -2,10 +2,12 @@ package crane
 
 import (
 	"io"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"crane/internal/hrtimer"
 	"crane/internal/papi"
 	"crane/internal/seq"
 	"crane/internal/simnet"
@@ -226,5 +228,64 @@ func TestGateBusy(t *testing.T) {
 	h.inject(&seq.Entry{Index: 1, Kind: seq.KindBubble, NClock: 1})
 	if !g.Busy() {
 		t.Fatal("not Busy with pending entry")
+	}
+}
+
+// TestGateWtimeoutOnTime: on an idle cluster the primary's gate meets an empty
+// sequence once per starvation round, and the deadline that turns W_timeout
+// into a bubble request must run when it was armed for — not a millisecond
+// later, which is what a runtime timer does once every P is idle.
+func TestGateWtimeoutOnTime(t *testing.T) {
+	c, err := StartCluster(testConfig(ModeCrane), rearmServer(false)) // W_timeout 200µs, no client ever connects
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	p := currentPrimary(t, c)
+	const rounds = 200
+	waitFor(t, 30*time.Second, "starvation rounds on the primary", func() bool {
+		return p.ro.bubbleReqs.Value() >= rounds && p.ro.wtimeoutLate.Count() >= rounds
+	})
+	p50 := p.ro.wtimeoutLate.Quantile(0.5)
+	t.Logf("gate_wtimeout_lateness_seconds over %d deadline wake-ups (%d bubble requests): p50 %v, p99 %v",
+		p.ro.wtimeoutLate.Count(), p.ro.bubbleReqs.Value(), p50, p.ro.wtimeoutLate.Quantile(0.99))
+	if runtime.GOOS == "linux" && p50 >= 500*time.Microsecond {
+		t.Errorf("W_timeout deadline ran %v late at the median, want under 500µs", p50)
+	}
+}
+
+// TestGateTimerStoppedOnExit: a gate waiting on an empty sequence holds one
+// deadline, and gives it back however the wait ends.
+func TestGateTimerStoppedOnExit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(h *gateHarness)
+	}{
+		// An unaccepted CONNECT ends the wait and keeps the sequence
+		// non-empty, so nobody waits again.
+		{"wake", func(h *gateHarness) {
+			h.inject(&seq.Entry{Index: 1, Kind: seq.KindConnect, Conn: 9, Port: 1})
+		}},
+		{"kill", func(h *gateHarness) {
+			h.proc.Kill()
+			h.proc.Wait()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := hrtimer.Pending()
+			h := newGateHarness(t, true)
+			h.r.cfg.Wtimeout = time.Hour // the deadline stays pending for as long as the wait lasts
+			h.proc.Start(papi.FuncInstance{Main: func(tt papi.T) {
+				m := tt.NewMutex()
+				m.Lock(tt) // blocks in the gate: the sequence is empty
+			}})
+			waitFor(t, 5*time.Second, "the gate to arm its deadline", func() bool {
+				return hrtimer.Pending() == base+1
+			})
+			tc.end(h)
+			waitFor(t, 5*time.Second, "the gate to stop its deadline", func() bool {
+				return hrtimer.Pending() == base
+			})
+		})
 	}
 }

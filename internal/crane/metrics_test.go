@@ -162,6 +162,8 @@ func TestMetricsScrapeEndpoints(t *testing.T) {
 		"seq_bubble_clocks_total",
 		"gate_bubbles_bulk_drained_total",
 		"gate_bubble_clocks_bulk_total",
+		"gate_wtimeout_lateness_seconds_count",
+		"gate_bubble_requests_total",
 		"dmt_clock",
 		"dmt_turn_wait_seconds",
 		"transport_msgs_sent_total",

@@ -38,6 +38,8 @@ type replicaObs struct {
 	admitToExec   *obs.Histogram // admission -> DMT consumption (primary)
 	bulkBubbles   *obs.Counter   // bubbles the gate drained in one idle turn
 	bulkClocks    *obs.Counter   // logical clocks those drains consumed
+	wtimeoutLate  *obs.Histogram // how late the gate's bubble-request deadline ran
+	bubbleReqs    *obs.Counter   // starvation rounds that proposed a bubble
 }
 
 // newReplicaObs builds the registry and instruments for one replica. The
@@ -65,6 +67,10 @@ func newReplicaObs(r *Replica) *replicaObs {
 			"time bubbles whose remaining clocks the idle thread of a parked lane consumed in one turn"),
 		bulkClocks: reg.Counter("gate_bubble_clocks_bulk_total",
 			"logical clocks consumed by bulk bubble drains (the O(1) share of seq_bubble_clocks_total, all lanes)"),
+		wtimeoutLate: reg.Histogram("gate_wtimeout_lateness_seconds",
+			"how long after the time it was armed for the gate's bubble-request deadline ran (waits ended by the deadline only)"),
+		bubbleReqs: reg.Counter("gate_bubble_requests_total",
+			"starvation rounds in which this replica proposed time bubbles (one per round, whatever the number of groups)"),
 	}
 	reg.GaugeFunc("crane_open_conns", "alive server-side connections", func() float64 {
 		return float64(r.openConns.Load())

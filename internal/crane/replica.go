@@ -641,16 +641,15 @@ func (r *Replica) maybeRequestBubble() time.Duration {
 	// A bubble is due when any lane's sequence has starved for W_timeout
 	// (with one lane this is exactly the pre-lane condition): starved
 	// lanes need bubbles to tick their clocks even while other lanes have
-	// steady client input.
-	starved := false
+	// steady client input. Until then the caller sleeps for what is left of
+	// W_timeout on the lane nearest starvation, not for a fresh one: the
+	// count started at the drain.
+	left := r.cfg.Wtimeout
 	for _, lsq := range r.sqs {
-		if lsq.EmptyFor(r.cfg.Wtimeout) {
-			starved = true
-			break
-		}
+		left = min(left, lsq.StarvesIn(r.cfg.Wtimeout))
 	}
-	if !starved {
-		return r.cfg.Wtimeout
+	if left > 0 {
+		return left
 	}
 	// A replica that leads nothing cannot propose; all it has to notice is
 	// becoming a leader, which the Paxos node itself only does on its
@@ -727,6 +726,7 @@ func (r *Replica) maybeRequestBubble() time.Duration {
 		r.bubblePending.Store(false)
 		return idle
 	}
+	r.ro.bubbleReqs.Inc()
 	return bubbleGrace
 }
 

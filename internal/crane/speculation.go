@@ -283,7 +283,7 @@ func (sp *speculator) feed(ents []*seq.Entry) bool {
 			sp.pendingCalls++
 		} else if sp.pendingCalls > 0 || sp.r.openConns.Load() > 0 {
 			// Speculative time: the bubble is already in the queue, so the
-			// starvation test (EmptyFor) — not the commit round-trip — can
+			// starvation test (StarvesIn) — not the commit round-trip — can
 			// pace the next grant. Without this, execution that needs N
 			// bubbles of clock pays N commit RTTs even though every entry
 			// it consumes is speculative; with it, the whole clock demand

@@ -498,12 +498,18 @@ func (s *Sequence) Head() (Entry, bool) {
 	return *s.headLocked(), true
 }
 
-// EmptyFor reports whether the sequence has been continuously empty for at
-// least d (the Wtimeout test that triggers a bubble request).
-func (s *Sequence) EmptyFor(d time.Duration) bool {
+// StarvesIn returns how long until the sequence has been continuously empty
+// for d (the Wtimeout test that triggers a bubble request) if nothing is
+// enqueued: 0 when it already has, what is left of d while it is empty, and
+// the whole of d while an entry is pending (the count only starts at the
+// drain). It is what a waiter arms its bubble-request deadline for.
+func (s *Sequence) StarvesIn(d time.Duration) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pendingLocked() == 0 && time.Since(s.lastDrain) >= d
+	if s.pendingLocked() > 0 {
+		return d
+	}
+	return max(d-time.Since(s.lastDrain), 0)
 }
 
 // TickBubble consumes one logical clock from the head bubble, removing it

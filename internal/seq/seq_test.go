@@ -170,23 +170,45 @@ func TestTickBubble(t *testing.T) {
 	}
 }
 
-func TestEmptyFor(t *testing.T) {
+// TestStarvesIn: the time left until starvation is the whole of d while an
+// entry is pending, counts down from the drain (or the creation) to 0, and
+// starts over at the next drain.
+func TestStarvesIn(t *testing.T) {
+	const d = 20 * time.Millisecond
 	s := New()
 	time.Sleep(2 * time.Millisecond)
-	if !s.EmptyFor(time.Millisecond) {
-		t.Fatal("EmptyFor false on long-empty sequence")
+	if got := s.StarvesIn(time.Millisecond); got != 0 {
+		t.Fatalf("StarvesIn(1ms) = %v on a sequence empty since its creation 2ms ago", got)
 	}
 	s.Enqueue(&Entry{Index: 1, Kind: KindConnect})
-	if s.EmptyFor(0) {
-		t.Fatal("EmptyFor true on non-empty sequence")
+	time.Sleep(2 * time.Millisecond)
+	if got := s.StarvesIn(d); got != d {
+		t.Fatalf("StarvesIn = %v with an entry pending, want all of %v", got, d)
 	}
 	s.PopConnect()
-	if s.EmptyFor(time.Hour) {
-		t.Fatal("EmptyFor true immediately after drain")
+	prev := s.StarvesIn(d)
+	if prev <= 0 || prev > d {
+		t.Fatalf("StarvesIn = %v right after the drain, want in (0, %v]", prev, d)
 	}
-	time.Sleep(2 * time.Millisecond)
-	if !s.EmptyFor(time.Millisecond) {
-		t.Fatal("EmptyFor false after drain + wait")
+	for prev > 0 {
+		time.Sleep(time.Millisecond)
+		got := s.StarvesIn(d)
+		if got >= prev {
+			t.Fatalf("StarvesIn went %v -> %v on an empty sequence, want a decrease", prev, got)
+		}
+		prev = got
+	}
+	if got := s.StarvesIn(d); got != 0 {
+		t.Fatalf("StarvesIn = %v on a starved sequence: it must stay 0", got)
+	}
+	if got := s.StarvesIn(time.Hour); got <= 0 {
+		t.Fatalf("StarvesIn(1h) = %v on a sequence starved for %v", got, d)
+	}
+	// An enqueue and its consumption restart the count.
+	s.Enqueue(&Entry{Index: 2, Kind: KindConnect})
+	s.PopConnect()
+	if got := s.StarvesIn(d); got < d/2 || got > d {
+		t.Fatalf("StarvesIn = %v after enqueue + consume, want nearly %v again", got, d)
 	}
 }
 
