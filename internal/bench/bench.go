@@ -196,6 +196,23 @@ type Cell struct {
 	ClientCalls uint64
 	Bubbles     uint64
 	BubbleRatio float64
+	// Rounds is how many bursts the primary's proxy proposed and
+	// BubbleRounds how many of them were starvation rounds, which carry
+	// bubbles only: the share of consensus rounds spent on time alone. A
+	// bubble that rode the burst of a SEND is an entry, not a round.
+	Rounds       uint64
+	BubbleRounds uint64
+}
+
+// bubbleAccounting fills in the cell's Table 1 columns from the cluster's
+// sequence counters and the primary's burst and starvation-round counts.
+func (c *Cell) bubbleAccounting(cluster *crane.Cluster) {
+	st := cluster.SeqStats()
+	c.ClientCalls, c.Bubbles, c.BubbleRatio = st.ClientCalls, st.Bubbles, st.BubbleRatio()
+	if p, err := cluster.Primary(); err == nil {
+		m := p.Metrics()
+		c.Rounds, c.BubbleRounds = m.Bursts, m.StarvationRounds
+	}
 }
 
 // RunCellWithMetrics is RunCell plus per-replica metric lines captured at
@@ -211,20 +228,13 @@ func RunCellWithMetrics(spec AppSpec, cfg crane.Config, useHints bool, s Scale) 
 			return Cell{}, nil, fmt.Errorf("bench: %s prepare: %w", spec.Name, err)
 		}
 	}
-	sum := spec.Workload(cluster.Dial, s)
-	st := cluster.SeqStats()
+	cell := Cell{App: spec.Name, Mode: cfg.Mode.String(), Summary: spec.Workload(cluster.Dial, s)}
+	cell.bubbleAccounting(cluster)
 	var lines []string
 	for _, m := range cluster.ClusterMetrics() {
 		lines = append(lines, m.String())
 	}
-	return Cell{
-		App:         spec.Name,
-		Mode:        cfg.Mode.String(),
-		Summary:     sum,
-		ClientCalls: st.ClientCalls,
-		Bubbles:     st.Bubbles,
-		BubbleRatio: st.BubbleRatio(),
-	}, lines, nil
+	return cell, lines, nil
 }
 
 // RunCell deploys spec under cfg, runs the workload, and returns the cell.
@@ -239,14 +249,7 @@ func RunCell(spec AppSpec, cfg crane.Config, useHints bool, s Scale) (Cell, erro
 			return Cell{}, fmt.Errorf("bench: %s prepare: %w", spec.Name, err)
 		}
 	}
-	sum := spec.Workload(cluster.Dial, s)
-	st := cluster.SeqStats()
-	return Cell{
-		App:         spec.Name,
-		Mode:        cfg.Mode.String(),
-		Summary:     sum,
-		ClientCalls: st.ClientCalls,
-		Bubbles:     st.Bubbles,
-		BubbleRatio: st.BubbleRatio(),
-	}, nil
+	cell := Cell{App: spec.Name, Mode: cfg.Mode.String(), Summary: spec.Workload(cluster.Dial, s)}
+	cell.bubbleAccounting(cluster)
+	return cell, nil
 }

@@ -73,7 +73,10 @@ type Table1Row struct {
 	App         string
 	ClientCalls uint64
 	Bubbles     uint64
-	Ratio       float64
+	Ratio       float64 // bubble entries ÷ entries (the paper's column)
+	// RoundRatio is bubble-only rounds ÷ rounds: since a burst can carry
+	// its own bubble, entries and rounds no longer move together.
+	RoundRatio float64
 }
 
 // Table1 runs every server under full CRANE and reports bubble ratios.
@@ -86,10 +89,14 @@ func Table1(s Scale, w io.Writer) ([]Table1Row, error) {
 		}
 		row := Table1Row{App: spec.Name, ClientCalls: cell.ClientCalls,
 			Bubbles: cell.Bubbles, Ratio: cell.BubbleRatio}
+		if cell.Rounds > 0 {
+			row.RoundRatio = float64(cell.BubbleRounds) / float64(cell.Rounds)
+		}
 		rows = append(rows, row)
 		if w != nil {
-			fmt.Fprintf(w, "Table1 %-10s client-calls=%-6d bubbles=%-5d ratio=%.2f%%\n",
-				row.App, row.ClientCalls, row.Bubbles, 100*row.Ratio)
+			fmt.Fprintf(w, "Table1 %-10s client-calls=%-6d bubbles=%-5d ratio=%.2f%% bubble-only-rounds=%d/%d (%.2f%%)\n",
+				row.App, row.ClientCalls, row.Bubbles, 100*row.Ratio,
+				cell.BubbleRounds, cell.Rounds, 100*row.RoundRatio)
 		}
 	}
 	return rows, nil

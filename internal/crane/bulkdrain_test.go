@@ -224,8 +224,13 @@ func rearmServer(closeFirst bool) papi.Program {
 // timing: where the following SEND had arrived it was consumed at that
 // clock, where it had not the thread ticked a wait and consumed it later.
 //
-// The choreography pins that moment. W_timeout is 10 s, so the primary
-// inserts no bubble and every operation is admitted against a client entry.
+// The choreography pins that moment. W_timeout is 10 s, so no starvation
+// round ever runs — which does not mean no bubble: a tail bubble rides the
+// burst of a SEND that finds the pipeline idle whatever W_timeout is, as the
+// first SEND here does. The hooks therefore drop every committed bubble, alike
+// on all replicas, and key on the previous client call, so the only bubble in
+// play is the one they fabricate and every operation is admitted against a
+// client entry or that bubble.
 // From the first recv on, the idle thread and the server thread alternate
 // turns, and the server thread's recv on the second connection is the
 // operation whose gate pops the entry under test. Two replicas deliver that
@@ -259,12 +264,15 @@ func TestGateRearmAfterGatePop(t *testing.T) {
 				r := c.Replica(i)
 				// Hook state is touched only by the delivery goroutine.
 				var held *seq.Entry
-				var prev seq.Kind
+				var prev seq.Kind // kind of the previous client call
 				glued := false
 				bubble := func(after *seq.Entry) *seq.Entry {
 					return &seq.Entry{Kind: seq.KindBubble, NClock: 2, Index: after.Index}
 				}
 				r.SetMangleDeliver(func(e *seq.Entry) []*seq.Entry {
+					if e.Kind == seq.KindBubble {
+						return nil
+					}
 					defer func() { prev = e.Kind }()
 					switch {
 					case tc.closeFirst && r == slow:

@@ -27,6 +27,11 @@ type Metrics struct {
 	// Paxos sequence counters.
 	Seq seq.Stats
 
+	// Bursts the proxy proposed (one ProposeBatch each) and how many of
+	// them were starvation rounds, which carry bubbles only. Primary only.
+	Bursts           uint64
+	StarvationRounds uint64
+
 	// Connections currently alive on the server side.
 	OpenConns int64
 
@@ -41,6 +46,9 @@ func (r *Replica) Metrics() Metrics {
 		Seq:       r.sq.Stats(),
 		OpenConns: r.openConns.Load(),
 		Outputs:   r.out.Len(),
+
+		Bursts:           r.ro.burstSize.Count(),
+		StarvationRounds: r.ro.bubbleReqs.Value(),
 	}
 	if r.node != nil {
 		m.Primary = r.node.IsPrimary()

@@ -164,6 +164,7 @@ func TestMetricsScrapeEndpoints(t *testing.T) {
 		"gate_bubble_clocks_bulk_total",
 		"gate_wtimeout_lateness_seconds_count",
 		"gate_bubble_requests_total",
+		"proxy_tail_bubbles_total",
 		"dmt_clock",
 		"dmt_turn_wait_seconds",
 		"transport_msgs_sent_total",

@@ -40,6 +40,7 @@ type replicaObs struct {
 	bulkClocks    *obs.Counter   // logical clocks those drains consumed
 	wtimeoutLate  *obs.Histogram // how late the gate's bubble-request deadline ran
 	bubbleReqs    *obs.Counter   // starvation rounds that proposed a bubble
+	tailBubbles   *obs.Counter   // bubbles that rode the burst of the SEND they follow
 }
 
 // newReplicaObs builds the registry and instruments for one replica. The
@@ -71,6 +72,8 @@ func newReplicaObs(r *Replica) *replicaObs {
 			"how long after the time it was armed for the gate's bubble-request deadline ran (waits ended by the deadline only)"),
 		bubbleReqs: reg.Counter("gate_bubble_requests_total",
 			"starvation rounds in which this replica proposed time bubbles (one per round, whatever the number of groups)"),
+		tailBubbles: reg.Counter("proxy_tail_bubbles_total",
+			"time bubbles appended to the burst of the SEND they follow, committed in its Accept round (the clock grants that did not wait for a starvation round)"),
 	}
 	reg.GaugeFunc("crane_open_conns", "alive server-side connections", func() float64 {
 		return float64(r.openConns.Load())

@@ -141,22 +141,20 @@ func (p *proxy) readLoop(c *simnet.Conn, id uint64) {
 // accepted for ordering, so the per-producer flow stays synchronous while
 // concurrent connections share one ProposeBatch.
 func (p *proxy) propose(e *seq.Entry) bool {
-	return p.proposeGroup(e, p.r.groupForConn(e.Conn))
-}
-
-// proposeGroup submits an entry into group g's burst submitter. Bubbles
-// name their group explicitly (one per group per starvation round); client
-// calls arrive via propose, which routes by connection id.
-func (p *proxy) proposeGroup(e *seq.Entry, g int) bool {
 	// Admission is where a request id is born: it rides the entry across
 	// the wire so every replica's lifecycle trace keys the same stages by
-	// the same id. Bubbles get an id (their commit is traceable) but no
-	// admit record — nothing ever "consumes" a bubble via the client-call
-	// hook, so an admit-time entry for one would leak.
+	// the same id. (A bubble gets its id where it is minted, bubbleRound,
+	// and no admit record.)
 	e.Req = p.r.ro.assignReq(p.r.id)
-	if e.Kind != seq.KindBubble {
-		p.r.ro.recordAdmit(e.Req, e.Conn)
-	}
+	p.r.ro.recordAdmit(e.Req, e.Conn)
+	return p.submit(e, p.r.groupForConn(e.Conn))
+}
+
+// submit queues an entry into group g's burst submitter and waits for the
+// verdict on the burst that carried it. Client calls arrive via propose,
+// which routes by connection id; the bubbles of a starvation round name their
+// group explicitly.
+func (p *proxy) submit(e *seq.Entry, g int) bool {
 	req := submitReq{e: e, done: make(chan bool, 1)}
 	select {
 	case p.subChs[g] <- req:
@@ -180,10 +178,12 @@ func (p *proxy) proposeGroup(e *seq.Entry, g int) bool {
 // bursts for that group's consensus node. A time bubble terminates the
 // burst it rides in: no later socket call is packaged after it, keeping the
 // per-burst logical-time consensus of §4 intact (the bubble's clocks elapse
-// before any call queued behind it is even submitted). Sharded, each
-// group's loop runs its Accept rounds independently — the pipelining win —
-// and stamps every entry with the shared admission counter the cross-group
-// merge sorts by.
+// before any call queued behind it is even submitted). A bubble gets there
+// one of two ways: a starvation round queued it like a socket call
+// (maybeRequestBubble), or the burst delivers data into an idle pipeline and
+// carries its own (tailRound). Sharded, each group's loop runs its Accept
+// rounds independently — the pipelining win — and stamps every entry with the
+// shared admission counter the cross-group merge sorts by.
 func (p *proxy) submitLoop(g int) {
 	defer p.wg.Done()
 	subCh := p.subChs[g]
@@ -205,9 +205,15 @@ func (p *proxy) submitLoop(g int) {
 				break drain
 			}
 		}
-		ents := make([]*seq.Entry, len(reqs))
+		ents := make([]*seq.Entry, len(reqs), len(reqs)+1)
 		for i, r := range reqs {
 			ents[i] = r.e
+		}
+		// The tail bubble has no submitReq: nobody waits on it, and a failed
+		// propose below has only its round's claim to give back.
+		round := p.tailRound(g, ents[len(ents)-1])
+		if round != nil {
+			ents = append(ents, round[g])
 		}
 		if p.r.groups > 1 {
 			// Stamp in burst order from the shared counter: globally
@@ -246,6 +252,23 @@ func (p *proxy) submitLoop(g int) {
 				}
 			}
 		}
+		if round != nil {
+			// The rest of the round goes to the other groups now, so their
+			// submitters stamp it after this burst: once it commits, every
+			// group's watermark covers the SEND and the merge emits it
+			// without waiting for a starvation round. Never blocking: a full
+			// queue has traffic of its own, and the starvation round covers
+			// whatever is dropped here.
+			for h, ch := range p.subChs {
+				if h == g || round[h] == nil {
+					continue
+				}
+				select {
+				case ch <- submitReq{e: round[h], done: make(chan bool, 1)}:
+				default:
+				}
+			}
+		}
 		// Speculation: hand the burst to the execution pipeline before the
 		// Accept round even starts — the commit usually confirms what
 		// already ran. (Sharded deployments force speculation off: the
@@ -272,11 +295,49 @@ func (p *proxy) submitLoop(g int) {
 			for _, e := range ents {
 				p.r.ro.recordProposed(e)
 			}
+			if round != nil {
+				p.r.ro.tailBubbles.Inc()
+			}
+		} else if round != nil {
+			// The round this burst opened never went out: say so, and the
+			// gate asks again at once instead of sleeping out bubbleGrace.
+			p.r.bubblePending.Store(false)
 		}
 		for _, r := range reqs {
 			r.done <- ok
 		}
 	}
+}
+
+// tailRound decides whether the burst that ends in last carries its own time
+// bubble, and if so opens the bubble round for it: the result is bubbleRound's,
+// with group g's bubble present, or nil when the burst goes out as it is.
+// Three conditions, all read from the input: the burst ends in a SEND, so
+// execution and then synchronization operations follow; group g's queue is
+// empty, so the bubble holds nothing back; every lane sequence of this
+// bubbling primary is empty, so the DMT starves the moment it has consumed
+// this burst and would ask for exactly this bubble W_timeout later, one Accept
+// round too late. Where the primary places a bubble is physical timing outside
+// the deterministic domain: every replica consumes the same committed
+// sequence either way.
+func (p *proxy) tailRound(g int, last *seq.Entry) []*seq.Entry {
+	r := p.r
+	if last.Kind != seq.KindSend || len(p.subChs[g]) != 0 || r.mode != ModeCrane {
+		return nil
+	}
+	for _, lsq := range r.sqs {
+		if !lsq.Empty() {
+			return nil
+		}
+	}
+	round := r.bubbleRound()
+	if round[g] == nil {
+		// This replica does not lead group g (any more): the burst's propose
+		// is about to fail, and nothing of the round goes out.
+		r.bubblePending.Store(false)
+		return nil
+	}
+	return round
 }
 
 // forward relays a server response to the client (primary only; on

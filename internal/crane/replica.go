@@ -664,8 +664,8 @@ func (r *Replica) maybeRequestBubble() time.Duration {
 	// elect different leaders (alignGroupLeadership pulls them back onto
 	// the group-0 leader, but not atomically). Whoever leads a group paces
 	// that group's clock — the merge is live only if every group keeps
-	// committing bubbles, so each starvation round proposes one bubble
-	// into every group this replica currently leads.
+	// committing bubbles, so each round proposes one bubble into every
+	// group this replica currently leads (bubbleRound).
 	leads := false
 	for _, nd := range r.nodes {
 		if nd.IsPrimary() {
@@ -676,21 +676,53 @@ func (r *Replica) maybeRequestBubble() time.Duration {
 	if !leads {
 		return idle
 	}
-	now := time.Now().UnixNano()
 	if r.bubblePending.Load() {
 		// An outstanding request can be lost across a view change;
 		// re-arm after a generous grace period. Its commit wakes the
 		// waiter through the sequence, so until then there is nothing to
 		// poll for.
-		if left := bubbleGrace - time.Duration(now-r.bubbleSince.Load()); left > 0 {
+		if left := bubbleGrace - time.Duration(time.Now().UnixNano()-r.bubbleSince.Load()); left > 0 {
 			return left
 		}
 		r.bubblePending.Store(false)
 	}
 	if !r.bubblePending.CompareAndSwap(false, true) {
-		return bubbleGrace
+		return bubbleGrace // another lane's token holder is asking right now
 	}
-	r.bubbleSince.Store(now)
+	// Bubbles ride the proxy's burst submitters so a bubble terminates
+	// the burst it lands in (§4: no socket call queued behind the bubble
+	// is packaged after it).
+	proposed := false
+	for g, e := range r.bubbleRound() {
+		if e != nil && r.px.submit(e, g) {
+			proposed = true
+		}
+	}
+	if !proposed {
+		r.bubblePending.Store(false)
+		return idle
+	}
+	r.ro.bubbleReqs.Inc()
+	return bubbleGrace
+}
+
+// bubbleRound opens a bubble round and mints its bubbles: one for every group
+// this replica leads, indexed by group, nil where another replica leads. The
+// caller hands them to the groups' burst submitters — a starvation round
+// queues each like a socket call, a burst that carries its own bubble appends
+// its group's and queues the rest — and clears bubblePending if none went out.
+// Otherwise the first bubble to reach the lane sequences clears it
+// (enqueueDelivered), or maybeRequestBubble's grace period if a view change
+// swallowed the round: until then the gate does not ask for another.
+//
+// One bubble goes into EVERY led group: the merge can only emit past a group
+// whose watermark has advanced, so an idle group with no bubble flow would
+// stall delivery for all of them. A bubble has a request id (its commit is
+// traceable) but no admit record — nothing ever "consumes" a bubble via the
+// client-call hook, so an admit-time entry for one would leak.
+func (r *Replica) bubbleRound() []*seq.Entry {
+	r.bubblePending.Store(true)
+	r.bubbleSince.Store(time.Now().UnixNano())
 	// One bubble is cloned into every lane (afterMerge), so the
 	// replica-wide clock grant of a single bubble round is
 	// NClock x lanes x groups. Dividing the per-bubble grant by
@@ -706,28 +738,13 @@ func (r *Replica) maybeRequestBubble() time.Duration {
 	if nclock == 0 {
 		nclock = 1
 	}
-	// Bubbles ride the proxy's burst submitters so a bubble terminates
-	// the burst it lands in (§4: no socket call queued behind the bubble
-	// is packaged after it). One bubble goes into EVERY group this
-	// replica leads: the merge can only emit past a group whose watermark
-	// has advanced, so an idle group with no bubble flow would stall
-	// delivery for all of them.
-	proposed := false
+	round := make([]*seq.Entry, r.groups)
 	for g, nd := range r.nodes {
-		if !nd.IsPrimary() {
-			continue
-		}
-		e := seq.Entry{Kind: seq.KindBubble, NClock: nclock}
-		if r.px.proposeGroup(&e, g) {
-			proposed = true
+		if nd.IsPrimary() {
+			round[g] = &seq.Entry{Kind: seq.KindBubble, NClock: nclock, Req: r.ro.assignReq(r.id)}
 		}
 	}
-	if !proposed {
-		r.bubblePending.Store(false)
-		return idle
-	}
-	r.ro.bubbleReqs.Inc()
-	return bubbleGrace
+	return round
 }
 
 // alignGroupLeadership pulls every Paxos group's leadership onto this

@@ -68,6 +68,13 @@ func TestSpeculationHTTPDHitPath(t *testing.T) {
 // The caller owns the follow-up (heal for a rollback, or kill).
 func forceSpecAbort(t *testing.T, c *Cluster, canary string) int {
 	t.Helper()
+	return forceSpecAbortAfter(t, c, canary, func(*Replica) {})
+}
+
+// forceSpecAbortAfter is forceSpecAbort with a pause between the canary's
+// connect and its PUT: connected runs on the stranded primary in between.
+func forceSpecAbortAfter(t *testing.T, c *Cluster, canary string, connected func(p *Replica)) int {
+	t.Helper()
 	// Committed warm-up traffic, so the eventual replay is non-trivial.
 	if _, err := c.DialAndRequest("warm:1", 8080, []byte("GET /index.html HTTP/1.0\r\n\r\n"), 1); err != nil {
 		t.Fatal(err)
@@ -100,6 +107,7 @@ func forceSpecAbort(t *testing.T, c *Cluster, canary string) int {
 			}
 		}
 	}()
+	connected(p)
 	req := fmt.Sprintf("PUT /canary.html HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s", len(canary), canary)
 	if _, err := conn.Write([]byte(req)); err != nil {
 		t.Fatal(err)
