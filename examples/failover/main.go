@@ -182,7 +182,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("replica%d elected primary after %v (election phase %.2fms)\n",
-		p.ID(), time.Since(start).Round(time.Millisecond), p.Node().LastElectionMillis())
+		p.ID(), time.Since(start).Round(time.Millisecond), p.GroupNode(0).LastElectionMillis())
 
 	// Clients do not get to ask the cluster who the primary is: the
 	// failover-aware client library discovers it by probing replicas.

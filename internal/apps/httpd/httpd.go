@@ -89,8 +89,8 @@ func Program(cfg Config) papi.Program {
 		},
 		// Static GETs on disjoint paths commute (the cache is the one piece
 		// of shared state, and it is guarded by a cross-lane mutex), so
-		// connections can be partitioned round-robin across lanes: the
-		// default ConnLane router (connID % lanes) is exactly that.
+		// connections can be partitioned round-robin across lanes, which is
+		// what Program.ConnClass (connID % lanes) does.
 		Conflict: &papi.ConflictMap{},
 	}
 }

@@ -424,7 +424,7 @@ func Election(w io.Writer) (ElectionResult, error) {
 	}
 	res := ElectionResult{
 		DetectAndElect: time.Since(start),
-		ElectionPhase:  p.Node().LastElectionMillis(),
+		ElectionPhase:  p.GroupNode(0).LastElectionMillis(),
 	}
 	if w != nil {
 		fmt.Fprintf(w, "Election detect+elect=%v election-phase=%.2fms\n",

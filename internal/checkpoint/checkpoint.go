@@ -41,17 +41,17 @@ type Checkpoint struct {
 	Process []byte // CRIU stand-in: serialized process state
 	FSPatch cfs.Patch
 	Taken   time.Time
-	// GroupIndexes are the per-group consensus indexes at capture time
-	// when the deployment shards the log across Paxos groups (nil in
-	// single-group deployments, where Index alone anchors recovery; then
-	// Index doubles as group 0's index). Quiescence makes the vector
-	// consistent: no admitted input is in flight in any group while the
-	// capture runs.
+	// GroupIndexes are the per-group consensus indexes at capture time,
+	// one per Paxos group of the deployment (Index is group 0's). Each
+	// group of a restored replica catches up from its own. Quiescence
+	// makes the vector consistent: no admitted input is in flight in any
+	// group while the capture runs. Set by crane.Replica.Checkpoint; the
+	// Checkpointer itself knows nothing of groups.
 	GroupIndexes []uint64
 	// GroupWatermarks is the cross-group merge's watermark vector at
-	// capture time (sharded deployments only). A restored replica resumes
-	// its merge from this vector so post-restore stamp bumps replay
-	// exactly as the live replicas computed them.
+	// capture time, one per group. A restored replica resumes its merge
+	// from this vector so post-restore stamp bumps replay exactly as the
+	// live replicas computed them.
 	GroupWatermarks []uint64
 }
 

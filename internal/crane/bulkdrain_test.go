@@ -64,7 +64,7 @@ func assertIdleBubbleCostsOneTurn(t *testing.T, c *Cluster, lanes int) {
 	p := currentPrimary(t, c)
 	type snap struct{ passes, bubbles, clocks uint64 }
 	take := func(lane int) snap {
-		st := p.laneSeq(lane).Stats()
+		st := p.sqs[lane].Stats()
 		return snap{p.proc().Sched.LaneStats(lane).TokenPasses, st.Bubbles, st.BubbleClocks}
 	}
 	for lane := 0; lane < lanes; lane++ {
@@ -162,11 +162,11 @@ func TestBulkDrainSpeculativeBubbleRollsBack(t *testing.T) {
 	// Partitioned, nothing commits on the stranded primary: every bubble its
 	// gate drains from here on is a speculative one.
 	stranded := c.Replica(old)
-	bulk0, spec0 := stranded.ro.bulkClocks.Value(), stranded.sq.SpecConsumed()
+	bulk0, spec0 := stranded.ro.bulkClocks.Value(), stranded.sqs[0].SpecConsumed()
 	waitFor(t, 5*time.Second, "a bulk-drained speculative bubble", func() bool {
 		return stranded.ro.bulkClocks.Value() > bulk0
 	})
-	if drained, spec := stranded.ro.bulkClocks.Value()-bulk0, stranded.sq.SpecConsumed()-spec0; spec < drained {
+	if drained, spec := stranded.ro.bulkClocks.Value()-bulk0, stranded.sqs[0].SpecConsumed()-spec0; spec < drained {
 		t.Fatalf("bulk-drained %d speculative clocks but SpecConsumed moved only %d", drained, spec)
 	}
 
@@ -318,7 +318,7 @@ func TestGateRearmAfterGatePop(t *testing.T) {
 			defer d2.Close()
 			// Both CONNECTs are ordered before any SEND is proposed.
 			waitFor(t, 5*time.Second, "both connects committed", func() bool {
-				return p.sq.Stats().ClientCalls >= 2
+				return p.sqs[0].Stats().ClientCalls >= 2
 			})
 			if tc.closeFirst {
 				if _, err := d1.Write([]byte("xzz")); err != nil {
@@ -339,7 +339,7 @@ func TestGateRearmAfterGatePop(t *testing.T) {
 			}
 			waitFor(t, 5*time.Second, "every replica consumed the second SEND", func() bool {
 				for i := 0; i < c.Replicas(); i++ {
-					if c.Replica(i).sq.Stats().Consumed < tc.consumed {
+					if c.Replica(i).sqs[0].Stats().Consumed < tc.consumed {
 						return false
 					}
 				}

@@ -25,26 +25,24 @@ type Config struct {
 	Replicas int
 
 	// Lanes is the number of parallel execution lanes for DMT modes
-	// (default 1 — the pre-lane single-token configuration). More than one
-	// lane takes effect only for programs that declare a papi.ConflictMap
-	// (Program.EffectiveLanes); connections are routed to lanes by the
-	// program's ConnLane and each lane runs its own deterministic
-	// round-robin schedule, merged deterministically at cross-lane
-	// operations.
+	// (default 1). More than one lane takes effect only for programs that
+	// declare a papi.ConflictMap (Program.EffectiveLanes). A connection
+	// runs on lane papi.Program.ConnClass(conn, lanes); each lane runs its
+	// own deterministic round-robin schedule, merged deterministically at
+	// cross-lane operations.
 	Lanes int
 
-	// Groups shards the socket-call log across this many independent
-	// Paxos groups (default 1 — the single-log pipeline, bit for bit).
-	// Connections are routed to groups by rendezvous hashing on the
-	// connection id (overridable via papi.ConflictMap.ConnGroup); each
-	// group runs its own proposer/acceptor state, WAL, and burst
-	// submitter, so proposal throughput, fsync bandwidth, and
-	// Accept-round pipelining scale with the group count. Committed
-	// entries re-merge into one deterministic admission order through
-	// per-group watermark vectors carried on time bubbles (seq.Groups),
-	// so DMT admission stays globally deterministic. Forces Speculation
-	// off when > 1: the speculator feeds bursts in admission order,
-	// which the cross-group merge does not preserve.
+	// Groups is the number of independent Paxos groups the socket-call log
+	// is ordered by (default 1). A connection's calls are ordered in group
+	// papi.Program.ConnClass(conn, groups) — the same function that picks
+	// its lane, so with Lanes == Groups group g orders what lane g runs.
+	// Each group has its own proposer/acceptor state, WAL and burst
+	// submitter, so proposal throughput, fsync bandwidth and Accept-round
+	// pipelining scale with the group count. Committed entries merge into
+	// one deterministic admission order through per-group watermark
+	// vectors carried on time bubbles (seq.Groups); one group is the same
+	// pipeline with nothing to wait for. More than one group needs the
+	// time bubbles of ModeCrane and excludes Speculation (validate).
 	Groups int
 
 	// Wtimeout is the empty-sequence duration after which the primary
@@ -121,8 +119,8 @@ type Config struct {
 	// their Accept round is still in flight, holding every externally
 	// visible effect until the commit confirms the speculated order —
 	// and rolling back to the last checkpoint boundary on the rare
-	// mismatch. Off by default; with it off the pipeline is bit-identical
-	// to the pre-speculation code. Only meaningful under ModeCrane.
+	// mismatch. Off by default. Only meaningful under ModeCrane, and only
+	// with one Paxos group (validate).
 	Speculation bool
 }
 
@@ -139,13 +137,6 @@ func (c *Config) setDefaults() {
 	if !c.Mode.replicated() {
 		c.Replicas = 1
 		c.Groups = 1
-	}
-	if c.Groups > 1 {
-		// The speculator consumes bursts in admission order; the
-		// cross-group merge emits in stamp order, which only coincides
-		// at one group. Sharded deployments trade speculation for
-		// group-parallel ordering.
-		c.Speculation = false
 	}
 	if c.Wtimeout <= 0 {
 		c.Wtimeout = 100 * time.Microsecond
@@ -164,6 +155,27 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// validate rejects the option pairs that cannot work together, by name,
+// instead of quietly dropping one of them or starting a cluster that wedges.
+// Call after setDefaults.
+func (c *Config) validate() error {
+	if c.Groups == 1 {
+		return nil
+	}
+	if c.Speculation {
+		// The speculator executes bursts in admission order; the cross-group
+		// merge emits in stamp order, which only coincides at one group.
+		return fmt.Errorf("crane: Speculation with Groups=%d: speculation needs the one-group admission order", c.Groups)
+	}
+	if c.Mode != ModeCrane {
+		// The merge passes an idle group only when a time bubble advances
+		// its watermark; without bubbles the first quiet group parks every
+		// other group's entries for good.
+		return fmt.Errorf("crane: Mode %s with Groups=%d: the cross-group merge needs time bubbles (ModeCrane)", c.Mode, c.Groups)
+	}
+	return nil
+}
+
 // Cluster is a running replicated deployment of one server program.
 type Cluster struct {
 	cfg      Config
@@ -179,6 +191,9 @@ type Cluster struct {
 // returned cluster and must Stop it.
 func StartCluster(cfg Config, prog papi.Program) (*Cluster, error) {
 	cfg.setDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if len(prog.Ports) == 0 {
 		return nil, errors.New("crane: program declares no ports")
 	}
@@ -190,19 +205,17 @@ func StartCluster(cfg Config, prog papi.Program) (*Cluster, error) {
 		prog: prog,
 		net:  simnet.New(cfg.NetOptions),
 	}
-	peers := make([]int, cfg.Replicas)
-	for i := range peers {
-		peers[i] = i
-	}
-	if cfg.Mode.replicated() && !cfg.TCPConsensus {
+	var transports []*paxos.TCPTransport
+	switch {
+	case !cfg.Mode.replicated():
+	case !cfg.TCPConsensus:
 		c.hub = paxos.NewChanHub(cfg.HubLatency, cfg.HubJitter, cfg.HubLoss, cfg.Seed)
-	}
-	if cfg.Mode.replicated() && cfg.TCPConsensus {
+	default:
 		// Bind every replica's consensus listener first so the full
 		// address table exists before any node starts.
 		c.tcpAddrs = make(map[int]string, cfg.Replicas)
-		transports := make([]*paxos.TCPTransport, cfg.Replicas)
-		for i := 0; i < cfg.Replicas; i++ {
+		transports = make([]*paxos.TCPTransport, cfg.Replicas)
+		for i := range transports {
 			tr, err := paxos.NewTCPTransport(i, map[int]string{i: "127.0.0.1:0"})
 			if err != nil {
 				c.Stop()
@@ -211,23 +224,16 @@ func StartCluster(cfg Config, prog papi.Program) (*Cluster, error) {
 			transports[i] = tr
 			c.tcpAddrs[i] = tr.Addr()
 		}
-		for i := 0; i < cfg.Replicas; i++ {
-			transports[i].SetPeerAddrs(c.tcpAddrs)
+		for _, tr := range transports {
+			tr.SetPeerAddrs(c.tcpAddrs)
 		}
-		for i := 0; i < cfg.Replicas; i++ {
-			r := newReplica(i, &c.cfg, prog, c.net)
-			r.transport = transports[i]
-			if err := r.start(nil, peers); err != nil {
-				c.Stop()
-				return nil, err
-			}
-			c.replicas = append(c.replicas, r)
-		}
-		return c, nil
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		r := newReplica(i, &c.cfg, prog, c.net)
-		if err := r.start(c.hub, peers); err != nil {
+		if transports != nil {
+			r.transport = transports[i]
+		}
+		if err := r.start(c.hub); err != nil {
 			c.Stop()
 			return nil, err
 		}
@@ -404,32 +410,38 @@ func (c *Cluster) CheckpointBackup(cp *checkpoint.Checkpointer) (*checkpoint.Che
 
 // RestoreReplica rebuilds a previously failed replica i from a shipped
 // checkpoint: fresh container from the base image plus the checkpoint's
-// fs patch, restored process state, and consensus catch-up from the
-// checkpoint's global index (§5.2).
+// fs patch, restored process state, and consensus catch-up of every group
+// from the checkpoint's per-group index (§5.2).
 func (c *Cluster) RestoreReplica(i int, ck *checkpoint.Checkpoint) error {
 	old := c.replicas[i]
 	if !old.killed() {
 		return fmt.Errorf("crane: replica %d still running", i)
 	}
+	if len(ck.GroupIndexes) != c.cfg.Groups || len(ck.GroupWatermarks) != c.cfg.Groups {
+		// A shipped checkpoint is outside input: one taken at another group
+		// count would replay some group from slot 0 over restored state.
+		return fmt.Errorf("crane: checkpoint carries %d group indexes and %d watermarks, deployment has %d groups",
+			len(ck.GroupIndexes), len(ck.GroupWatermarks), c.cfg.Groups)
+	}
 	r := newReplica(i, &c.cfg, c.prog, c.net)
 	r.restoreState = ck.Process
-	r.deliverFrom = ck.Index
 	r.deliverFroms = ck.GroupIndexes
 	r.restoreWatermarks = ck.GroupWatermarks
-	// Hosts are stable, but the old listeners may still be bound if stop
-	// raced; give the network a moment.
-	peers := make([]int, c.cfg.Replicas)
-	for j := range peers {
-		peers[j] = j
-	}
-	if c.hub != nil {
-		c.hub.Reconnect(i)
-	}
-	if err := r.start(c.hub, peers); err != nil {
+	if err := c.rejoin(i, r); err != nil {
 		return err
 	}
 	// Apply the checkpointed filesystem patch over the fresh base image.
-	if err := r.fs.Apply(&ck.FSPatch); err != nil {
+	return r.fs.Apply(&ck.FSPatch)
+}
+
+// rejoin starts r, a rebuilt replica i, as a backup of the running cluster
+// and puts it in the failed one's place.
+func (c *Cluster) rejoin(i int, r *Replica) error {
+	r.rejoining = true
+	if c.hub != nil {
+		c.hub.Reconnect(i)
+	}
+	if err := r.start(c.hub); err != nil {
 		return err
 	}
 	c.replicas[i] = r
@@ -448,23 +460,9 @@ func (c *Cluster) RestartReplica(i int) error {
 	if !old.killed() {
 		return fmt.Errorf("crane: replica %d still running", i)
 	}
-	r := newReplica(i, &c.cfg, c.prog, c.net)
-	// Mark as a rejoining backup: adopt the running cluster's view. The
-	// WAL's recovered entries re-deliver from index 0, replaying the full
-	// socket-call sequence through the fresh server instance.
-	r.rejoining = true
-	peers := make([]int, c.cfg.Replicas)
-	for j := range peers {
-		peers[j] = j
-	}
-	if c.hub != nil {
-		c.hub.Reconnect(i)
-	}
-	if err := r.start(c.hub, peers); err != nil {
-		return err
-	}
-	c.replicas[i] = r
-	return nil
+	// The WAL's recovered entries re-deliver from index 0, replaying the
+	// full socket-call sequence through the fresh server instance.
+	return c.rejoin(i, newReplica(i, &c.cfg, c.prog, c.net))
 }
 
 // Analysis returns the backup lock-order checker (nil unless
@@ -476,19 +474,6 @@ func (c *Cluster) Analysis() *analysis.LockOrderChecker {
 		}
 	}
 	return nil
-}
-
-// CompactTo compacts every live replica's consensus log below the given
-// checkpoint index (call after CheckpointBackup succeeds; replicas lagging
-// past the compaction point recover via RestoreReplica instead of
-// catch-up). Single-group form: sharded deployments anchor per-group
-// compaction through AnchorGC instead.
-func (c *Cluster) CompactTo(idx uint64) {
-	for _, r := range c.replicas {
-		if !r.killed() && r.node != nil {
-			r.node.CompactTo(idx)
-		}
-	}
 }
 
 // AnchorGC promises, on every live replica and for every Paxos group, that
@@ -505,12 +490,8 @@ func (c *Cluster) AnchorGC(ck *checkpoint.Checkpoint) {
 			continue
 		}
 		for g, nd := range r.nodes {
-			idx := ck.Index
-			if g < len(ck.GroupIndexes) {
-				idx = ck.GroupIndexes[g]
-			}
-			if idx > 0 {
-				nd.SetDone(idx)
+			if g < len(ck.GroupIndexes) && ck.GroupIndexes[g] > 0 {
+				nd.SetDone(ck.GroupIndexes[g])
 			}
 		}
 	}

@@ -147,7 +147,7 @@ func waitBubbleFreeWindow(t *testing.T, cluster *Cluster, deadline time.Time) {
 	var primary *Replica
 	for i := 0; i < cluster.Replicas(); i++ {
 		r := cluster.Replica(i)
-		if r.node != nil && r.node.IsPrimary() {
+		if r.IsPrimary() {
 			primary = r
 			break
 		}
@@ -157,8 +157,8 @@ func waitBubbleFreeWindow(t *testing.T, cluster *Cluster, deadline time.Time) {
 	}
 	half := primary.cfg.Wtimeout / 2
 	for time.Now().Before(deadline) {
-		if primary.sq.Empty() && !primary.bubblePending.Load() &&
-			primary.sq.StarvesIn(half) > 0 {
+		if primary.sqs[0].Empty() && !primary.bubblePending.Load() &&
+			primary.sqs[0].StarvesIn(half) > 0 {
 			return
 		}
 		time.Sleep(200 * time.Microsecond)

@@ -81,7 +81,7 @@ func newGate(r *Replica, bubbling bool) *gate {
 // the cross-lane merge stamp — is replica-deterministic.
 func (g *gate) CheckAdmit(t *dmt.Thread) {
 	lane := t.LaneID()
-	sq := g.r.laneSeq(lane)
+	sq := g.r.sqs[lane]
 	if g.booted != nil && !g.booted[lane].Load() {
 		if t.IsIdle() {
 			// Withhold the sequence until the lane boots (see the booted
@@ -170,7 +170,7 @@ func (g *gate) awaitInput(t *dmt.Thread, sq *seq.Sequence) bool {
 // Busy implements dmt.BusyGate: while entries are pending the idle thread
 // must keep rotating (it is the mechanism that exhausts bubble clocks
 // rapidly when every server thread is blocked, §3.1/§4).
-func (g *gate) Busy() bool { return !g.r.sq.Empty() }
+func (g *gate) Busy() bool { return !g.r.sqs[0].Empty() }
 
 // BusyLane implements dmt.LaneBusyGate: lane L's idle thread rotates while
 // lane L's own sequence has pending entries. A pre-boot lane is never busy
@@ -180,7 +180,7 @@ func (g *gate) BusyLane(lane int) bool {
 	if g.booted != nil && !g.booted[lane].Load() {
 		return false
 	}
-	return !g.r.laneSeq(lane).Empty()
+	return !g.r.sqs[lane].Empty()
 }
 
 // StampLane implements dmt.LaneStampGate: lane L's cross-lane merge stamp
@@ -190,4 +190,4 @@ func (g *gate) BusyLane(lane int) bool {
 // after it is serialized by the lane token — and it keeps advancing while
 // a lane is quiescent (its idle thread drains bubble clones), which is
 // what lets other lanes' merge waits complete.
-func (g *gate) StampLane(lane int) uint64 { return g.r.laneSeq(lane).Progress() }
+func (g *gate) StampLane(lane int) uint64 { return g.r.sqs[lane].Progress() }

@@ -23,6 +23,7 @@ type gateHarness struct {
 func newGateHarness(t *testing.T, bubbling bool) *gateHarness {
 	t.Helper()
 	cfg := testConfig(ModeCrane)
+	cfg.setDefaults()
 	r := newReplica(0, &cfg, papi.Program{Name: "h", Ports: []int{1}}, simnet.New(simnet.Options{}))
 	proc := papi.NewParrotProc(r.net, r.host, r.fs)
 	proc.SetSocketLayer(&dmtSockets{r: r})
@@ -36,7 +37,7 @@ func newGateHarness(t *testing.T, bubbling bool) *gateHarness {
 	return &gateHarness{r: r, proc: proc}
 }
 
-func (h *gateHarness) inject(e *seq.Entry) { h.r.sq.Enqueue(e) }
+func (h *gateHarness) inject(e *seq.Entry) { h.r.sqs[0].Enqueue(e) }
 
 // feedBubbles plays the consensus component's role for harness tests:
 // whenever the sequence runs dry, grant another bubble so trailing
@@ -51,7 +52,7 @@ func (h *gateHarness) feedBubbles(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(time.Millisecond):
-				if h.r.sq.Empty() {
+				if h.r.sqs[0].Empty() {
 					idx++
 					h.inject(&seq.Entry{Index: idx, Kind: seq.KindBubble, NClock: 50})
 				}
@@ -83,10 +84,10 @@ func TestGateBubbleGrantsClocks(t *testing.T) {
 	// thread, so app progress is at most NClock and at least 1).
 	h.inject(&seq.Entry{Index: 1, Kind: seq.KindBubble, NClock: 40})
 	deadline := time.Now().Add(5 * time.Second)
-	for h.r.sq.Len() > 0 && time.Now().Before(deadline) {
+	for h.r.sqs[0].Len() > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if h.r.sq.Len() != 0 {
+	if h.r.sqs[0].Len() != 0 {
 		t.Fatal("bubble never exhausted")
 	}
 	got := ops.Load()
@@ -168,7 +169,7 @@ func TestGateAdmitsSocketCalls(t *testing.T) {
 			t.Fatalf("received %q", s)
 		}
 	case <-time.After(10 * time.Second):
-		hd, ok := h.r.sq.Head()
+		hd, ok := h.r.sqs[0].Head()
 		t.Fatalf("socket admission hung: head=%v %+v stats=%+v open=%d clock=%d",
 			ok, hd, h.r.SeqStats(), h.r.OpenConns(), h.proc.Sched.Stats().Clock)
 	}

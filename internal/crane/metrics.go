@@ -24,7 +24,7 @@ type Metrics struct {
 	Signals      uint64
 	Threads      uint64
 
-	// Paxos sequence counters.
+	// Paxos sequence counters (lane 0's; Replica.SeqStats sums the lanes).
 	Seq seq.Stats
 
 	// Bursts the proxy proposed (one ProposeBatch each) and how many of
@@ -43,17 +43,18 @@ type Metrics struct {
 func (r *Replica) Metrics() Metrics {
 	m := Metrics{
 		Replica:   r.id,
-		Seq:       r.sq.Stats(),
+		Seq:       r.sqs[0].Stats(),
 		OpenConns: r.openConns.Load(),
 		Outputs:   r.out.Len(),
 
 		Bursts:           r.ro.burstSize.Count(),
 		StarvationRounds: r.ro.bubbleReqs.Value(),
 	}
-	if r.node != nil {
-		m.Primary = r.node.IsPrimary()
-		m.View, m.ViewPrim = r.node.View()
-		m.CommitIdx = r.node.CommitIndex()
+	if len(r.nodes) > 0 {
+		// The scalar consensus fields are group 0's, like IsPrimary.
+		m.Primary = r.nodes[0].IsPrimary()
+		m.View, m.ViewPrim = r.nodes[0].View()
+		m.CommitIdx = r.nodes[0].CommitIndex()
 	}
 	if pproc := r.proc(); pproc != nil {
 		st := pproc.Sched.Stats()

@@ -1,11 +1,15 @@
 package crane
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"crane/internal/obs"
 )
 
 func TestMetricsSnapshot(t *testing.T) {
@@ -105,12 +109,22 @@ func TestClusterMetricsAcrossViewChange(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeEndpoints drives a live crane cluster and scrapes each
-// replica's HTTP endpoint: /metrics must expose proxy, paxos, wal, seq, and
-// dmt instruments in Prometheus text form, /healthz must report role and
-// commit progress, and /trace must stream lifecycle span events.
+// TestMetricsScrapeEndpoints drives a live crane cluster, at one Paxos group
+// and at two, and scrapes each replica's HTTP endpoint: /metrics must expose
+// proxy, paxos, wal, seq, and dmt instruments in Prometheus text form (the
+// paxos and wal ones under their plain names at one group, renamed per group
+// at two), /healthz must report role and commit progress with one row per
+// group, and /trace must stream lifecycle span events.
 func TestMetricsScrapeEndpoints(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		groups := groups
+		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) { scrapeEndpoints(t, groups) })
+	}
+}
+
+func scrapeEndpoints(t *testing.T, groups int) {
 	cfg := testConfig(ModeCrane)
+	cfg.Groups = groups
 	cfg.MetricsAddr = "127.0.0.1:0"
 	cfg.TraceCapacity = 4096
 	cfg.WALDir = t.TempDir()
@@ -150,14 +164,10 @@ func TestMetricsScrapeEndpoints(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	for _, want := range []string{
+	wants := []string{
 		"proxy_admitted_total",
 		"proxy_burst_entries_count",
 		"proxy_admit_to_exec_seconds_count",
-		"paxos_commits_total",
-		"paxos_commit_seconds_count",
-		"paxos_view",
-		"wal_appends_total",
 		"seq_queue_wait_seconds_count",
 		"seq_bubble_clocks_total",
 		"gate_bubbles_bulk_drained_total",
@@ -169,16 +179,49 @@ func TestMetricsScrapeEndpoints(t *testing.T) {
 		"dmt_turn_wait_seconds",
 		"transport_msgs_sent_total",
 		"crane_open_conns",
-	} {
+	}
+	for _, perGroup := range []string{"paxos_commits_total", "paxos_commit_seconds_count", "paxos_view", "wal_appends_total"} {
+		if groups == 1 {
+			wants = append(wants, perGroup)
+			continue
+		}
+		for g := 0; g < groups; g++ {
+			wants = append(wants, obs.GroupInstrumentName(perGroup, g))
+		}
+	}
+	for _, want := range wants {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
 
-	health := get(p.ObsAddr(), "/healthz")
-	for _, want := range []string{`"primary":true`, `"mode":"crane"`, `"commit_index":`} {
-		if !strings.Contains(health, want) {
-			t.Errorf("/healthz = %q missing %q", health, want)
+	// Every group commits (the quiet one on bubbles alone) and persists.
+	healthOf := func(r *Replica) obs.Health {
+		t.Helper()
+		body := get(r.ObsAddr(), "/healthz")
+		var h obs.Health
+		if err := json.Unmarshal([]byte(body), &h); err != nil {
+			t.Fatalf("/healthz = %q: %v", body, err)
+		}
+		return h
+	}
+	var health obs.Health
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		health = healthOf(p)
+		settled := len(health.Groups) == groups
+		for _, g := range health.Groups {
+			settled = settled && g.CommitIndex > 0 && g.WALTail > 0
+		}
+		if settled || time.Now().After(deadline) {
+			break
+		}
+	}
+	if !health.Primary || health.Mode != "crane" || health.CommitIndex == 0 || len(health.Groups) != groups {
+		t.Errorf("/healthz = %+v: want the primary of all %d groups in mode crane, committing", health, groups)
+	}
+	for g, row := range health.Groups {
+		if !row.Primary || row.CommitIndex == 0 || row.WALTail == 0 || row.WALLag > health.WALLag {
+			t.Errorf("/healthz group %d = %+v (summary wal_lag %d)", g, row, health.WALLag)
 		}
 	}
 
@@ -196,12 +239,11 @@ func TestMetricsScrapeEndpoints(t *testing.T) {
 			continue
 		}
 		bm := get(r.ObsAddr(), "/metrics")
-		if !strings.Contains(bm, "paxos_commits_total") {
-			t.Errorf("backup %d /metrics missing paxos_commits_total", i)
+		if !strings.Contains(bm, "commits_total") {
+			t.Errorf("backup %d /metrics missing paxos commits", i)
 		}
-		bh := get(r.ObsAddr(), "/healthz")
-		if !strings.Contains(bh, `"primary":false`) {
-			t.Errorf("backup %d /healthz = %q", i, bh)
+		if bh := healthOf(r); bh.Primary || len(bh.Groups) != groups {
+			t.Errorf("backup %d /healthz = %+v", i, bh)
 		}
 	}
 

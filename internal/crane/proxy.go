@@ -17,9 +17,8 @@ type proxy struct {
 	r *Replica
 
 	// subChs holds one submission queue per Paxos group, each drained by
-	// its own submitLoop proposing to that group's consensus node —
-	// sharded deployments run their Accept rounds in parallel.
-	// subChs[0] is the whole pipeline when unsharded.
+	// its own submitLoop proposing to that group's consensus node, so the
+	// groups run their Accept rounds in parallel.
 	subChs []chan submitReq //crane:pergroup
 	stopCh chan struct{}
 
@@ -91,7 +90,7 @@ func (p *proxy) acceptLoop(l *simnet.Listener, port int) {
 		if err != nil {
 			return
 		}
-		if !p.r.node.IsPrimary() {
+		if !p.r.IsPrimary() {
 			// Backups' proxies do not accept client connections (§2.1).
 			c.Close()
 			continue
@@ -135,7 +134,7 @@ func (p *proxy) readLoop(c *simnet.Conn, id uint64) {
 }
 
 // propose submits a client socket call for consensus through the burst
-// submitter of the group its connection hashes to; it reports false when
+// submitter of its connection's group; it reports false when
 // this replica is no longer primary (the client should reconnect to the new
 // primary). Callers block until the burst containing their entry is
 // accepted for ordering, so the per-producer flow stays synchronous while
@@ -181,9 +180,9 @@ func (p *proxy) submit(e *seq.Entry, g int) bool {
 // before any call queued behind it is even submitted). A bubble gets there
 // one of two ways: a starvation round queued it like a socket call
 // (maybeRequestBubble), or the burst delivers data into an idle pipeline and
-// carries its own (tailRound). Sharded, each group's loop runs its Accept
-// rounds independently — the pipelining win — and stamps every entry with the
-// shared admission counter the cross-group merge sorts by.
+// carries its own (tailRound). Each group's loop runs its Accept rounds
+// independently — the pipelining win — and stamps every entry with the shared
+// admission counter the cross-group merge sorts by.
 func (p *proxy) submitLoop(g int) {
 	defer p.wg.Done()
 	subCh := p.subChs[g]
@@ -215,41 +214,37 @@ func (p *proxy) submitLoop(g int) {
 		if round != nil {
 			ents = append(ents, round[g])
 		}
-		if p.r.groups > 1 {
-			// Stamp in burst order from the shared counter: globally
-			// monotone at assignment, hence strictly monotone within the
-			// group. The counter is floored at the merge's own max
-			// watermark first: a replica that just took over leadership
-			// has a fresh counter, and stamps regressing far below the
-			// watermarks the cluster already emitted would leave the merge
-			// crawling — every effective stamp collapses to W+1, so an
-			// idle group's watermark closes the pre-failover gap one
-			// bubble round at a time. Flooring restores eff == stamp at
-			// once; any stamp value is replica-consistent because stamps
-			// ride the committed payload. A bubble asserts its own stamp as every group's
-			// watermark: anything any group admitted before this bubble
-			// carries a smaller stamp, so once the bubble emits, the merge
-			// may pass idle groups up to it. An admitted-but-uncommitted
-			// straggler below the vector is effective-stamp-bumped past it —
-			// identically on every replica, since the vector rides the
-			// committed payload.
-			if floor := p.r.gm.MaxWatermark(); floor > 0 {
-				for {
-					cur := p.r.stampCtr.Load()
-					if cur >= floor || p.r.stampCtr.CompareAndSwap(cur, floor) {
-						break
-					}
-				}
+		// Stamp in burst order from the shared counter: globally monotone
+		// at assignment, hence strictly monotone within the group. The
+		// counter is floored at the merge's own max watermark first: a
+		// replica that just took over leadership has a fresh counter, and
+		// stamps regressing far below the watermarks the cluster already
+		// emitted would leave the merge crawling — every effective stamp
+		// collapses to W+1, so an idle group's watermark closes the
+		// pre-failover gap one bubble round at a time. Flooring restores
+		// eff == stamp at once; any stamp value is replica-consistent
+		// because stamps ride the committed payload. A bubble asserts its
+		// own stamp as every group's watermark: anything any group admitted
+		// before this bubble carries a smaller stamp, so once the bubble
+		// emits, the merge may pass idle groups up to it. An
+		// admitted-but-uncommitted straggler below the vector is
+		// effective-stamp-bumped past it — identically on every replica,
+		// since the vector rides the committed payload.
+		floor := p.r.gm.MaxWatermark()
+		for {
+			cur := p.r.stampCtr.Load()
+			if cur >= floor || p.r.stampCtr.CompareAndSwap(cur, floor) {
+				break
 			}
-			for _, e := range ents {
-				e.Stamp = p.r.stampCtr.Add(1)
-				if e.Kind == seq.KindBubble {
-					vec := make([]uint64, p.r.groups)
-					for h := range vec {
-						vec[h] = e.Stamp
-					}
-					e.Vec = vec
+		}
+		for _, e := range ents {
+			e.Stamp = p.r.stampCtr.Add(1)
+			if e.Kind == seq.KindBubble {
+				vec := make([]uint64, p.r.groups)
+				for h := range vec {
+					vec[h] = e.Stamp
 				}
+				e.Vec = vec
 			}
 		}
 		if round != nil {
@@ -271,8 +266,7 @@ func (p *proxy) submitLoop(g int) {
 		}
 		// Speculation: hand the burst to the execution pipeline before the
 		// Accept round even starts — the commit usually confirms what
-		// already ran. (Sharded deployments force speculation off: the
-		// merge emits in stamp order, not admission order.)
+		// already ran.
 		fed := false
 		if p.r.spec != nil {
 			fed = p.r.spec.feed(ents)

@@ -2,7 +2,6 @@ package crane
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"crane/internal/analysis"
@@ -12,7 +11,6 @@ import (
 
 	"crane/internal/cfs"
 	"crane/internal/checkpoint"
-	"crane/internal/dmt"
 	"crane/internal/obs"
 	"crane/internal/obs/flight"
 	"crane/internal/papi"
@@ -82,33 +80,27 @@ type Replica struct {
 	net  *simnet.Network
 	mode Mode
 
-	node  *paxos.Node // == nodes[0], the sole group when unsharded
-	store *wal.Log    // == stores[0]
 	// nodes and stores hold one consensus node and one WAL per Paxos
-	// group: sharded deployments (Config.Groups > 1) order each
-	// connection's socket calls in the group it hashes to, multiplying
-	// proposal, fsync, and Accept-pipelining bandwidth by the group
-	// count. nodes[0] == node and stores[0] == store, so the
-	// single-group deployment is untouched.
+	// group (Config.Groups of them; empty in un-replicated modes, and
+	// stores also without Config.WALDir). A connection's socket calls are
+	// ordered in the group of its class (groupForConn), so proposal, fsync
+	// and Accept-pipelining bandwidth multiply by the group count.
 	nodes  []*paxos.Node //crane:pergroup
 	stores []*wal.Log    //crane:pergroup
 	groups int
-	// gm re-merges the groups' committed streams into one deterministic
+	// gm merges the groups' committed streams into one deterministic
 	// admission order using per-group watermark vectors carried on time
-	// bubbles (nil at one group: deliveries bypass the merge bit for
-	// bit). Its emit callback is afterMerge, run under gm's lock — the
-	// single-threaded continuation of what was the sole delivery
-	// goroutine.
+	// bubbles; with one group it emits each delivery as it arrives. Its
+	// emit callback is afterMerge, run under gm's lock: the one
+	// single-threaded continuation of every group's delivery goroutine.
 	gm *seq.Groups
 	// stampCtr issues the shared admission-order stamps the merge sorts
 	// by; the per-group burst submitters assign them just before
 	// proposing, so each group's committed stamps are monotone.
 	stampCtr atomic.Uint64
-	sq       *seq.Sequence
-	// sqs holds one Paxos sequence per execution lane; sqs[0] == sq, so the
-	// single-lane deployment is untouched. Committed entries are routed by
-	// connection id (Program.ConnLaneOf) and bubbles are cloned into every
-	// lane, keeping each lane's clock bubble-paced.
+	// sqs holds one Paxos sequence per execution lane. Committed entries
+	// are routed by the connection's class (laneForConn) and bubbles are
+	// cloned into every lane, keeping each lane's clock bubble-paced.
 	sqs   []*seq.Sequence
 	lanes int
 	px    *proxy
@@ -142,22 +134,21 @@ type Replica struct {
 	alignAt       atomic.Int64 // unix nanos gating the next alignment round
 
 	restoreState []byte
-	deliverFrom  uint64
-	// deliverFroms and restoreWatermarks are the per-group counterparts
-	// of deliverFrom for sharded restores: each group catches up from its
-	// own checkpointed index, and the merge resumes from the checkpointed
-	// watermark vector so post-restore stamp bumps replay identically.
+	// deliverFroms and restoreWatermarks come from the checkpoint a
+	// restored replica starts from (nil otherwise): each group catches up
+	// from its own checkpointed index, and the merge resumes from the
+	// checkpointed watermark vector so post-restore stamp bumps replay
+	// identically.
 	deliverFroms      []uint64 //crane:pergroup
 	restoreWatermarks []uint64
-	rejoining         bool
-	checker           *analysis.LockOrderChecker
-	schedRec          *dmt.Schedule
-	laneRecs          []*dmt.Schedule // per-lane recordings (CRANE_SCHED_REC, lanes > 1)
+	// rejoining marks a rebuilt replica (RestoreReplica, RestartReplica):
+	// it adopts the running cluster's view instead of claiming the
+	// bootstrap primaryship.
+	rejoining bool
+	checker   *analysis.LockOrderChecker
 	// entArenas are the per-group decode arenas: group g's delivery
 	// goroutine owns entArenas[g] exclusively. cloneArena backs the
-	// bubble clones made in enqueueDelivered, which is single-threaded
-	// by construction (the one delivery goroutine at one group; under
-	// gm's lock when sharded).
+	// bubble clones made in enqueueDelivered, which runs under gm's lock.
 	entArenas  [][]seq.Entry //crane:pergroup
 	cloneArena []seq.Entry
 	// transport overrides the hub endpoint (TCP consensus deployments).
@@ -190,7 +181,6 @@ func newReplica(id int, cfg *Config, prog papi.Program, net *simnet.Network) *Re
 		prog:        prog,
 		net:         net,
 		mode:        cfg.Mode,
-		sq:          seq.New(),
 		out:         trace.NewOutputLog(fmt.Sprintf("replica%d", id)),
 		closedConns: make(map[uint64]bool),
 	}
@@ -198,17 +188,11 @@ func newReplica(id int, cfg *Config, prog papi.Program, net *simnet.Network) *Re
 	if cfg.Mode.deterministic() {
 		r.lanes = prog.EffectiveLanes(cfg.Lanes)
 	}
-	r.groups = cfg.Groups
-	if r.groups < 1 || !cfg.Mode.replicated() {
-		r.groups = 1
-	}
+	r.groups = cfg.Groups // setDefaults: at least 1, and 1 when un-replicated
 	r.entArenas = make([][]seq.Entry, r.groups)
-	if r.groups > 1 {
-		r.gm = seq.NewGroups(r.groups, r.afterMerge)
-	}
+	r.gm = seq.NewGroups(r.groups, r.afterMerge)
 	r.sqs = make([]*seq.Sequence, r.lanes)
-	r.sqs[0] = r.sq
-	for i := 1; i < r.lanes; i++ {
+	for i := range r.sqs {
 		r.sqs[i] = seq.New()
 	}
 	r.ro = newReplicaObs(r)
@@ -224,63 +208,54 @@ func newReplica(id int, cfg *Config, prog papi.Program, net *simnet.Network) *Re
 	return r
 }
 
-// laneSeq returns lane i's Paxos sequence (the legacy sequence when
-// single-lane or out of range).
-func (r *Replica) laneSeq(i int) *seq.Sequence {
-	if i < 0 || i >= len(r.sqs) {
-		return r.sq
-	}
-	return r.sqs[i]
-}
+// laneForConn and groupForConn are the deployment's one partition function
+// (Program.ConnClass) read at the lane count and at the group count: the
+// lane that executes a connection and the Paxos group that orders it. The
+// group is chosen on the primary before ordering; every replica re-derives
+// both from the replica-consistent connection id.
+func (r *Replica) laneForConn(conn uint64) int { return r.prog.ConnClass(conn, r.lanes) }
 
-// laneForConn is the deterministic connection-to-lane routing declared by
-// the program's conflict map. Connection ids are replica-consistent, so
-// every replica routes identically.
-func (r *Replica) laneForConn(conn uint64) int {
-	return r.prog.ConnLaneOf(conn, r.lanes)
-}
-
-// groupForConn is the deterministic connection-to-group routing
-// (rendezvous hashing unless the program overrides it). It runs on the
-// primary before ordering; replicas re-derive it only for observability.
-func (r *Replica) groupForConn(conn uint64) int {
-	return r.prog.ConnGroupOf(conn, r.groups)
-}
+func (r *Replica) groupForConn(conn uint64) int { return r.prog.ConnClass(conn, r.groups) }
 
 // groupOf attributes a committed-stream entry to a group for trace spans.
 // Bubbles are proposed per group but consumed as lane-cloned clock grants,
 // so they report group 0.
 func (r *Replica) groupOf(e *seq.Entry) int {
-	if r.groups <= 1 || e.Kind == seq.KindBubble {
+	if e.Kind == seq.KindBubble {
 		return 0
 	}
 	return r.groupForConn(e.Conn)
 }
 
-// groupReg returns the instrument registry view for group g: the plain
-// registry when unsharded (legacy names, bit-identical scrapes), the
-// group-renaming view otherwise (paxos_groupN_*, wal_groupN_*).
+// groupReg returns the instrument registry view for group g. One of the two
+// places that look at the group count, because instrument names are an
+// external format: a one-group deployment keeps the plain names
+// (paxos_commits_total, wal_fsyncs_total) that dashboards and the benchmark's
+// frozen list read; more groups rename per group (paxos_groupN_*,
+// wal_groupN_*).
 func (r *Replica) groupReg(g int) *obs.Registry {
-	if r.groups <= 1 {
+	if r.groups == 1 {
 		return r.ro.reg
 	}
 	return r.ro.reg.Grouped(g)
 }
 
-// deliverFromGroup resolves group g's catch-up index after a restore.
-func (r *Replica) deliverFromGroup(g int) uint64 {
-	if len(r.deliverFroms) == r.groups {
-		return r.deliverFroms[g]
+// walDir returns the directory of group g's log. The other place that looks
+// at the group count, because the on-disk layout is an external format: a
+// one-group deployment keeps WALDir/host, so logs written before sharding
+// restart unchanged and tools open them by that path; more groups get
+// WALDir/host/gN each.
+func (r *Replica) walDir(g int) string {
+	dir := filepath.Join(r.cfg.WALDir, r.host)
+	if r.groups == 1 {
+		return dir
 	}
-	if g == 0 {
-		return r.deliverFrom
-	}
-	return 0
+	return filepath.Join(dir, fmt.Sprintf("g%d", g))
 }
 
 // start builds the filesystem, program instance, consensus node, proxy and
 // process, and launches the server.
-func (r *Replica) start(hub *paxos.ChanHub, peers []int) error {
+func (r *Replica) start(hub *paxos.ChanHub) error {
 	// Container filesystem: install, then snapshot the pristine image
 	// (the LXC snapshot "prepared before any server starts", §5.2).
 	r.fs = cfs.New()
@@ -295,9 +270,9 @@ func (r *Replica) start(hub *paxos.ChanHub, peers []int) error {
 		}
 	}
 
-	// Lane 0's sequence keeps the legacy instrument names; every lane's
+	// Lane 0's sequence carries the seq_* instruments; every lane's
 	// consumption hook tags spans with its lane id.
-	r.sq.SetObs(r.ro.reg)
+	r.sqs[0].SetObs(r.ro.reg)
 	for i, lsq := range r.sqs {
 		lane := i
 		lsq.SetConsumedHook(func(e *seq.Entry) {
@@ -307,27 +282,20 @@ func (r *Replica) start(hub *paxos.ChanHub, peers []int) error {
 
 	if r.mode.replicated() {
 		if r.cfg.WALDir != "" {
+			// One log per group: each group's appends and fsyncs proceed
+			// independently.
 			for g := 0; g < r.groups; g++ {
-				dir := filepath.Join(r.cfg.WALDir, r.host)
-				if r.groups > 1 {
-					// One log per group: each group's appends and fsyncs
-					// proceed independently (the fsync-bandwidth axis of
-					// the sharding win). Single-group keeps the legacy
-					// layout so existing WALs restart unchanged.
-					dir = filepath.Join(dir, fmt.Sprintf("g%d", g))
-				}
-				store, err := wal.Open(dir,
+				store, err := wal.Open(r.walDir(g),
 					wal.Options{NoSync: !r.cfg.WALSync, Obs: r.groupReg(g)})
 				if err != nil {
 					return err
 				}
 				r.stores = append(r.stores, store)
 			}
-			r.store = r.stores[0]
 		}
 		initialPrimary := 0
-		if r.deliverFrom > 0 || r.restoreState != nil || r.rejoining {
-			// A restored replica re-joins as a backup: it must adopt the
+		if r.rejoining {
+			// A rebuilt replica re-joins as a backup: it must adopt the
 			// running cluster's view rather than claim the bootstrap
 			// primaryship (§7.6's self-downgrading).
 			initialPrimary = -1
@@ -337,32 +305,33 @@ func (r *Replica) start(hub *paxos.ChanHub, peers []int) error {
 			transport = hub.Endpoint(r.id)
 		}
 		if ts, ok := transport.(interface{ Stats() paxos.TransportStats }); ok {
-			// The wire is shared across groups, so transport counters
-			// stay unprefixed even when sharded.
+			// The wire is shared across groups, so transport counters are
+			// never renamed per group.
 			registerTransportStats(r.ro.reg, ts.Stats)
 		}
-		var mux *paxos.GroupMux
-		if r.groups > 1 {
-			mux = paxos.NewGroupMux(transport)
+		peers := make([]int, r.cfg.Replicas)
+		for i := range peers {
+			peers[i] = i
 		}
+		mux := paxos.NewGroupMux(transport)
 		for g := 0; g < r.groups; g++ {
 			g := g
-			port := transport
-			if mux != nil {
-				port = mux.Port(g)
-			}
 			var store *wal.Log
-			if len(r.stores) > 0 {
+			if r.stores != nil {
 				store = r.stores[g]
+			}
+			var deliverFrom uint64
+			if r.deliverFroms != nil {
+				deliverFrom = r.deliverFroms[g]
 			}
 			pcfg := paxos.Config{
 				ID:                r.id,
 				Peers:             peers,
-				Transport:         port,
+				Transport:         mux.Port(g),
 				Store:             store,
 				HeartbeatInterval: r.cfg.HeartbeatInterval,
 				ElectionTimeout:   r.cfg.ElectionTimeout,
-				DeliverFrom:       r.deliverFromGroup(g),
+				DeliverFrom:       deliverFrom,
 				OnDeliver:         func(e paxos.LogEntry) { r.onDeliverGroup(g, e) },
 				InitialPrimary:    initialPrimary,
 				Obs:               r.groupReg(g),
@@ -380,10 +349,7 @@ func (r *Replica) start(hub *paxos.ChanHub, peers []int) error {
 						pcfg.OnAudit = r.aud.onAudit
 					}
 				}
-				detail := ""
-				if r.groups > 1 {
-					detail = fmt.Sprintf("group%d", g)
-				}
+				detail := fmt.Sprintf("group%d", g)
 				pcfg.OnViewChange = func(view uint64, primary int) {
 					r.flt.Control().Note(flight.EvViewChange, r.logicalClock(),
 						view, uint64(primary), detail)
@@ -395,13 +361,11 @@ func (r *Replica) start(hub *paxos.ChanHub, peers []int) error {
 			}
 			r.nodes = append(r.nodes, node)
 		}
-		r.node = r.nodes[0]
-		if r.gm != nil && len(r.restoreWatermarks) == r.groups {
-			// Resume the merge from the checkpointed watermark vector:
-			// post-restore stamp bumps (eff = max(stamp, W+1)) must replay
-			// exactly as the live replicas computed them.
-			r.gm.SetWatermarks(r.restoreWatermarks)
-		}
+		// A restored replica resumes the merge from the checkpointed
+		// watermark vector: post-restore stamp bumps (eff = max(stamp, W+1))
+		// must replay exactly as the live replicas computed them. (A vector
+		// of the wrong length, or none, leaves the merge at zero.)
+		r.gm.SetWatermarks(r.restoreWatermarks)
 	}
 
 	switch r.mode {
@@ -424,24 +388,13 @@ func (r *Replica) start(hub *paxos.ChanHub, peers []int) error {
 		r.wireFlight(pproc)
 		pproc.SetSocketLayer(&dmtSockets{r: r})
 		pproc.Sched.SetGate(newGate(r, r.mode == ModeCrane))
-		if r.cfg.Speculation && r.mode == ModeCrane && r.node != nil {
+		if r.cfg.Speculation && r.mode == ModeCrane {
 			r.spec = newSpeculator(r)
 		}
 		r.pprocA.Store(pproc)
 	}
 	if pproc := r.proc(); pproc != nil {
 		pproc.Sched.SetObs(r.ro.reg)
-		// Single-lane recording captures the one total order; multi-lane
-		// captures one schedule per lane (lanes have no meaningful total
-		// order across them). Both exist for divergence diagnostics.
-		if os.Getenv("CRANE_SCHED_REC") != "" {
-			if r.lanes == 1 {
-				r.schedRec = pproc.Sched.StartRecording()
-			} else {
-				r.laneRecs = pproc.Sched.StartLaneRecordings()
-				pproc.Sched.StartCrossDebug()
-			}
-		}
 	}
 	// REPFRAME-style analysis (§6.2): attach the lock-order checker to
 	// the designated backup's scheduler.
@@ -450,7 +403,7 @@ func (r *Replica) start(hub *paxos.ChanHub, peers []int) error {
 		r.proc().Sched.SetObserver(r.checker.Observer())
 	}
 
-	if r.node != nil {
+	if r.mode.replicated() {
 		for _, nd := range r.nodes {
 			nd.Start()
 		}
@@ -488,7 +441,7 @@ func (r *Replica) wireFlight(pproc *papi.ParrotProc) {
 	for i := 0; i < r.lanes; i++ {
 		ls := pproc.Sched.LaneSched(i)
 		ls.SetFlight(r.flt.Lane(i))
-		r.laneSeq(i).SetFlight(r.flt.Lane(i), ls.ClockFast)
+		r.sqs[i].SetFlight(r.flt.Lane(i), ls.ClockFast)
 	}
 }
 
@@ -506,14 +459,11 @@ func (r *Replica) logicalClock() uint64 {
 	return 0
 }
 
-// health snapshots the /healthz payload.
+// health snapshots the /healthz payload, one row per Paxos group.
 func (r *Replica) health() obs.Health {
-	pending := 0
+	pending := r.gm.Pending()
 	for _, lsq := range r.sqs {
 		pending += lsq.Len()
-	}
-	if r.gm != nil {
-		pending += r.gm.Pending()
 	}
 	h := obs.Health{
 		Replica:    r.id,
@@ -521,17 +471,14 @@ func (r *Replica) health() obs.Health {
 		OpenConns:  r.openConns.Load(),
 		SeqPending: pending,
 	}
-	if r.node != nil {
-		h.Primary = r.node.IsPrimary()
-		h.View, h.ViewPrimary = r.node.View()
-		h.CommitIndex = r.node.CommitIndex()
-	}
-	if r.store != nil {
-		tail, _ := r.store.Tail()
-		h.WALTail = tail
-		if h.CommitIndex > tail {
-			h.WALLag = h.CommitIndex - tail
+	hasWAL := r.stores != nil
+	for g, nd := range r.nodes {
+		view, viewPrimary := nd.View()
+		var tail uint64
+		if hasWAL {
+			tail, _ = r.stores[g].Tail()
 		}
+		h.AddGroup(nd.IsPrimary(), view, viewPrimary, nd.CommitIndex(), hasWAL, tail)
 	}
 	return h
 }
@@ -540,9 +487,9 @@ func (r *Replica) health() obs.Health {
 // group's order (§3.2). Entries are carved from the group's chunked arena:
 // each group's deliveries arrive one at a time from its Paxos node's event
 // loop (never concurrently within a group), so the delivery path costs one
-// allocation per arena chunk instead of one per entry. Unsharded, the sole
-// group feeds afterMerge directly; sharded, entries pass through the
-// watermark merge, which emits them in the replica-agreed stamp order.
+// allocation per arena chunk instead of one per entry. Every entry passes
+// through the watermark merge, which emits it to afterMerge in the
+// replica-agreed stamp order (at once, with one group).
 func (r *Replica) onDeliverGroup(g int, e paxos.LogEntry) {
 	if len(r.entArenas[g]) == 0 {
 		r.entArenas[g] = make([]seq.Entry, 64)
@@ -554,23 +501,16 @@ func (r *Replica) onDeliverGroup(g int, e paxos.LogEntry) {
 	}
 	ent.Index = e.Index
 	r.ro.recordCommitted(ent, g)
-	if r.flt != nil && r.groups > 1 {
-		// Journal the (group, slot) of every commit so crane-inspect can
-		// localize a divergence to the group whose stream first differed.
-		r.flt.Control().Emit(flight.EvGroupCommit, r.logicalClock(),
-			0, uint64(g), e.Index)
-	}
-	if r.gm != nil {
-		r.gm.Deliver(g, ent)
-		return
-	}
-	r.afterMerge(ent)
+	// Journal the (group, slot) of every commit so crane-inspect can
+	// localize a divergence to the group whose stream first differed.
+	r.flt.Control().Emit(flight.EvGroupCommit, r.logicalClock(),
+		0, uint64(g), e.Index)
+	r.gm.Deliver(g, ent)
 }
 
-// afterMerge consumes one entry in the replica's global admission order —
-// directly from the single group's deliveries, or from the cross-group
-// merge's emit callback (under gm's lock, which preserves the
-// single-threaded discipline the speculator and lane routing assume).
+// afterMerge consumes one entry in the replica's global admission order. It
+// is the merge's emit callback, run under gm's lock, which gives the
+// speculator and the lane routing the single-threaded discipline they assume.
 func (r *Replica) afterMerge(ent *seq.Entry) {
 	if r.spec != nil && r.spec.onCommitted(ent) {
 		// The commit confirmed a speculative clone already in a lane queue
@@ -618,7 +558,7 @@ func (r *Replica) enqueueDelivered(ent *seq.Entry) {
 			lsq.Enqueue(clone)
 		}
 	} else {
-		r.laneSeq(r.laneForConn(ent.Conn)).Enqueue(ent)
+		r.sqs[r.laneForConn(ent.Conn)].Enqueue(ent)
 	}
 	if ent.Kind == seq.KindBubble {
 		r.bubblePending.Store(false)
@@ -656,10 +596,6 @@ func (r *Replica) maybeRequestBubble() time.Duration {
 	// quarter-heartbeat tick. Waking at W_timeout here would have every
 	// backup's token holders polling at 10 kHz through a whole outage.
 	idle := r.cfg.HeartbeatInterval / 4
-	if r.node == nil {
-		return idle
-	}
-	r.alignGroupLeadership()
 	// Per-group primaryship: after a failover the groups can transiently
 	// elect different leaders (alignGroupLeadership pulls them back onto
 	// the group-0 leader, but not atomically). Whoever leads a group paces
@@ -676,6 +612,7 @@ func (r *Replica) maybeRequestBubble() time.Duration {
 	if !leads {
 		return idle
 	}
+	r.alignGroupLeadership()
 	if r.bubblePending.Load() {
 		// An outstanding request can be lost across a view change;
 		// re-arm after a generous grace period. Its commit wakes the
@@ -732,8 +669,7 @@ func (r *Replica) bubbleRound() []*seq.Entry {
 	// token turn per clock; a parked lane now drains a bubble in one
 	// turn, and the split stays only because changing it would move
 	// clock values.) The divided value rides the committed entries, so
-	// replicas agree by construction. Single-lane single-group is the
-	// identity: pre-lane bubbles are unchanged.
+	// replicas agree by construction.
 	nclock := r.cfg.Nclock / uint64(r.lanes*r.groups)
 	if nclock == 0 {
 		nclock = 1
@@ -757,7 +693,7 @@ func (r *Replica) bubbleRound() []*seq.Entry {
 // is not trampled. Leadership placement never touches the committed
 // order, so alignment is determinism-neutral.
 func (r *Replica) alignGroupLeadership() {
-	if r.groups <= 1 || !r.node.IsPrimary() {
+	if !r.IsPrimary() {
 		return
 	}
 	aligned := true
@@ -797,7 +733,7 @@ func (r *Replica) emitOutput(conn uint64, data []byte) {
 	n, fp := r.out.Record(conn, data) //crane:specleak-ok the speculator declined the output above: no window is open, the effect is committed
 	r.flt.NoteOutput(uint64(n), fp)
 	r.ro.recordOutput(conn, r.logicalClock(), r.laneForConn(conn), r.groupForConn(conn))
-	if r.px != nil && r.node.IsPrimary() {
+	if r.px != nil && r.IsPrimary() {
 		r.px.forward(conn, data)
 	}
 }
@@ -881,7 +817,7 @@ func (r *Replica) Quiescent() bool {
 			return false
 		}
 	}
-	if r.gm != nil && r.gm.PendingClientCalls() > 0 {
+	if r.gm.PendingClientCalls() > 0 {
 		// Client entries parked in the cross-group merge are admitted input
 		// the program has not yet seen — checkpointing under them would
 		// lose them on restore. Parked BUBBLES are fine: in steady state
@@ -929,9 +865,8 @@ func (r *Replica) Checkpoint(cp *checkpoint.Checkpointer) (*checkpoint.Checkpoin
 		if err != nil {
 			return nil, tm, err
 		}
-		if r.commitIndexesStill(idxsBefore) && r.Quiescent() &&
-			(r.gm == nil || r.gm.Pending() == 0) {
-			// At G>1 the capture must land in a fully drained merge window
+		if r.commitIndexesStill(idxsBefore) && r.Quiescent() && r.gm.Pending() == 0 {
+			// The capture must land in a fully drained merge window
 			// (between bubble rounds): a parked bubble would advance the
 			// live replicas' watermarks after the capture while the
 			// restored replica never replays it (its slot is below the
@@ -939,10 +874,8 @@ func (r *Replica) Checkpoint(cp *checkpoint.Checkpointer) (*checkpoint.Checkpoin
 			// replicas. The commit-index re-validation guarantees nothing
 			// was delivered during the capture, so a drained merge now
 			// means a drained merge throughout.
-			if r.groups > 1 {
-				ck.GroupIndexes = idxsBefore
-				ck.GroupWatermarks = r.gm.Watermarks()
-			}
+			ck.GroupIndexes = idxsBefore
+			ck.GroupWatermarks = r.gm.Watermarks()
 			return ck, tm, nil
 		}
 		// Input raced the capture; back off and retry (§5.2).
@@ -979,8 +912,9 @@ func (r *Replica) ID() int { return r.id }
 // Host returns the replica's network host name.
 func (r *Replica) Host() string { return r.host }
 
-// IsPrimary reports whether this replica is the consensus primary.
-func (r *Replica) IsPrimary() bool { return r.node != nil && r.node.IsPrimary() }
+// IsPrimary reports whether this replica leads Paxos group 0, which is
+// where the proxy takes its cue to accept clients (see LeadsAllGroups).
+func (r *Replica) IsPrimary() bool { return len(r.nodes) > 0 && r.nodes[0].IsPrimary() }
 
 // Outputs returns the replica's network-output log (§7.2).
 func (r *Replica) Outputs() *trace.OutputLog { return r.out }
@@ -989,7 +923,7 @@ func (r *Replica) Outputs() *trace.OutputLog { return r.out }
 // lanes in multi-lane deployments (bubble counters multiply by the lane
 // count, since bubbles are cloned into every lane).
 func (r *Replica) SeqStats() seq.Stats {
-	agg := r.sq.Stats()
+	agg := r.sqs[0].Stats()
 	for _, lsq := range r.sqs[1:] {
 		st := lsq.Stats()
 		agg.Enqueued += st.Enqueued
@@ -1003,10 +937,6 @@ func (r *Replica) SeqStats() seq.Stats {
 	return agg
 }
 
-// Node exposes the consensus node (nil in un-replicated modes; group 0's
-// node in sharded deployments).
-func (r *Replica) Node() *paxos.Node { return r.node }
-
 // GroupNode exposes group g's consensus node (nil when out of range or
 // un-replicated).
 func (r *Replica) GroupNode(g int) *paxos.Node {
@@ -1016,7 +946,7 @@ func (r *Replica) GroupNode(g int) *paxos.Node {
 	return r.nodes[g]
 }
 
-// Groups returns the Paxos group count (1 unless sharded).
+// Groups returns the Paxos group count.
 func (r *Replica) Groups() int { return r.groups }
 
 // LeadsAllGroups reports whether this replica is the consensus primary of
@@ -1037,14 +967,8 @@ func (r *Replica) LeadsAllGroups() bool {
 	return true
 }
 
-// GroupStats returns the cross-group merge counters (zero when unsharded:
-// the single group's deliveries bypass the merge).
-func (r *Replica) GroupStats() seq.GroupStats {
-	if r.gm == nil {
-		return seq.GroupStats{}
-	}
-	return r.gm.Stats()
-}
+// GroupStats returns the cross-group merge counters.
+func (r *Replica) GroupStats() seq.GroupStats { return r.gm.Stats() }
 
 // FS returns the replica's container filesystem (the live one: a
 // speculation rollback swaps in a rebuilt filesystem).

@@ -41,7 +41,7 @@ func (l *dmtListener) Poll(t papi.T, hint time.Duration) bool {
 	// Each lane's acceptor polls its own lane's sequence: CONNECTs are
 	// routed to lanes by the program's conflict map, so lane L only ever
 	// sees (and accepts) its own connections.
-	sq := l.r.laneSeq(th.LaneID())
+	sq := l.r.sqs[th.LaneID()]
 	th.GetTurn()
 	th.Admit()
 	for {
@@ -59,7 +59,7 @@ func (l *dmtListener) Accept(t papi.T) (papi.Conn, error) {
 	if !ok {
 		return nil, errors.New("crane: accept from non-DMT thread")
 	}
-	sq := l.r.laneSeq(th.LaneID())
+	sq := l.r.sqs[th.LaneID()]
 	th.GetTurn()
 	th.Admit()
 	for {
@@ -79,7 +79,7 @@ func (l *dmtListener) Close() error { return nil }
 type dmtConn struct {
 	r      *Replica
 	id     uint64
-	sq     *seq.Sequence // the connection's lane sequence (== r.sq single-lane)
+	sq     *seq.Sequence // the connection's lane sequence
 	eof    bool          // all client data consumed (guarded by the token)
 	closed bool
 }
@@ -160,12 +160,13 @@ func (c *dmtConn) Close(t papi.T) error {
 // without execution determinism.
 type pumpSockets struct {
 	r    *Replica
+	sq   *seq.Sequence // the one sequence: paxos-only mode runs a single lane
 	mu   sync.Mutex
 	cond *sync.Cond
 }
 
 func newPumpSockets(r *Replica) *pumpSockets {
-	p := &pumpSockets{r: r}
+	p := &pumpSockets{r: r, sq: r.sqs[0]}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -182,12 +183,12 @@ func (p *pumpSockets) Listen(t papi.T, port int) (papi.Listener, error) {
 // connections. Caller holds p.mu.
 func (p *pumpSockets) discardClosed() {
 	for {
-		h, ok := p.r.sq.Head()
+		h, ok := p.sq.Head()
 		if !ok {
 			return
 		}
 		if (h.Kind == seq.KindSend || h.Kind == seq.KindClose) && p.r.connClosed(h.Conn) {
-			p.r.sq.PopIfConn(h.Conn)
+			p.sq.PopIfConn(h.Conn)
 			continue
 		}
 		return
@@ -204,7 +205,7 @@ func (l *pumpListener) Poll(t papi.T, hint time.Duration) bool {
 	for {
 		l.p.mu.Lock()
 		l.p.discardClosed()
-		h, ok := l.p.r.sq.Head()
+		h, ok := l.p.sq.Head()
 		ready := ok && h.Kind == seq.KindConnect && h.Port == l.port
 		l.p.mu.Unlock()
 		if ready || l.p.r.killed() {
@@ -225,8 +226,8 @@ func (l *pumpListener) Accept(t papi.T) (papi.Conn, error) {
 			return nil, ErrKilled
 		}
 		l.p.discardClosed()
-		if h, ok := l.p.r.sq.Head(); ok && h.Kind == seq.KindConnect && h.Port == l.port {
-			connID, _, _ := l.p.r.sq.PopConnect()
+		if h, ok := l.p.sq.Head(); ok && h.Kind == seq.KindConnect && h.Port == l.port {
+			connID, _, _ := l.p.sq.PopConnect()
 			l.p.r.openConns.Add(1)
 			l.p.cond.Broadcast()
 			return &pumpConn{p: l.p, id: connID}, nil
@@ -265,7 +266,7 @@ func (c *pumpConn) Recv(t papi.T, buf []byte) (int, error) {
 		if c.p.r.killed() {
 			return 0, ErrKilled
 		}
-		n, eof := c.p.r.sq.ReadInto(c.id, buf)
+		n, eof := c.p.sq.ReadInto(c.id, buf)
 		if eof {
 			c.eof = true
 			c.p.r.openConns.Add(-1)

@@ -56,8 +56,14 @@ import (
 //     exactly the state and fingerprints of a replica that never
 //     speculated.
 //
-// Lock order: sp.mu may be taken before seq.mu, out.mu, ro.mu, px.mu and
-// the paxos node's mu — never after any of them. The seq consumption hook
+// A speculating replica has exactly one Paxos group (Config.validate rejects
+// Speculation with more): its commit index is nodes[0]'s, and commit order is
+// proposal order.
+//
+// Lock order: sp.mu is taken under the merge's lock (onCommitted runs in
+// its emit callback) and never calls back into the merge; it may be taken
+// before seq.mu, out.mu, ro.mu, px.mu and the paxos node's mu — never after
+// any of them. The seq consumption hook
 // (under seq.mu) must therefore never call into the speculator; it only
 // reads Entry.Spec, which seq mutates under its own lock.
 type speculator struct {
@@ -237,7 +243,7 @@ func newSpeculator(r *Replica) *speculator {
 // burst and refuses to run while any unfed proposal is still in flight.
 // Returns whether the burst was fed.
 func (sp *speculator) feed(ents []*seq.Entry) bool {
-	if sp.r.killed() || sp.r.node == nil || !sp.r.node.IsPrimary() {
+	if sp.r.killed() || !sp.r.IsPrimary() {
 		return false
 	}
 	sp.mu.Lock()
@@ -276,7 +282,7 @@ func (sp *speculator) feed(ents []*seq.Entry) bool {
 			clone := new(seq.Entry)
 			*clone = *e
 			rec.clones = []*seq.Entry{clone}
-			sp.r.laneSeq(sp.r.laneForConn(e.Conn)).EnqueueSpec(clone)
+			sp.r.sqs[sp.r.laneForConn(e.Conn)].EnqueueSpec(clone)
 		}
 		sp.pending = append(sp.pending, rec)
 		if e.Kind != seq.KindBubble {
@@ -363,7 +369,7 @@ func (sp *speculator) onCommitted(ent *seq.Entry) bool {
 			sp.r.sqs[i].ClearSpec(clone, ent.Index)
 		}
 	} else {
-		sp.r.laneSeq(sp.r.laneForConn(ent.Conn)).ClearSpec(rec.clones[0], ent.Index)
+		sp.r.sqs[sp.r.laneForConn(ent.Conn)].ClearSpec(rec.clones[0], ent.Index)
 	}
 	sp.hits++
 	sp.cHits.Inc()
@@ -454,7 +460,7 @@ func (sp *speculator) flushLocked() {
 	if len(sp.buf) == 0 {
 		return
 	}
-	primary := sp.r.node.IsPrimary()
+	primary := sp.r.IsPrimary()
 	for _, o := range sp.buf {
 		if o.close {
 			sp.r.px.closeConn(o.conn)
@@ -621,12 +627,9 @@ func (sp *speculator) rollback() {
 	r.closedMu.Lock()
 	r.closedConns = make(map[uint64]bool)
 	r.closedMu.Unlock()
-	// Lane resets are safe precisely because speculation implies a single
-	// Paxos group (Config forces Speculation off at Groups > 1): every
-	// discarded entry is replayed from this group's own speculation log.
-	// Were a rollback ever to run sharded, it would have to use the
-	// group-scoped seq.Groups.ResetGroup — a blanket reset would discard
-	// entries other groups committed but the merge has not yet emitted.
+	// Resetting the lanes loses nothing: speculation implies one Paxos
+	// group (Config.validate), whose merge parks nothing, so every
+	// discarded entry is in the speculation log replayed below.
 	for _, lsq := range r.sqs {
 		lsq.Reset()
 	}
@@ -660,7 +663,7 @@ func (sp *speculator) rollback() {
 		} else {
 			c := new(seq.Entry)
 			*c = *ent
-			r.laneSeq(r.laneForConn(ent.Conn)).Enqueue(c)
+			r.sqs[r.laneForConn(ent.Conn)].Enqueue(c)
 		}
 	}
 	proc.Start(inst)
@@ -771,12 +774,12 @@ func (sp *speculator) captureBoundary(gen uint64) {
 		if r.killed() {
 			return
 		}
-		idxBefore := r.node.CommitIndex()
+		idxBefore := r.nodes[0].CommitIndex()
 		r.execMu.Lock()
 		fs := r.fs
 		r.execMu.Unlock()
 		got, _, err := sp.cp.TryCapture(r, fs, r.baseSnap, func() uint64 { return idxBefore })
-		if err == nil && r.node.CommitIndex() == idxBefore && r.Quiescent() {
+		if err == nil && r.nodes[0].CommitIndex() == idxBefore && r.Quiescent() {
 			ck = got
 			break
 		}

@@ -86,7 +86,7 @@ func forceSpecAbortAfter(t *testing.T, c *Cluster, canary string, connected func
 	}
 	c.PartitionReplica(p.ID())
 
-	base := p.sq.SpecConsumed()
+	base := p.sqs[0].SpecConsumed()
 	conn, err := c.Net().Dial(simnet.Addr("canary:1"), c.Addr(p.ID(), 8080))
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func forceSpecAbortAfter(t *testing.T, c *Cluster, canary string, connected func
 	}
 	// Wait until the stranded primary consumes the burst speculatively.
 	waitFor(t, 5*time.Second, "speculative consumption", func() bool {
-		return p.sq.SpecConsumed() > base
+		return p.sqs[0].SpecConsumed() > base
 	})
 	// Close the client side: its EOF rides in as a speculated CLOSE, which
 	// unblocks the worker's gate (the sequence stays non-empty) so the

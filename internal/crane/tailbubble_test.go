@@ -88,7 +88,7 @@ func TestTailBubbleLoneSend(t *testing.T) {
 		return func() bool {
 			for i := 0; i < c.Replicas(); i++ {
 				r := c.Replica(i)
-				if r.sq.Stats().Consumed < calls || !r.sq.Empty() {
+				if r.sqs[0].Stats().Consumed < calls || !r.sqs[0].Empty() {
 					return false
 				}
 			}
@@ -139,7 +139,7 @@ func TestTailBubbleLoneSend(t *testing.T) {
 		t.Fatal("bubblePending still set after the tail bubble reached the lane sequence")
 	}
 	for i := 0; i < c.Replicas(); i++ {
-		if st := c.Replica(i).sq.Stats(); st.Bubbles != 1 || st.BubbleClocks != p.cfg.Nclock {
+		if st := c.Replica(i).sqs[0].Stats(); st.Bubbles != 1 || st.BubbleClocks != p.cfg.Nclock {
 			t.Fatalf("replica %d: %d bubbles, %d clocks, want 1 and %d", i, st.Bubbles, st.BubbleClocks, p.cfg.Nclock)
 		}
 	}
@@ -200,7 +200,7 @@ func TestTailBubbleConditions(t *testing.T) {
 	}
 
 	// A SEND for a connection nobody reads stays at the head for good.
-	p.sq.Enqueue(&seq.Entry{Kind: seq.KindSend, Conn: 99, Data: []byte("y")})
+	p.sqs[0].Enqueue(&seq.Entry{Kind: seq.KindSend, Conn: 99, Data: []byte("y")})
 	if px.tailRound(0, send) != nil {
 		t.Error("tail bubble with a lane sequence non-empty")
 	}
@@ -235,11 +235,11 @@ func TestTailBubbleFailedProposeReleasesRound(t *testing.T) {
 	}
 	defer d.Close()
 	waitFor(t, 5*time.Second, "the CONNECT consumed", func() bool {
-		return p.sq.Stats().Consumed >= 1 && p.sq.Empty()
+		return p.sqs[0].Stats().Consumed >= 1 && p.sqs[0].Empty()
 	})
 	// A stopped node still reports the view it last knew, so tailRound sees a
 	// primary; its ProposeBatch returns ErrStopped.
-	p.node.Stop()
+	p.nodes[0].Stop()
 	rejects := p.ro.proxyRejects.Value()
 	if _, err := d.Write([]byte("x")); err != nil {
 		t.Fatal(err)
@@ -409,7 +409,7 @@ func TestTailBubbleTwoGroups(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, "every replica consumed the CONNECT and the SEND", func() bool {
 		for i := 0; i < c.Replicas(); i++ {
-			if c.Replica(i).sq.Stats().Consumed < 2 {
+			if c.Replica(i).sqs[0].Stats().Consumed < 2 {
 				return false
 			}
 		}
@@ -430,7 +430,7 @@ func TestTailBubbleTwoGroups(t *testing.T) {
 		if gs := r.GroupStats(); gs.Emitted != 3 || gs.Pending != 1 || gs.PendingClient != 0 {
 			t.Errorf("replica %d merge stats %+v, want 3 emitted and the companion bubble parked", i, gs)
 		}
-		if st := r.sq.Stats(); st.Bubbles != 1 {
+		if st := r.sqs[0].Stats(); st.Bubbles != 1 {
 			t.Errorf("replica %d consumed %d bubbles, want the tail bubble only", i, st.Bubbles)
 		}
 	}
@@ -453,8 +453,8 @@ func TestTailBubbleSpeculationRollback(t *testing.T) {
 		// Let the PUT find the stranded primary idle, no bubble request due for
 		// at least half a W_timeout: its burst is then [SEND, bubble].
 		waitFor(t, 5*time.Second, "an idle window on the stranded primary", func() bool {
-			return p.openConns.Load() == 1 && p.sq.Empty() && !p.bubblePending.Load() &&
-				p.sq.StarvesIn(p.cfg.Wtimeout/2) > 0
+			return p.openConns.Load() == 1 && p.sqs[0].Empty() && !p.bubblePending.Load() &&
+				p.sqs[0].StarvesIn(p.cfg.Wtimeout/2) > 0
 		})
 		tails0 = p.ro.tailBubbles.Value()
 	})

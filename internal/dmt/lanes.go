@@ -71,42 +71,6 @@ type crossDomain struct {
 	// lane token), so a single slot per lane suffices.
 	pending []uint64
 	has     []bool
-	// debug, when non-nil, accumulates one entry per merge-ordered op
-	// (divergence diagnostics; see Scheduler.StartCrossDebug).
-	debug *crossDebug
-}
-
-// crossDebugEntry records one merge-ordered operation for diagnostics.
-type crossDebugEntry struct {
-	Lane   int
-	Thread int
-	Stamp  uint64
-	App    uint64
-}
-
-type crossDebug struct {
-	mu      sync.Mutex
-	entries []crossDebugEntry
-}
-
-// StartCrossDebug begins logging every merge-ordered cross-lane operation
-// (lane, thread, stamp, app clock). Root only, before Start.
-func (s *Scheduler) StartCrossDebug() {
-	if s.cross != nil {
-		s.cross.debug = &crossDebug{}
-	}
-}
-
-// CrossDebugLog returns the merge-ordered operation log (nil unless
-// StartCrossDebug was called).
-func (s *Scheduler) CrossDebugLog() []crossDebugEntry {
-	if s.cross == nil || s.cross.debug == nil {
-		return nil
-	}
-	d := s.cross.debug
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]crossDebugEntry(nil), d.entries...)
 }
 
 // SetLanes splits the scheduler into n deterministic token domains. Must be
@@ -361,12 +325,6 @@ func (s *Scheduler) crossDo(t *Thread, f func()) {
 		s.flight.Emit(flight.EvMerge, s.clockA.Load(), flight.PosUnchanged, uint64(t.id), c)
 	}
 	f()
-	if x.debug != nil {
-		x.debug.mu.Lock()
-		x.debug.entries = append(x.debug.entries,
-			crossDebugEntry{Lane: L, Thread: t.id, Stamp: c, App: s.appClockA.Load()})
-		x.debug.mu.Unlock()
-	}
 	x.has[L] = false
 	x.mu.Unlock()
 }

@@ -74,30 +74,6 @@ func (s *Scheduler) StartRecording() *Schedule {
 	return sc
 }
 
-// StartLaneRecordings begins capturing one schedule per lane. Call on the
-// root scheduler after SetLanes and before Start. Each lane's schedule is
-// a deterministic total order on its own; there is no meaningful total
-// order *across* lanes (their interleaving is physically timed), which is
-// why multi-lane recordings cannot feed SetReplay — they exist for
-// cross-replica divergence diagnostics.
-func (s *Scheduler) StartLaneRecordings() []*Schedule {
-	if s.group != nil {
-		panic("dmt: StartLaneRecordings must be called on the root scheduler")
-	}
-	if s.lanes == nil {
-		return []*Schedule{s.StartRecording()}
-	}
-	recs := make([]*Schedule, len(s.lanes))
-	for i, ln := range s.lanes {
-		sc := &Schedule{}
-		ln.mu.Lock()
-		ln.recording = sc
-		ln.mu.Unlock()
-		recs[i] = sc
-	}
-	return recs
-}
-
 // SetReplay makes the scheduler follow a recorded schedule. Call before
 // Start. Thread identity is creation order, so the replaying program must
 // spawn threads in the same order as the recorded one (guaranteed when it

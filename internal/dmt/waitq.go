@@ -43,7 +43,7 @@ const (
 	tagInterned
 )
 
-// hash mixes the key into a table index (splitmix64 finalizer). The tag is
+// hash mixes the key into a table index (SplitMix64 finalizer). The tag is
 // folded in so e.g. join key 3 and mutex id 3 land in different probe
 // sequences.
 func (k waitKey) hash() uint64 {

@@ -17,10 +17,9 @@ import (
 //     range r.nodes),
 //   - an identifier conventionally carrying a group id (g, gi, gid, grp,
 //     h, group, or any *group* name) — parameters and loop counters,
-//   - the result of a group-router call (groupForConn, groupOf, GroupOf,
-//     ConnGroupOf, ConnGroup, RendezvousGroup),
-//   - an integer constant (an explicit, reviewable pin, like the
-//     single-group alias [0]).
+//   - the result of a group-router call (groupForConn, groupOf, GroupOf),
+//   - an integer constant (an explicit, reviewable pin, like group 0's
+//     node where the proxy takes its cue).
 //
 // Anything else — a lane index, a connection id, an arbitrary counter —
 // is a cross-group read that bypasses the watermark-vector merge: group
@@ -55,7 +54,7 @@ func groncoupleRouterOK(call *ast.CallExpr) bool {
 		return false
 	}
 	switch name {
-	case "groupForConn", "groupOf", "GroupOf", "ConnGroupOf", "ConnGroup", "RendezvousGroup":
+	case "groupForConn", "groupOf", "GroupOf":
 		return true
 	}
 	return false
@@ -121,7 +120,7 @@ func runGroncouple(pass *Pass) {
 				return true
 			}
 			pass.Report(idx.Pos(),
-				"per-group field %s indexed by %q, which is not a group id: cross-group reads bypass the watermark-vector merge; index with a group-range key, a router result (groupForConn/ConnGroupOf), or an explicit constant",
+				"per-group field %s indexed by %q, which is not a group id: cross-group reads bypass the watermark-vector merge; index with a group-range key, a router result (groupForConn/groupOf), or an explicit constant",
 				exprString(idx.X), exprString(idx.Index))
 			return true
 		})

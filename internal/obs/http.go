@@ -11,18 +11,53 @@ import (
 )
 
 // Health is the /healthz payload: the liveness/role facts an operator (or
-// load balancer) needs to route around a sick replica.
+// load balancer) needs to route around a sick replica. The consensus facts
+// come one row per Paxos group (AddGroup), summarized on top: Primary only
+// when the replica leads every group (one stranded group refuses its share
+// of the connections), WALLag the worst group's, and View, ViewPrimary,
+// CommitIndex and WALTail group 0's.
 type Health struct {
-	Replica     int    `json:"replica"`
-	Mode        string `json:"mode"`
+	Replica     int           `json:"replica"`
+	Mode        string        `json:"mode"`
+	Primary     bool          `json:"primary"`
+	View        uint64        `json:"view"`
+	ViewPrimary int           `json:"view_primary"`
+	CommitIndex uint64        `json:"commit_index"`
+	WALTail     uint64        `json:"wal_tail"`
+	WALLag      uint64        `json:"wal_lag"` // commit index minus WAL tail, maximum over groups
+	OpenConns   int64         `json:"open_conns"`
+	SeqPending  int           `json:"seq_pending"`
+	Groups      []groupHealth `json:"groups"`
+}
+
+// groupHealth is one Paxos group's row of the /healthz payload.
+type groupHealth struct {
 	Primary     bool   `json:"primary"`
 	View        uint64 `json:"view"`
 	ViewPrimary int    `json:"view_primary"`
 	CommitIndex uint64 `json:"commit_index"`
 	WALTail     uint64 `json:"wal_tail"`
-	WALLag      uint64 `json:"wal_lag"` // commit index minus WAL tail
-	OpenConns   int64  `json:"open_conns"`
-	SeqPending  int    `json:"seq_pending"`
+	WALLag      uint64 `json:"wal_lag"`
+}
+
+// AddGroup appends the next group's row (call in group order) and folds it
+// into the summary fields. hasWAL is false for a group without a log, which
+// reports no tail and no lag.
+func (h *Health) AddGroup(primary bool, view uint64, viewPrimary int, commitIndex uint64, hasWAL bool, walTail uint64) {
+	g := groupHealth{Primary: primary, View: view, ViewPrimary: viewPrimary, CommitIndex: commitIndex}
+	if hasWAL {
+		g.WALTail = walTail
+		if commitIndex > walTail {
+			g.WALLag = commitIndex - walTail
+		}
+	}
+	if len(h.Groups) == 0 {
+		h.Primary = primary
+		h.View, h.ViewPrimary, h.CommitIndex, h.WALTail = g.View, g.ViewPrimary, g.CommitIndex, g.WALTail
+	}
+	h.Primary = h.Primary && primary
+	h.WALLag = max(h.WALLag, g.WALLag)
+	h.Groups = append(h.Groups, g)
 }
 
 // Server is one replica's scrape endpoint: /metrics (Prometheus text),

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -294,7 +295,12 @@ func TestHTTPServer(t *testing.T) {
 	tr := NewTracer(8)
 	tr.Record(SpanEvent{Req: 1, Stage: StageAdmit})
 	srv, err := StartServer("127.0.0.1:0", r, func() Health {
-		return Health{Replica: 2, Primary: true, View: 3, CommitIndex: 17, Mode: "crane"}
+		// Leads group 0, does not lead group 1, whose log is also further
+		// behind: the summary must say not primary, and the worse lag.
+		h := Health{Replica: 2, Mode: "crane"}
+		h.AddGroup(true, 3, 2, 17, true, 15)
+		h.AddGroup(false, 4, 0, 9, true, 2)
+		return h
 	}, tr, func(w io.Writer) error {
 		_, err := io.WriteString(w, `{"meta":"crane-flight-journal","replica":"r2"}`+"\n")
 		return err
@@ -320,10 +326,25 @@ func TestHTTPServer(t *testing.T) {
 		t.Fatalf("/metrics = %q", out)
 	}
 	health := get("/healthz")
-	for _, want := range []string{`"replica":2`, `"primary":true`, `"commit_index":17`, `"mode":"crane"`} {
+	for _, want := range []string{`"replica":2`, `"view":3`, `"commit_index":17`, `"wal_tail":15`, `"mode":"crane"`} {
 		if !strings.Contains(health, want) {
 			t.Fatalf("/healthz = %q missing %q", health, want)
 		}
+	}
+	var h Health
+	if err := json.Unmarshal([]byte(health), &h); err != nil {
+		t.Fatalf("/healthz = %q: %v", health, err)
+	}
+	if h.Primary || h.WALLag != 7 || len(h.Groups) != 2 {
+		t.Fatalf("/healthz summary %+v: want primary=false (group 1 is led elsewhere), wal_lag=7, 2 groups", h)
+	}
+	if g := h.Groups; !g[0].Primary || g[0].WALLag != 2 || g[1].Primary || g[1].View != 4 || g[1].CommitIndex != 9 || g[1].WALTail != 2 {
+		t.Fatalf("/healthz groups %+v", g)
+	}
+	var solo Health
+	solo.AddGroup(true, 1, 0, 5, false, 0)
+	if !solo.Primary || solo.WALLag != 0 || solo.CommitIndex != 5 {
+		t.Fatalf("one led group without a WAL: %+v", solo)
 	}
 	if out := get("/trace"); !strings.Contains(out, `"stage":"admit"`) {
 		t.Fatalf("/trace = %q", out)

@@ -170,16 +170,14 @@ type Instance interface {
 // never conflict except through explicitly cross-lane (unbound)
 // synchronization objects, so the runtime may execute the lanes'
 // deterministic schedules concurrently. Programs with no declaration run
-// on a single lane — the pre-lane behaviour, bit for bit — which is the
-// migration path: declare nothing, observe identical schedules, then add
-// lane partitioning incrementally.
+// on a single lane, which is the migration path: declare nothing, observe
+// identical schedules, then add lane partitioning incrementally.
+//
+// Which lane a connection runs on is not the program's to choose: it is
+// Program.ConnClass, the one partition function the deployment also orders
+// by. The program partitions its own state to match (httpd serves disjoint
+// static paths per connection, mongoose partitions per connection).
 type ConflictMap struct {
-	// ConnLane routes an accepted connection to a lane (e.g. httpd's
-	// disjoint static paths per connection, mongoose's per-connection
-	// partitioning). Nil defaults to connID % lanes. Connection ids are
-	// replica-consistent under CRANE, so the routing is deterministic.
-	ConnLane func(connID uint64, lanes int) int
-
 	// MaxUseful is the number of genuinely independent key ranges the
 	// program partitions its state into — the lane count beyond which
 	// added lanes only add cross-lane synchronization. A deployment
@@ -190,16 +188,6 @@ type ConflictMap struct {
 	// running two (the 8-lane MySQL regression in BENCH_lanes.json).
 	// Zero means unlimited.
 	MaxUseful int
-
-	// ConnGroup routes an accepted connection to a Paxos consensus group
-	// when the deployment shards the socket-call log (Config.Groups > 1,
-	// ISSUE 10). Nil defaults to rendezvous hashing on the connection id
-	// (ConnGroupOf), which keeps assignments stable under group-count
-	// changes. Unlike lanes, group routing happens on the primary before
-	// ordering, so it must be a pure function of (connID, groups) —
-	// replicas re-derive it from the committed stream for observability
-	// only, never for correctness.
-	ConnGroup func(connID uint64, groups int) int
 }
 
 // Program describes a deployable server program.
@@ -219,60 +207,16 @@ type Program struct {
 	Conflict *ConflictMap
 }
 
-// ConnLaneOf resolves the lane for a connection under this program's
-// conflict map (identity modulo lanes when no custom router is declared).
-func (p *Program) ConnLaneOf(connID uint64, lanes int) int {
-	if lanes <= 1 {
-		return 0
-	}
-	if p.Conflict != nil && p.Conflict.ConnLane != nil {
-		lane := p.Conflict.ConnLane(connID, lanes)
-		return ((lane % lanes) + lanes) % lanes
-	}
-	return int(connID % uint64(lanes))
-}
-
-// ConnGroupOf resolves the Paxos group for a connection: the program's
-// ConnGroup router when declared, rendezvous hashing otherwise.
-func (p *Program) ConnGroupOf(connID uint64, groups int) int {
-	if groups <= 1 {
-		return 0
-	}
-	if p != nil && p.Conflict != nil && p.Conflict.ConnGroup != nil {
-		g := p.Conflict.ConnGroup(connID, groups)
-		return ((g % groups) + groups) % groups
-	}
-	return RendezvousGroup(connID, groups)
-}
-
-// RendezvousGroup assigns connID to one of groups buckets by
-// highest-random-weight (rendezvous) hashing: each bucket scores
-// mix(connID, bucket) and the highest score wins. Growing from N to N+1
-// groups remaps only the ~1/(N+1) of connections whose new bucket wins,
-// so resharding moves the minimum number of connections — the stability
-// property the router tests pin down.
-func RendezvousGroup(connID uint64, groups int) int {
-	if groups <= 1 {
-		return 0
-	}
-	best, bestScore := 0, uint64(0)
-	for g := 0; g < groups; g++ {
-		if s := mix64(connID ^ (uint64(g)+1)*0x9e3779b97f4a7c15); g == 0 || s > bestScore {
-			best, bestScore = g, s
-		}
-	}
-	return best
-}
-
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
-// mixer (public-domain constant set).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+// ConnClass is the one partition function of a deployment: it maps a
+// connection to one of n classes, and the class names both the Paxos group
+// that orders the connection's socket calls (n = Config.Groups) and the
+// execution lane that runs them (n = the effective lane count). It is fixed
+// before ordering and a pure function of its arguments; connection ids are
+// replica-consistent under CRANE, so every replica computes the same class.
+// With as many lanes as groups, group g orders exactly what lane g executes.
+// n must be at least 1.
+func (p *Program) ConnClass(connID uint64, n int) int {
+	return int(connID % uint64(n))
 }
 
 // EffectiveLanes clamps a deployment's requested lane count to what the

@@ -278,3 +278,32 @@ func TestEffectiveLanesClamp(t *testing.T) {
 		t.Fatalf("MaxUseful 0: EffectiveLanes(8) = %d, want 8", got)
 	}
 }
+
+// TestConnClass pins the one partition function: every class is in range,
+// a connection keeps its class however often it is asked (so all of its
+// socket calls order in one group and run on one lane), and the connection
+// ids one proxy hands out in sequence spread over every class.
+func TestConnClass(t *testing.T) {
+	var p Program
+	for n := 1; n <= 8; n++ {
+		used := make([]bool, n)
+		for replica := uint64(1); replica <= 5; replica++ {
+			for k := uint64(1); k <= 64; k++ {
+				id := replica<<48 | k // the proxy's connection-id shape
+				c := p.ConnClass(id, n)
+				if c < 0 || c >= n {
+					t.Fatalf("ConnClass(%#x, %d) = %d, out of range", id, n, c)
+				}
+				if again := p.ConnClass(id, n); again != c {
+					t.Fatalf("ConnClass(%#x, %d) = %d then %d", id, n, c, again)
+				}
+				used[c] = true
+			}
+		}
+		for c, ok := range used {
+			if !ok {
+				t.Errorf("n=%d: class %d never assigned", n, c)
+			}
+		}
+	}
+}

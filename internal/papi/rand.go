@@ -4,7 +4,7 @@ package papi
 // banned inside the interposition boundary (its global source is seeded
 // differently per process and its lock interleaving is schedule-visible);
 // Rand gives every replica that seeds it identically an identical stream.
-// The core is splitmix64, which passes BigCrush and needs no allocation.
+// The core is SplitMix64, which passes BigCrush and needs no allocation.
 //
 // Rand is intentionally not safe for concurrent use: sharing a PRNG
 // across threads would make the stream depend on the schedule. Give each
@@ -19,7 +19,7 @@ func NewRand(seed int64) *Rand {
 	return &Rand{state: uint64(seed)}
 }
 
-// Uint64 returns the next value of the stream (splitmix64 step).
+// Uint64 returns the next value of the stream (SplitMix64 step).
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state

@@ -17,7 +17,7 @@ func TestRandDeterministic(t *testing.T) {
 	want := []uint64{0x910a2dec89025cc1, 0xbeeb8da1658eec67, 0xf893a2eefb32555e}
 	for i, w := range want {
 		if got := r.Uint64(); got != w {
-			t.Fatalf("splitmix64(seed=1) value %d = %#x, want %#x", i, got, w)
+			t.Fatalf("SplitMix64(seed=1) value %d = %#x, want %#x", i, got, w)
 		}
 	}
 }

@@ -1174,7 +1174,7 @@ func (n *Node) maybeWinPhase2() {
 		first = last + 1
 	}
 	n.mu.Lock()
-	n.lastElectionMs = float64(time.Since(n.electionStart).Microseconds()) / 1000.0
+	n.lastElectionMs = float64(time.Since(n.electionStart).Microseconds()) / 1000.0 //crane:detflow-ok election-latency stat read by benches, below the consensus boundary
 	n.mu.Unlock()
 	n.electing = false
 	n.tryAdvanceCommit()

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"slices"
 	"sync"
 )
 
@@ -30,9 +31,9 @@ import (
 // advance without traffic, keeping the merge live (the empty-group
 // liveness of the satellite tests).
 //
-// With one group the merge degenerates to synchronous pass-through — no
-// parking, no reordering — which is what keeps Groups=1 bit-identical to
-// the pre-shard pipeline.
+// With one group no other group can be empty, so every delivery emits at
+// once in delivery order: a one-group deployment runs this same code and
+// never parks or reorders anything.
 type Groups struct {
 	mu   sync.Mutex
 	emit func(*Entry) // invoked under mu, in merge order
@@ -63,9 +64,6 @@ func NewGroups(n int, emit func(*Entry)) *Groups {
 	}
 }
 
-// N returns the group count.
-func (g *Groups) N() int { return len(g.qs) }
-
 // Deliver feeds one committed entry from group gi and drains everything
 // the merge rule now allows. Safe to call concurrently from the per-group
 // delivery goroutines; emission is serialized under the merge lock.
@@ -73,14 +71,6 @@ func (g *Groups) Deliver(gi int, e *Entry) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.delivered++
-	if len(g.qs) == 1 {
-		// Single group: synchronous pass-through, exactly the pre-shard
-		// delivery path (plus one uncontended lock).
-		g.emitted++
-		g.w[0] = max64(e.Stamp, g.w[0]+1)
-		g.emit(e)
-		return
-	}
 	g.qs[gi] = append(g.qs[gi], e)
 	g.drainLocked()
 }
@@ -96,7 +86,7 @@ func (g *Groups) drainLocked() {
 			if g.heads[gi] >= len(g.qs[gi]) {
 				continue
 			}
-			eff := max64(g.qs[gi][g.heads[gi]].Stamp, g.w[gi]+1)
+			eff := max(g.qs[gi][g.heads[gi]].Stamp, g.w[gi]+1)
 			if cand == -1 || eff < candEff {
 				cand, candEff = gi, eff
 			}
@@ -153,15 +143,7 @@ func (g *Groups) popLocked(gi int) *Entry {
 
 // Pending returns the number of committed entries parked across all
 // groups, awaiting merge emission.
-func (g *Groups) Pending() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := 0
-	for gi := range g.qs {
-		n += len(g.qs[gi]) - g.heads[gi]
-	}
-	return n
-}
+func (g *Groups) Pending() int { return g.Stats().Pending }
 
 // PendingClientCalls returns the number of parked NON-bubble entries:
 // admitted client input the program has not yet seen. In steady state the
@@ -171,34 +153,7 @@ func (g *Groups) Pending() int {
 // calls (a dropped bubble is a lost clock grant the idle thread never
 // consumed — invisible to the schedule hash — while a dropped client call
 // is lost input).
-func (g *Groups) PendingClientCalls() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := 0
-	for gi := range g.qs {
-		for i := g.heads[gi]; i < len(g.qs[gi]); i++ {
-			if g.qs[gi][i].Kind != KindBubble {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// PendingGroup returns the parked-entry count for one group.
-func (g *Groups) PendingGroup(gi int) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.qs[gi]) - g.heads[gi]
-}
-
-// Watermark returns group gi's watermark: the effective stamp of the last
-// entry emitted from it (or asserted past it by a bubble vector).
-func (g *Groups) Watermark(gi int) uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.w[gi]
-}
+func (g *Groups) PendingClientCalls() int { return g.Stats().PendingClient }
 
 // Watermarks snapshots the full watermark vector (checkpoint capture).
 func (g *Groups) Watermarks() []uint64 {
@@ -227,46 +182,7 @@ func (g *Groups) SetWatermarks(w []uint64) {
 func (g *Groups) MaxWatermark() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var m uint64
-	for _, v := range g.w {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// ResetGroup discards group gi's parked entries without touching any other
-// group's pending queue or the watermark vector, returning how many
-// entries were dropped. This is the group-scoped form of the speculation
-// rollback's queue reset (ISSUE 10 satellite): a rollback replaying one
-// group's stream must not discard entries other groups have committed but
-// the merge has not yet emitted.
-func (g *Groups) ResetGroup(gi int) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := len(g.qs[gi]) - g.heads[gi]
-	for i := range g.qs[gi] {
-		g.qs[gi][i] = nil
-	}
-	g.qs[gi] = g.qs[gi][:0]
-	g.heads[gi] = 0
-	return n
-}
-
-// Reset wipes every group's parked entries and the watermark vector back
-// to the freshly-created state, keeping the emit hook.
-func (g *Groups) Reset() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for gi := range g.qs {
-		for i := range g.qs[gi] {
-			g.qs[gi][i] = nil
-		}
-		g.qs[gi] = g.qs[gi][:0]
-		g.heads[gi] = 0
-		g.w[gi] = 0
-	}
+	return slices.Max(g.w)
 }
 
 // GroupStats is a snapshot of the merge counters.
@@ -302,11 +218,4 @@ func (g *Groups) Stats() GroupStats {
 		Stalls:        g.stalls,
 		VecBumps:      g.vecBumps,
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -20,21 +21,45 @@ func stampedEntry(stamp, conn uint64) *Entry {
 	return &Entry{Kind: KindSend, Conn: conn, Stamp: stamp}
 }
 
+// TestGroupsSinglePassThrough: at one group the merge emits every delivery
+// at once and in delivery order, whatever the stamps say. Every replicated
+// deployment delivers through the merge, so this is the one-log pipeline's
+// ordering guarantee; zero and regressing stamps are what a log written
+// before a failover (or by a primary with a fresh counter) replays.
 func TestGroupsSinglePassThrough(t *testing.T) {
-	g, out := collectGroups(1)
-	for i := uint64(1); i <= 5; i++ {
-		g.Deliver(0, stampedEntry(i, i))
+	rng := rand.New(rand.NewSource(1))
+	streams := [][]uint64{
+		{1, 2, 3, 4, 5},
+		{0, 0, 0, 0},
+		{9, 8, 7, 7, 1, 0, 12},
 	}
-	if len(*out) != 5 {
-		t.Fatalf("pass-through emitted %d of 5", len(*out))
-	}
-	for i, e := range *out {
-		if e.Conn != uint64(i+1) {
-			t.Fatalf("entry %d: conn %d, want %d (delivery order)", i, e.Conn, i+1)
+	for i := 0; i < 20; i++ {
+		st := make([]uint64, 1+rng.Intn(40))
+		for j := range st {
+			st[j] = uint64(rng.Intn(16))
 		}
+		streams = append(streams, st)
 	}
-	if g.Pending() != 0 {
-		t.Fatalf("single-group merge parked %d entries", g.Pending())
+	for si, stamps := range streams {
+		g, out := collectGroups(1)
+		for i, st := range stamps {
+			e := stampedEntry(st, uint64(i+1))
+			if i%3 == 2 {
+				e = &Entry{Kind: KindBubble, NClock: 1, Conn: uint64(i + 1), Stamp: st, Vec: []uint64{st}}
+			}
+			g.Deliver(0, e)
+			if len(*out) != i+1 {
+				t.Fatalf("stream %d: delivery %d left %d emitted (parked %d)", si, i, len(*out), g.Pending())
+			}
+		}
+		for i, e := range *out {
+			if e.Conn != uint64(i+1) {
+				t.Fatalf("stream %d %v: emission %d is delivery %d", si, stamps, i, e.Conn-1)
+			}
+		}
+		if st := g.Stats(); st.Pending != 0 || st.Stalls != 0 || st.Emitted != uint64(len(stamps)) {
+			t.Fatalf("stream %d: merge stats %+v", si, st)
+		}
 	}
 }
 
@@ -113,7 +138,7 @@ func TestGroupsEmptyGroupGating(t *testing.T) {
 	if !reflect.DeepEqual(stamps, []uint64{3, 4, 5}) {
 		t.Fatalf("emitted stamps %v, want [3 4 5]", stamps)
 	}
-	if w := g.Watermark(1); w != 6 {
+	if w := g.Watermarks()[1]; w != 6 {
 		t.Fatalf("group 1 watermark %d after vector, want 6", w)
 	}
 }
@@ -140,46 +165,11 @@ func TestGroupsStragglerStampBump(t *testing.T) {
 	if !reflect.DeepEqual(stamps, []uint64{20, 25, 5}) || !reflect.DeepEqual(conns, []uint64{0, 1, 2}) {
 		t.Fatalf("emitted stamps %v conns %v; want stamps [20 25 5], conns [0 1 2]", stamps, conns)
 	}
-	if w := g.Watermark(0); w != 26 {
+	if w := g.Watermarks()[0]; w != 26 {
 		t.Fatalf("group 0 watermark %d, want 26 (bumped past the straggler)", w)
 	}
 	if g.Pending() != 1 { // the stamp-30 bubble waits for group 0's watermark
 		t.Fatalf("pending %d, want 1", g.Pending())
-	}
-}
-
-// TestGroupsResetGroupPreservesOthers is the satellite-6 regression test:
-// the rollback path's queue reset is group-scoped, so resetting one
-// group's parked entries cannot discard another group's pending entries.
-func TestGroupsResetGroupPreservesOthers(t *testing.T) {
-	// Three groups; group 2 stays silent so everything parks behind its
-	// zero watermark until its bubble arrives.
-	g, out := collectGroups(3)
-	g.Deliver(0, stampedEntry(3, 1))
-	g.Deliver(1, stampedEntry(5, 2))
-	if len(*out) != 0 {
-		t.Fatalf("setup: emitted %v, want nothing (group 2 silent)", *out)
-	}
-	if g.PendingGroup(0) != 1 || g.PendingGroup(1) != 1 {
-		t.Fatalf("setup: pending %d/%d, want 1/1", g.PendingGroup(0), g.PendingGroup(1))
-	}
-	if dropped := g.ResetGroup(0); dropped != 1 {
-		t.Fatalf("ResetGroup(0) dropped %d, want 1", dropped)
-	}
-	if got := g.PendingGroup(1); got != 1 {
-		t.Fatalf("ResetGroup(0) discarded group 1's pending entry")
-	}
-	// A bubble round reaches every group (that is what keeps the merge
-	// live); group 1's surviving entry must emit once the round lands.
-	g.Deliver(0, &Entry{Kind: KindBubble, NClock: 1, Stamp: 7, Vec: []uint64{7, 0, 0}})
-	g.Deliver(2, &Entry{Kind: KindBubble, NClock: 1, Stamp: 1, Vec: []uint64{0, 0, 9}})
-	var stamps, conns []uint64
-	for _, e := range *out {
-		stamps = append(stamps, e.Stamp)
-		conns = append(conns, e.Conn)
-	}
-	if !reflect.DeepEqual(stamps, []uint64{1, 5}) || !reflect.DeepEqual(conns, []uint64{0, 2}) {
-		t.Fatalf("emitted stamps %v conns %v; want group 1's entry (conn 2) to survive the reset", stamps, conns)
 	}
 }
 

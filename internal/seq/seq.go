@@ -70,17 +70,15 @@ type Entry struct {
 	// Stamp is the admission-order logical stamp assigned by the primary's
 	// burst submitter, drawn from one per-replica counter shared by every
 	// Paxos group. Within a group it is strictly monotone, so the
-	// multi-group merge (Groups) can deterministically interleave the
-	// groups' committed streams by stamp order. At Groups=1 the stamp rides
-	// the wire but nothing consumes it.
+	// merge (Groups) can deterministically interleave the groups'
+	// committed streams by stamp order.
 	Stamp uint64
 
 	// Vec is a bubble's vector of per-group logical-clock stamps (ISSUE 10):
 	// Vec[h] is the newest stamp the proposing primary had assigned to group
 	// h when the bubble was submitted. The merge applies it as a watermark
 	// floor on emission, letting lanes consume group g's entries up to the
-	// vector stamp even while other groups are idle. Nil for client calls
-	// and for every entry at Groups=1.
+	// vector stamp even while other groups are idle. Nil for client calls.
 	Vec []uint64
 
 	// Spec marks an entry enqueued speculatively by the proposing replica
