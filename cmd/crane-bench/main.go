@@ -4,10 +4,11 @@
 //	crane-bench                    # run everything at small scale
 //	crane-bench -full              # approach the paper's request counts
 //	crane-bench -only fig14,table1 # select experiments
+//
+// It exits non-zero when §7.2 plan I (full CRANE) diverges.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -22,13 +23,8 @@ import (
 
 func main() {
 	full := flag.Bool("full", false, "run at full scale (slower, closer to the paper's 1K-request runs)")
-	only := flag.String("only", "", "comma-separated subset: fig14,table1,fig15,fig16,fig17,table2,consistency,election,ablation,observability,lanes,speculation,sharding")
+	only := flag.String("only", "", "comma-separated subset: fig14,table1,fig15,fig16,fig17,table2,consistency,election,ablation")
 	runs := flag.Int("consistency-runs", 10, "runs per consistency plan (paper: 100)")
-	obsOut := flag.String("obs-out", "BENCH_observability.json", "where the observability cell writes its report")
-	lanes := flag.Int("lanes", 1, "execution lanes for DMT-mode cells (programs without a papi.ConflictMap still run single-lane)")
-	lanesOut := flag.String("lanes-out", "BENCH_lanes.json", "where the lanes cell writes its report")
-	specOut := flag.String("speculation-out", "BENCH_speculation.json", "where the speculation cell writes its report")
-	shardOut := flag.String("sharding-out", "BENCH_sharding.json", "where the sharding cell writes its report")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
 
@@ -47,7 +43,6 @@ func main() {
 		}()
 	}
 
-	bench.DeployLanes = *lanes
 	scale := bench.SmallScale
 	if *full {
 		scale = bench.FullScale
@@ -100,11 +95,17 @@ func main() {
 	}
 	if sel("consistency") {
 		fmt.Fprintln(out, "== §7.2: consistency of network outputs ==")
-		if _, err := bench.Consistency(crane.ModeCrane, *runs, out); err != nil {
+		planI, err := bench.Consistency(crane.ModeCrane, *runs, out)
+		if err != nil {
 			fail(err)
 		}
 		if _, err := bench.Consistency(crane.ModeCraneNoBubble, *runs, out); err != nil {
 			fail(err)
+		}
+		// Plan I is the paper's claim: full CRANE never diverges (plan II
+		// is expected to).
+		if planI.Divergent > 0 {
+			fail(fmt.Errorf("plan I (full CRANE) diverged in %d/%d runs", planI.Divergent, planI.Runs))
 		}
 	}
 	if sel("election") {
@@ -122,130 +123,6 @@ func main() {
 		if _, err := bench.AblationRex(scale, out); err != nil {
 			fail(err)
 		}
-	}
-	if sel("observability") {
-		fmt.Fprintln(out, "== Observability: per-stage request lifecycle and instrumentation overhead ==")
-		rep, err := bench.Observability(scale, out)
-		if err != nil {
-			fail(err)
-		}
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*obsOut, append(buf, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n", *obsOut)
-	}
-	if sel("lanes") {
-		fmt.Fprintln(out, "== Parallel execution lanes: crane-x vs lane count (ISSUE 6) ==")
-		rows, err := bench.LanesSweep(scale, bench.LaneCounts, out)
-		if err != nil {
-			fail(err)
-		}
-		report := struct {
-			Description string           `json:"description"`
-			Date        string           `json:"date"`
-			Scale       string           `json:"scale"`
-			Rows        []bench.LanesRow `json:"rows"`
-		}{
-			Description: "crane-x (full-CRANE latency normalized to un-replicated nondeterministic " +
-				"execution) vs execution-lane count, per conflict-declaring server at 8+ workers " +
-				"and 8 concurrent connections. Lanes=1 is the pre-lane single-token scheduler " +
-				"bit for bit (the before column). Caveats for reading the numbers: this host " +
-				"exposes a single CPU core, so 3 replicas re-executing every request put a hard " +
-				"~3x floor on crane-x that no scheduler change can beat — lanes remove " +
-				"token-rotation and admission serialization, which is why they pull burst " +
-				"latency down from ~10x toward that floor but cannot go below it. MySQL at 8 " +
-				"lanes regresses: sysbench's per-table locks are cross-lane, and a cross-lane " +
-				"acquire waits for every other lane's bubble-paced merge stamp, a cost that " +
-				"grows with the lane count (keep lanes <= the number of independent key ranges).",
-			Date:  time.Now().Format("2006-01-02"),
-			Scale: fmt.Sprintf("requests=%d concurrency>=8 prepare-rows=%d", scale.Requests, scale.PrepareRows),
-			Rows:  rows,
-		}
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*lanesOut, append(buf, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n", *lanesOut)
-	}
-	if sel("speculation") {
-		fmt.Fprintln(out, "== Speculative execution: admit-to-exec latency vs commit wait (ISSUE 7) ==")
-		cells, err := bench.SpeculationSweep(scale, out)
-		if err != nil {
-			fail(err)
-		}
-		report := struct {
-			Description string           `json:"description"`
-			Date        string           `json:"date"`
-			Scale       string           `json:"scale"`
-			Cells       []bench.SpecCell `json:"cells"`
-		}{
-			Description: "Admit-to-exec latency (proxy admission of a socket call to its DMT-turn " +
-				"consumption by the server) with speculative execution off and on, with and " +
-				"without synchronous WAL appends. The cluster's consensus hub is slowed to " +
-				"~800us one-way so a commit round costs ~2ms: with speculation off the server " +
-				"cannot touch an admitted call until that round completes, so admit-to-exec " +
-				"p50 IS the commit latency; with speculation on the proposing replica's DMT " +
-				"consumes the call on its next scheduler turn while the Accept round is still " +
-				"in flight, and the commit usually confirms what already ran (spec_hits). " +
-				"WAL fsync stretches the commit round — exactly the window speculation hides — " +
-				"so the speedup grows in the sync column. Client-visible effects are buffered " +
-				"until the window confirms, so end-to-end client medians stay commit-bound; " +
-				"the win is server-side pipelining (the next request's work overlaps the " +
-				"previous one's commit wait).",
-			Date:  time.Now().Format("2006-01-02"),
-			Scale: fmt.Sprintf("requests=%d serial", scale.Requests),
-			Cells: cells,
-		}
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*specOut, append(buf, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n", *specOut)
-	}
-	if sel("sharding") {
-		fmt.Fprintln(out, "== Multi-group consensus: throughput vs group count (ISSUE 10) ==")
-		cells, err := bench.ShardingSweep(scale, out)
-		if err != nil {
-			fail(err)
-		}
-		report := struct {
-			Description string            `json:"description"`
-			Date        string            `json:"date"`
-			Scale       string            `json:"scale"`
-			Cells       []bench.ShardCell `json:"cells"`
-		}{
-			Description: "Consensus throughput (committed entries/sec) with the proposal load " +
-				"sharded across 1, 2, and 4 independent 3-node Paxos groups over one " +
-				"GroupMux-shared endpoint per replica — the sharded cluster's transport " +
-				"shape. The hub injects ~250us one-way latency and each group's Accept " +
-				"pipeline is narrowed to 2 in-flight batches of 8 entries, so a single " +
-				"group tops out near inflight*batch/RTT entries/sec and is RTT-bound, " +
-				"not CPU-bound: every added group contributes an independent pipeline " +
-				"window, and throughput scales near-linearly in the group count " +
-				"(speedup_vs_1 is the acceptance number; the issue asks >= 2.5x at 4 " +
-				"groups). Total work is held constant across cells.",
-			Date:  time.Now().Format("2006-01-02"),
-			Scale: fmt.Sprintf("entries=%d total, split evenly across groups", 256*scale.Requests),
-			Cells: cells,
-		}
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*shardOut, append(buf, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n", *shardOut)
 	}
 	fmt.Fprintf(out, "done in %v\n", time.Since(start).Round(time.Second))
 }

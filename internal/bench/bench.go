@@ -1,9 +1,8 @@
 // Package bench is the experiment harness for §7 of the paper: it deploys
 // each evaluated server under each execution mode, drives the matching
 // workload, and produces the rows of every table and series of every
-// figure. The root-level benchmarks (bench_test.go) and cmd/crane-bench
-// both delegate here; EXPERIMENTS.md records the outputs next to the
-// paper's numbers.
+// figure. cmd/crane-bench, the one front end for §7, delegates here;
+// EXPERIMENTS.md records the outputs next to the paper's numbers.
 package bench
 
 import (
@@ -170,7 +169,6 @@ func ClusterConfig(mode crane.Mode) crane.Config {
 	return crane.Config{
 		Mode:     mode,
 		Replicas: 3,
-		Lanes:    DeployLanes,
 		Wtimeout: 100 * time.Microsecond, // paper default
 		Nclock:   1000,                   // paper default
 		NetOptions: simnet.Options{

@@ -57,11 +57,10 @@ type Config struct {
 	// NetOptions configures the client-facing simulated network (latency
 	// and jitter stagger request arrival across time — source S3 of §2.2).
 	NetOptions simnet.Options
-	// HubLatency/HubJitter/HubLoss configure the replica-to-replica
-	// consensus fabric.
+	// HubLatency/HubJitter configure the replica-to-replica consensus
+	// fabric (the in-memory hub drops no messages).
 	HubLatency time.Duration
 	HubJitter  time.Duration
-	HubLoss    float64
 	// Seed seeds the network fault models.
 	Seed int64
 
@@ -101,18 +100,12 @@ type Config struct {
 	// speed, and the fsync instruments only move when this is on.
 	WALSync bool
 
-	// NoFlightRecorder disables the always-on divergence flight recorder
-	// (per-lane journals of scheduling decisions, consumption acts, and
-	// merge stamps, chained by rolling hashes). On by default in DMT modes
-	// because its hot path is a handful of arithmetic ops per already-
-	// journaled event; the off switch exists for paired overhead
-	// measurement (crane-bench) and last-resort triage.
-	NoFlightRecorder bool
-	// FlightCapacity bounds each lane journal's entry ring (default 4096).
-	FlightCapacity int
 	// AuditEvery sets how many consumed sequence positions elapse between
-	// live-audit marks — the rolling journal hashes backups piggyback on
-	// AcceptOK replies for the leader to cross-check (default 64).
+	// live-audit marks of the divergence flight recorder — the rolling
+	// journal hashes backups piggyback on AcceptOK replies for the leader
+	// to cross-check (default 64). The recorder itself (per-lane journals
+	// of scheduling decisions, consumption acts and merge stamps, each
+	// ring flight.DefaultCapacity entries) is always on in DMT modes.
 	AuditEvery uint64
 
 	// Speculation lets the primary execute admitted socket calls while
@@ -209,7 +202,7 @@ func StartCluster(cfg Config, prog papi.Program) (*Cluster, error) {
 	switch {
 	case !cfg.Mode.replicated():
 	case !cfg.TCPConsensus:
-		c.hub = paxos.NewChanHub(cfg.HubLatency, cfg.HubJitter, cfg.HubLoss, cfg.Seed)
+		c.hub = paxos.NewChanHub(cfg.HubLatency, cfg.HubJitter, 0, cfg.Seed)
 	default:
 		// Bind every replica's consensus listener first so the full
 		// address table exists before any node starts.

@@ -11,9 +11,19 @@ import (
 // TestRestartReplicaReplaysWAL exercises the paper's replay-from-scratch
 // recovery (§2.1): a failed replica with a surviving WAL rebuilds its
 // state by re-executing the whole socket-call sequence.
+// TestRestartReplicaReplaysWAL restarts a backup from its WAL alone, with
+// and without fsync on appends (Config.WALSync, the paper's durability
+// setting); wal_fsyncs_total moves only when it is on.
 func TestRestartReplicaReplaysWAL(t *testing.T) {
+	for _, sync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("WALSync=%v", sync), func(t *testing.T) { restartReplaysWAL(t, sync) })
+	}
+}
+
+func restartReplaysWAL(t *testing.T, sync bool) {
 	cfg := testConfig(ModeCrane)
 	cfg.WALDir = t.TempDir()
+	cfg.WALSync = sync
 	c, err := StartCluster(cfg, newTestKV(8))
 	if err != nil {
 		t.Fatal(err)
@@ -26,6 +36,13 @@ func TestRestartReplicaReplaysWAL(t *testing.T) {
 	}
 	if err := c.WaitQuiescent(10 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+	var fsyncs uint64
+	for i := 0; i < c.Replicas(); i++ {
+		fsyncs += c.Replica(i).Obs().Counter("wal_fsyncs_total", "").Value()
+	}
+	if sync != (fsyncs > 0) {
+		t.Fatalf("WALSync=%v: wal_fsyncs_total = %d across replicas", sync, fsyncs)
 	}
 	// Fail a backup and restart it from its WAL alone (no checkpoint).
 	p, _ := c.Primary()

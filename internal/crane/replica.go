@@ -157,8 +157,8 @@ type Replica struct {
 	// lifecycle tracer, and (opt-in) HTTP scrape endpoint.
 	ro *replicaObs
 	// flt is the always-on flight recorder journaling the replica's
-	// determinism-relevant event stream (nil in non-DMT modes or when
-	// Config.NoFlightRecorder opts out; every call site is nil-safe).
+	// determinism-relevant event stream (nil in non-DMT modes; every call
+	// site is nil-safe).
 	flt *flight.Recorder
 	// aud cross-checks backups' piggybacked journal marks (leader side of
 	// the live audit; nil without a recorder or consensus).
@@ -196,11 +196,8 @@ func newReplica(id int, cfg *Config, prog papi.Program, net *simnet.Network) *Re
 		r.sqs[i] = seq.New()
 	}
 	r.ro = newReplicaObs(r)
-	if cfg.Mode.deterministic() && !cfg.NoFlightRecorder {
-		r.flt = flight.New(r.host, r.lanes, flight.Options{
-			Capacity:   cfg.FlightCapacity,
-			AuditEvery: cfg.AuditEvery,
-		})
+	if cfg.Mode.deterministic() {
+		r.flt = flight.New(r.host, r.lanes, flight.Options{AuditEvery: cfg.AuditEvery})
 		if cfg.Mode.replicated() {
 			r.aud = newAuditor(r)
 		}
@@ -1001,7 +998,7 @@ func (r *Replica) Obs() *obs.Registry { return r.ro.reg }
 func (r *Replica) Tracer() *obs.Tracer { return r.ro.tracer }
 
 // FlightRecorder returns the replica's divergence flight recorder (nil in
-// non-DMT modes or when Config.NoFlightRecorder opted out).
+// non-DMT modes).
 func (r *Replica) FlightRecorder() *flight.Recorder { return r.flt }
 
 // DivergenceAlarms returns the live audit's detected divergences (nil when

@@ -298,7 +298,14 @@ func (s *Scheduler) ClockFast() uint64 {
 
 // Start launches the internal idle thread — one per lane when SetLanes
 // configured more than one. It must be called exactly once, on the root.
-func (s *Scheduler) Start() {
+func (s *Scheduler) Start() { s.StartMain("", nil) }
+
+// StartMain is Start plus the program's first thread, queued behind the
+// root lane's idle thread before either runs. Spawning it after Start lets
+// the idle thread take a timing-dependent number of turns alone first, and
+// each of them ticks the logical clock (T.Now reads it). A nil fn queues
+// no thread and returns nil.
+func (s *Scheduler) StartMain(name string, fn func(*Thread)) *Thread {
 	s.mu.Lock()
 	if s.started {
 		s.mu.Unlock()
@@ -333,13 +340,27 @@ func (s *Scheduler) Start() {
 			ln.started = true
 		}
 	}
-	s.idle = s.spawn("idle", func(t *Thread) { s.idleLoop(t) }, true)
+	s.mu.Lock()
+	s.idle = s.newThreadLocked("idle", true)
+	var main *Thread
+	if fn != nil {
+		main = s.newThreadLocked(name, false)
+	}
+	s.mu.Unlock()
+	s.grant(s.idle)
+	s.launch(s.idle, func(t *Thread) { s.idleLoop(t) })
 	if len(s.lanes) > 1 {
 		for _, ln := range s.lanes[1:] {
 			ln := ln
 			ln.idle = ln.spawn("idle", func(t *Thread) { ln.idleLoop(t) }, true)
 		}
 	}
+	if main != nil {
+		// After the other lanes' idle threads: main may bootstrap them
+		// (SpawnLane) as soon as it runs.
+		s.launch(main, fn)
+	}
+	return main
 }
 
 // killedPanic is the sentinel thrown through application threads when the
@@ -491,6 +512,11 @@ type Thread struct {
 	// only runnable thread, so the token comes straight back). Only ever
 	// read and written by the owning thread, hence plain.
 	selfTok bool
+	// clock is the lane clock stamped at this thread's last scheduled
+	// operation (tickLocked). Unlike the live clock, which the idle thread
+	// ticks in physical time between the thread's turns, it depends only on
+	// turn order. Written and read by the owning thread only, hence plain.
+	clock uint64
 }
 
 // ID returns the deterministic thread id (creation order).
@@ -651,6 +677,19 @@ func (s *Scheduler) spawn(name string, fn func(*Thread), isIdle bool) *Thread {
 		s.mu.Unlock()
 		return nil
 	}
+	wasEmpty := s.rlen == 0
+	t := s.newThreadLocked(name, isIdle)
+	s.mu.Unlock()
+	if wasEmpty {
+		s.grant(t)
+	}
+	s.launch(t, fn)
+	return t
+}
+
+// newThreadLocked creates a thread and queues it at the run-queue tail.
+// Caller holds s.mu.
+func (s *Scheduler) newThreadLocked(name string, isIdle bool) *Thread {
 	// Thread ids are striped by lane (id = perLaneSeq*stride + laneID):
 	// deterministic per lane, globally unique, and — with stride 1 on a
 	// single-lane scheduler — identical to the pre-lane creation order.
@@ -661,12 +700,12 @@ func (s *Scheduler) spawn(name string, fn func(*Thread), isIdle bool) *Thread {
 		s.spawned++
 		s.spawnedA.Store(s.spawned)
 	}
-	wasEmpty := s.rlen == 0
 	s.runqPushBackLocked(t)
-	s.mu.Unlock()
-	if wasEmpty {
-		s.grant(t)
-	}
+	return t
+}
+
+// launch runs fn on t's goroutine and exits t when fn returns.
+func (s *Scheduler) launch(t *Thread, fn func(*Thread)) {
 	wg := &s.wg
 	if s.group != nil {
 		wg = &s.group.wg // one Join covers every lane
@@ -684,7 +723,6 @@ func (s *Scheduler) spawn(name string, fn func(*Thread), isIdle bool) *Thread {
 		fn(t)
 		t.Exit()
 	}()
-	return t
 }
 
 // tokenSpin bounds the pre-park spin in GetTurn: long enough to catch a
@@ -820,6 +858,7 @@ func (s *Scheduler) tickLocked(t *Thread, op byte) {
 		s.pubLocked()
 		return
 	}
+	t.clock = s.clock
 	if s.cross != nil {
 		s.appClock++
 		s.appClockA.Store(s.appClock)
@@ -1111,7 +1150,9 @@ func (s *Scheduler) idleLoop(t *Thread) {
 			busySpins = 0
 			// Nothing to exhaust and nobody runnable: back off so an
 			// idle server does not burn a core. Clock ticks here are
-			// unobservable (no runnable thread can interleave). Plain
+			// unobservable: no runnable thread can interleave, and a
+			// thread reads the clock it stamped at its own last turn
+			// (LaneClock), not the live one. Plain
 			// Sleep, not time.After: the latter allocates a timer and a
 			// channel per rotation, which at this frequency becomes a
 			// timer-heap and GC storm that starves everything else.

@@ -181,8 +181,12 @@ func (s *Scheduler) SpawnLane(parent *Thread, lane int, name string, fn func(*Th
 // LaneID reports the lane the thread is pinned to.
 func (t *Thread) LaneID() int { return t.s.laneID }
 
-// LaneClock returns the logical clock of the thread's own lane (lock-free).
-func (t *Thread) LaneClock() uint64 { return t.s.clockA.Load() }
+// LaneClock returns the logical clock of the thread's own lane as stamped
+// at the thread's last scheduled operation. The live clock also counts the
+// idle thread's ticks made in physical time since then, so reading it
+// outside a turn would differ across replicas; the stamp depends only on
+// turn order. Call it from the thread's own goroutine.
+func (t *Thread) LaneClock() uint64 { return t.clock }
 
 // assertLane panics when a lane-bound synchronization object is used from a
 // thread pinned to a different lane — the runtime complement of cranevet's

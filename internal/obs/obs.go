@@ -13,8 +13,8 @@
 // Hot-path cost is one or two atomic adds per observation. Every
 // instrument method is nil-receiver-safe, so a nil *Registry acts as a
 // no-op registry: code instruments unconditionally and pays nothing when
-// observability is disabled (the overhead ceiling is benchmarked by
-// cmd/crane-bench -only observability).
+// observability is disabled (the benchmark in benchmark/ reports the
+// tracing overhead as obs.trace_overhead_pct).
 package obs
 
 import (

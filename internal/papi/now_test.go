@@ -51,6 +51,50 @@ func TestParrotNowDeterministic(t *testing.T) {
 	}
 }
 
+// TestParrotNowIgnoresIdleTicks: between a thread's turns the idle thread
+// keeps ticking the lane clock in physical time, so Now must read the clock
+// stamped at the caller's own last operation. The program runs twice, once
+// calling Now at once and once after waiting, outside any turn, until the
+// live clock has passed that stamp; both runs must see the same times.
+func TestParrotNowIgnoresIdleTicks(t *testing.T) {
+	run := func(wait bool) []time.Time {
+		net := simnet.New(simnet.Options{})
+		p := NewParrotProc(net, "s", nil)
+		var stamps []time.Time
+		done := make(chan struct{})
+		p.Start(FuncInstance{Main: func(tt T) {
+			m := tt.NewMutex()
+			for i := 0; i < 5; i++ {
+				m.Lock(tt)
+				m.Unlock(tt)
+				if wait {
+					stamp := tt.(*parrotT).th.LaneClock()
+					deadline := time.Now().Add(time.Second)
+					for p.Sched.Stats().Clock <= stamp && time.Now().Before(deadline) {
+						time.Sleep(20 * time.Microsecond)
+					}
+				}
+				stamps = append(stamps, tt.Now())
+			}
+			close(done)
+		}})
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("program hung")
+		}
+		p.Kill()
+		p.Wait()
+		return stamps
+	}
+	a, b := run(false), run(true)
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			t.Fatalf("Now after idle ticks diverged at %d: %v at once vs %v after waiting", i, a[i], b[i])
+		}
+	}
+}
+
 // TestNondetNowIsPhysical: the baseline returns wall-clock time.
 func TestNondetNowIsPhysical(t *testing.T) {
 	net := simnet.New(simnet.Options{})

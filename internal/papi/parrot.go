@@ -52,8 +52,7 @@ func (p *ParrotProc) SetLanes(n int) { p.Sched.SetLanes(n) }
 
 // Start launches the scheduler's idle thread and the program's main thread.
 func (p *ParrotProc) Start(inst Instance) {
-	p.Sched.Start()
-	p.main = p.Sched.Spawn(nil, "main", func(th *dmt.Thread) {
+	p.main = p.Sched.StartMain("main", func(th *dmt.Thread) {
 		inst.Run(&parrotT{p: p, th: th})
 	})
 }
@@ -175,10 +174,11 @@ func (t *parrotT) Work(units int) { BurnWork(units) }
 // DetEpoch anchors deterministic time (the paper's publication date).
 var DetEpoch = time.Date(2015, time.October, 4, 0, 0, 0, 0, time.UTC)
 
-// Now returns deterministic time: the calling thread's lane clock advanced
-// at 1µs per scheduled operation from a fixed epoch. Identical on every
-// replica at the same execution point (with one lane, the lane clock is
-// the global logical clock).
+// Now returns deterministic time: the calling thread's lane clock, as
+// stamped at its own last scheduled operation, at 1µs per operation from a
+// fixed epoch. Identical on every replica at the same execution point,
+// however long the thread ran since that operation (with one lane, the
+// lane clock is the global logical clock).
 func (t *parrotT) Now() time.Time {
 	return DetEpoch.Add(time.Duration(t.th.LaneClock()) * time.Microsecond)
 }
