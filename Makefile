@@ -20,10 +20,11 @@ race:
 # nondeterminism in replicated code, lock-order cycles, dropped
 # durability errors, observation-path instrument registration, lane
 # consistency, speculation-gate leaks, interprocedural nondeterminism
-# taint (detflow), and atomic/plain access mixes (atomicmix). Violations
-# exit non-zero; suppress intentionally with //crane:<analyzer>-ok
-# <reason>. Use `go run ./cmd/cranevet -format=sarif ./...` for
-# code-scanning output.
+# taint (detflow), atomic/plain access mixes (atomicmix), and per-group
+# coupling (groncouple). detflow and lockorder share one call graph that
+# sees through interfaces such as papi.T. Violations exit non-zero;
+# suppress intentionally with //crane:<analyzer>-ok <reason>. Use
+# `go run ./cmd/cranevet -format=sarif ./...` for code-scanning output.
 lint:
 	$(GO) run ./cmd/cranevet ./...
 

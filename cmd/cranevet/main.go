@@ -8,9 +8,9 @@
 //	./cranevet -format=sarif ./... > cranevet.sarif
 //
 // Findings print in go-vet format (file:line:col: analyzer: message) by
-// default; -format=json and -format=sarif emit machine-readable output
-// (SARIF 2.1.0 suits code-scanning upload). Every format lists findings
-// in the same deterministic (file, line, column, analyzer) order. A
+// default; -format=sarif emits SARIF 2.1.0 for code-scanning upload. Both
+// formats list findings in the same deterministic (file, line, column,
+// analyzer) order. A
 // non-zero exit status marks the build dirty. Deliberate escapes are
 // annotated in source with "//crane:<analyzer>-ok <reason>".
 //
@@ -29,9 +29,9 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
+	format := flag.String("format", "text", "output format: text or sarif")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cranevet [-list] [-format=text|json|sarif] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: cranevet [-list] [-format=text|sarif] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the CRANE determinism/invariant analyzers over the packages\n")
 		fmt.Fprintf(os.Stderr, "matched by the given go-list patterns (default ./...).\n")
 	}
@@ -58,12 +58,10 @@ func main() {
 	switch *format {
 	case "text":
 		err = lint.WriteText(os.Stdout, diags)
-	case "json":
-		err = lint.WriteJSON(os.Stdout, diags)
 	case "sarif":
 		err = lint.WriteSARIF(os.Stdout, analyzers, diags)
 	default:
-		fmt.Fprintf(os.Stderr, "cranevet: unknown -format %q (want text, json, or sarif)\n", *format)
+		fmt.Fprintf(os.Stderr, "cranevet: unknown -format %q (want text or sarif)\n", *format)
 		os.Exit(2)
 	}
 	if err != nil {

@@ -460,19 +460,6 @@ func (s *Scheduler) LaneStats(lane int) Stats {
 	return s.root().laneSched(lane).laneStats()
 }
 
-// Clock returns the current logical clock (lock-free; summed over lanes on
-// a multi-lane root).
-func (s *Scheduler) Clock() uint64 {
-	if len(s.lanes) > 1 {
-		var c uint64
-		for _, ln := range s.lanes {
-			c += ln.clockA.Load()
-		}
-		return c
-	}
-	return s.clockA.Load()
-}
-
 // RunQueueLen returns the current run-queue length (diagnostics,
 // lock-free; summed over lanes on a multi-lane root).
 func (s *Scheduler) RunQueueLen() int {

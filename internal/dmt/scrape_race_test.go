@@ -11,7 +11,7 @@ import (
 )
 
 // TestMetricsScrapeDuringHotLoop is the regression test for the
-// atomic-counter move: Stats(), Clock(), Killed(), and the obs GaugeFuncs
+// atomic-counter move: Stats(), ClockFast(), Killed(), and the obs GaugeFuncs
 // read lock-free mirrors, so a /metrics scrape must be safe — and clean
 // under -race — while the scheduler is ticking flat out. The mirrors for
 // tokenPasses/waits/signals are published at schedule boundaries and every
@@ -81,7 +81,7 @@ func TestMetricsScrapeDuringHotLoop(t *testing.T) {
 			t.Fatalf("clock went backwards: %d -> %d", lastClock, st.Clock)
 		}
 		lastClock = st.Clock
-		_ = s.Clock()
+		_ = s.ClockFast()
 		_ = s.Killed()
 		scrapes++
 	}

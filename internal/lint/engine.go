@@ -1,31 +1,34 @@
 package lint
 
-// The interprocedural dataflow engine (ISSUE 9). The intra-function
-// analyzers built so far (nondet, specleak, laneconsistency) are pattern
-// matchers: they flag a raw time.Now *at the call site* but cannot see the
-// same value returned from a helper two hops away and fed to the seq wire.
-// This engine closes that gap with classic bottom-up summary computation:
+// The interprocedural engine: cranevet's one call graph, its one table of
+// nondeterminism sources and determinism sinks, and the taint summaries
+// detflow reports from. lockorder walks the same graph to compute lock
+// sets; nondet and specleak read the same tables.
 //
-//  1. A call graph is built over every package the loader type-checked
-//     from source, with edges resolved through go/types (package
-//     functions, methods, and locally-bound closures). Cross-package
-//     callees are keyed by a stable "pkgpath.Recv.Name" string because a
-//     package loaded from source and the same package seen through gc
-//     export data produce distinct types.Func objects.
+//  1. The call graph has a node for every function, method and function
+//     literal the loader type-checked from source. Calls are resolved by
+//     the four rules of callees: static calls, variables bound to
+//     functions, func-typed struct fields (stored into directly or through
+//     a setter), and interface methods (dispatched to the loaded concrete
+//     methods that implement them). Cross-package callees are keyed by a
+//     stable "pkgpath.Recv.Name" string because a package loaded from
+//     source and the same package seen through gc export data produce
+//     distinct types.Func objects.
 //
 //  2. Strongly connected components (Tarjan) order the graph so callee
 //     summaries exist before callers need them; members of one SCC
 //     iterate together to a fixpoint.
 //
-//  3. Each function body is analyzed flow-insensitively to its own
-//     fixpoint: taint propagates through assignments, composite
+//  3. Each declared function body is analyzed flow-insensitively to its
+//     own fixpoint: taint propagates through assignments, composite
 //     literals, returns, parameters, struct fields, package-level
-//     variables, and closure bodies (closures are analyzed inline against
-//     the enclosing function's environment, so captured variables flow
-//     both ways). The result is a summary: which results carry source
-//     taint unconditionally, which parameters flow to which results, and
-//     which parameters flow into a determinism sink inside the function
-//     or its callees.
+//     variables, writers (fmt.Fprint* and Write* taint what they write
+//     to), and closure bodies (closures are analyzed inline against the
+//     enclosing function's environment, so captured variables flow both
+//     ways). The result is a summary: which results carry source taint
+//     unconditionally, which parameters flow to which results, and which
+//     parameters flow into a determinism sink inside the function or its
+//     callees.
 //
 //  4. A final reporting pass re-runs the intra-function analysis with
 //     every summary in place and emits a finding wherever real source
@@ -52,9 +55,8 @@ import (
 // Sources and sinks
 // ---------------------------------------------------------------------------
 
-// Source kinds, shared with the nondet analyzer: both tools must agree on
-// what counts as nondeterminism, nondet flags the construct at its use
-// site in replicated packages, detflow follows the value.
+// Source kinds. detflow witnesses carry them; nondet names the construct
+// at its use site in replicated packages.
 const (
 	kindTime      = "time.Now"
 	kindRand      = "math/rand"
@@ -63,35 +65,48 @@ const (
 	kindSelect    = "select arm order"
 	kindPtrFormat = "pointer formatting"
 	kindMapHash   = "unseeded maphash"
+	kindClock     = "live DMT clock"
 )
 
-// sourceFuncs maps a function key (see funcID) to its source kind.
-// Functions whose whole package is a source (math/rand, hash/maphash) are
-// matched by sourcePkgs instead.
-var sourceFuncs = map[string]string{
-	"time.Now":     kindTime,
-	"time.Since":   kindTime,
-	"time.Until":   kindTime,
-	"os.Getenv":    kindEnv,
-	"os.LookupEnv": kindEnv,
-	"os.Environ":   kindEnv,
+// source is one row of the source table: the kind a tainted value carries,
+// what the call reads, and the papi replacement nondet suggests.
+type source struct{ kind, reads, papi string }
+
+// sourceFuncs maps a function key (see funcID) to its source row. The
+// live DMT clock is a source because an app thread reading it between its
+// own turns sees other threads' ticks, which land in physical time.
+// Functions whose whole package is a source are matched by sourcePkgs.
+var sourceFuncs = map[string]source{
+	"time.Now":     {kindTime, "physical time", "papi.T.Now (deterministic logical-clock time)"},
+	"time.Since":   {kindTime, "physical time", "papi.T.Now deltas"},
+	"time.Until":   {kindTime, "physical time", "papi.T.Now deltas"},
+	"time.After":   {kindTime, "physical time", "papi.Listener.Poll deadlines"},
+	"os.Getenv":    {kindEnv, "the process environment", "configuration passed at startup"},
+	"os.LookupEnv": {kindEnv, "the process environment", "configuration passed at startup"},
+	"os.Environ":   {kindEnv, "the process environment", "configuration passed at startup"},
+
+	"crane/internal/dmt.Scheduler.ClockFast": {kindClock, "other threads' ticks", "papi.T.Now"},
+	"crane/internal/dmt.Scheduler.Stats":     {kindClock, "other threads' ticks", "papi.T.Now"},
+	"crane/internal/dmt.Scheduler.LaneStats": {kindClock, "other threads' ticks", "papi.T.Now"},
 }
 
-// sourcePkgs taints every call into the package.
-var sourcePkgs = map[string]string{
-	"math/rand":    kindRand,
-	"math/rand/v2": kindRand,
-	"hash/maphash": kindMapHash,
+// sourcePkgs taints every call into the package; nondet flags its import.
+var sourcePkgs = map[string]source{
+	"math/rand":    {kindRand, "", "papi.Rand (deterministic seeded PRNG)"},
+	"math/rand/v2": {kindRand, "", "papi.Rand (deterministic seeded PRNG)"},
+	"hash/maphash": {kindMapHash, "", "a fixed hash such as hash/fnv"},
 }
 
-// sinkSpec describes one determinism sink: the label findings carry, and
-// whether the receiver itself is payload. For almost every sink only the
-// explicit arguments cross the boundary — a *Sequence with a tainted
-// stats field does not make Enqueue nondeterministic — but for
-// Entry.Encode the receiver IS the payload.
+// sinkSpec describes one determinism sink: the label findings carry,
+// whether the receiver itself is payload, and whether the effect is
+// client-visible and so must pass the speculation gate (specleak). For
+// almost every sink only the explicit arguments cross the boundary — a
+// *Sequence with a tainted stats field does not make Enqueue
+// nondeterministic — but for Entry.Encode the receiver IS the payload.
 type sinkSpec struct {
 	label string
 	recv  bool
+	gated bool
 }
 
 // sinkFuncs maps function keys to their sink spec. These are the
@@ -100,25 +115,26 @@ type sinkSpec struct {
 // or a client — and breaks the bit-identical-replicas guarantee.
 var sinkFuncs = map[string]sinkSpec{
 	// seq wire: what gets proposed must be identical on every replica.
-	"crane/internal/seq.Entry.Encode":         {"seq.Entry.Encode", true},
-	"crane/internal/seq.EncodeBatch":          {"seq.EncodeBatch", false},
-	"crane/internal/seq.Sequence.Enqueue":     {"seq.Sequence.Enqueue", false},
-	"crane/internal/seq.Sequence.EnqueueSpec": {"seq.Sequence.EnqueueSpec", false},
+	"crane/internal/seq.Entry.Encode":         {"seq.Entry.Encode", true, false},
+	"crane/internal/seq.EncodeBatch":          {"seq.EncodeBatch", false, false},
+	"crane/internal/seq.Sequence.Enqueue":     {"seq.Sequence.Enqueue", false, false},
+	"crane/internal/seq.Sequence.EnqueueSpec": {"seq.Sequence.EnqueueSpec", false, false},
 	// DMT schedule: spawn names and wait/signal keys fold into the
 	// deterministic schedule hash.
-	"crane/internal/dmt.Scheduler.Spawn":  {"dmt.Scheduler.Spawn", false},
-	"crane/internal/dmt.Thread.WaitOn":    {"dmt.Thread.WaitOn", false},
-	"crane/internal/dmt.Thread.SignalKey": {"dmt.Thread.SignalKey", false},
-	"crane/internal/papi.T.Spawn":         {"papi.T.Spawn", false},
-	"crane/internal/papi.T.SpawnLane":     {"papi.T.SpawnLane", false},
-	// Client-visible output: the speculation gate and the app socket layer.
-	"crane/internal/crane.Replica.emitOutput": {"crane.Replica.emitOutput", false},
-	"crane/internal/crane.speculator.emit":    {"crane.speculator.emit", false},
-	"crane/internal/papi.Conn.Send":           {"papi.Conn.Send", false},
+	"crane/internal/dmt.Scheduler.Spawn":  {"dmt.Scheduler.Spawn", false, false},
+	"crane/internal/dmt.Thread.WaitOn":    {"dmt.Thread.WaitOn", false, false},
+	"crane/internal/dmt.Thread.SignalKey": {"dmt.Thread.SignalKey", false, false},
+	"crane/internal/papi.T.Spawn":         {"papi.T.Spawn", false, false},
+	"crane/internal/papi.T.SpawnLane":     {"papi.T.SpawnLane", false, false},
+	// Client-visible output: the speculation gate and the socket layers.
+	"crane/internal/crane.Replica.emitOutput": {"crane.Replica.emitOutput", false, false},
+	"crane/internal/crane.speculator.emit":    {"crane.speculator.emit", false, false},
+	"crane/internal/papi.Conn.Send":           {"papi.Conn.Send", false, false},
+	"crane/internal/simnet.Conn.Write":        {"simnet.Conn.Write", false, true},
 	// Durability and the cross-replica output fingerprint.
-	"crane/internal/wal.Log.Append":         {"wal.Log.Append", false},
-	"crane/internal/wal.Log.AppendBatch":    {"wal.Log.AppendBatch", false},
-	"crane/internal/trace.OutputLog.Record": {"trace.OutputLog.Record", false},
+	"crane/internal/wal.Log.Append":         {"wal.Log.Append", false, true},
+	"crane/internal/wal.Log.AppendBatch":    {"wal.Log.AppendBatch", false, true},
+	"crane/internal/trace.OutputLog.Record": {"trace.OutputLog.Record", false, true},
 }
 
 // funcID builds the stable cross-package identity of a function:
@@ -288,13 +304,18 @@ func (s *summary) addParamSink(i int, h sinkHit) bool {
 // Engine
 // ---------------------------------------------------------------------------
 
-// fnNode is one function with a body in the loaded universe.
+// fnNode is one function body in the loaded universe: a declared function
+// or method, or a function literal (a node of its own, reached by calls
+// through the variables and fields it is stored in).
 type fnNode struct {
 	key   string
-	fn    *types.Func
-	decl  *ast.FuncDecl
+	name  string       // chain and diagnostic name
+	fn    *types.Func  // nil for a function literal
+	lit   *ast.FuncLit // nil for a declared function
+	body  *ast.BlockStmt
 	pkgIx int
-	// callees are funcKeys of statically resolved calls with bodies.
+	// callees are the keys of every node a call in body (literals
+	// included) may run; they order the SCCs.
 	callees map[string]bool
 	sum     *summary
 }
@@ -305,7 +326,17 @@ type fnNode struct {
 type Engine struct {
 	pkgs  []*Package
 	fns   map[string]*fnNode
+	lits  map[*ast.FuncLit]*fnNode
 	order [][]string // SCCs, callees before callers
+	// varFuncs maps a variable to the functions assigned to it.
+	varFuncs map[types.Object][]*fnNode
+	// fieldFuncs maps a func-typed field (objKey) to the functions stored
+	// into it.
+	fieldFuncs map[string][]*fnNode
+	// methods indexes concrete methods by name; dispatch caches the
+	// implementers of each interface method.
+	methods  map[string][]*fnNode
+	dispatch map[string][]*fnNode
 	// globalTaint holds real taint of struct fields and package-level
 	// variables, keyed by objKey.
 	globalTaint map[string]wset
@@ -351,30 +382,25 @@ func NewEngine(pkgs []*Package) *Engine {
 	e := &Engine{
 		pkgs:        pkgs,
 		fns:         map[string]*fnNode{},
+		lits:        map[*ast.FuncLit]*fnNode{},
+		varFuncs:    map[types.Object][]*fnNode{},
+		fieldFuncs:  map[string][]*fnNode{},
+		methods:     map[string][]*fnNode{},
+		dispatch:    map[string][]*fnNode{},
 		globalTaint: map[string]wset{},
 		findings:    map[string]engineFinding{},
 	}
-	for ix, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				key := funcID(fn)
-				if key == "" {
-					continue
-				}
-				e.fns[key] = &fnNode{key: key, fn: fn, decl: fd, pkgIx: ix}
-			}
-		}
-	}
+	e.index()
 	for _, node := range e.fns {
-		node.callees = e.collectCallees(node)
+		node.callees = map[string]bool{}
+		ast.Inspect(node.body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				for _, c := range e.callees(e.pkgs[node.pkgIx], call) {
+					node.callees[c.key] = true
+				}
+			}
+			return true
+		})
 	}
 	e.order = e.sccOrder()
 	e.computeSummaries()
@@ -382,50 +408,214 @@ func NewEngine(pkgs []*Package) *Engine {
 	return e
 }
 
-// collectCallees records the statically resolvable callees of node that
-// have bodies in the universe.
-func (e *Engine) collectCallees(node *fnNode) map[string]bool {
-	out := map[string]bool{}
-	pkg := e.pkgs[node.pkgIx]
-	ast.Inspect(node.decl, func(n ast.Node) bool {
+// ---------------------------------------------------------------------------
+// Call graph
+// ---------------------------------------------------------------------------
+
+// index creates a node for every body, then records what the call graph
+// needs beyond static calls: functions bound to variables, functions
+// stored into func-typed fields directly or through a setter's
+// parameter, and concrete methods by name.
+func (e *Engine) index() {
+	e.inspect(func(ix int, pkg *Package, n ast.Node) {
+		var node *fnNode
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if fn, ok := pkg.Info.Defs[n.Name].(*types.Func); ok && n.Body != nil {
+				node = &fnNode{key: funcID(fn), name: shortName(fn), fn: fn, body: n.Body, pkgIx: ix}
+				if fn.Type().(*types.Signature).Recv() != nil {
+					e.methods[fn.Name()] = append(e.methods[fn.Name()], node)
+				}
+			}
+		case *ast.FuncLit:
+			pos := pkg.Fset.Position(n.Pos())
+			name := fmt.Sprintf("func literal at %s:%d", pos.Filename, pos.Line)
+			node = &fnNode{key: name + ":" + strconv.Itoa(pos.Column), name: name, lit: n, body: n.Body, pkgIx: ix}
+			e.lits[n] = node
+		}
+		if node != nil {
+			e.fns[node.key] = node
+		}
+	})
+	// stored maps a variable to the field it is stored into, so a setter's
+	// parameter resolves at the setter's call sites.
+	stored := map[types.Object]string{}
+	e.inspect(func(_ int, pkg *Package, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i := 0; i < len(n.Lhs) && len(n.Lhs) == len(n.Rhs); i++ {
+				e.bind(pkg, n.Lhs[i], n.Rhs[i], stored)
+			}
+		case *ast.ValueSpec:
+			for i := 0; i < len(n.Names) && len(n.Names) == len(n.Values); i++ {
+				e.bind(pkg, n.Names[i], n.Values[i], stored)
+			}
+		}
+	})
+	e.inspect(func(_ int, pkg *Package, n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
+			return
 		}
-		if fn := staticCallee(pkg.Info, call); fn != nil {
-			if key := funcID(fn); key != "" {
-				if _, have := e.fns[key]; have {
-					out[key] = true
+		if node := e.fns[funcID(staticCallee(pkg.Info, call))]; node != nil {
+			params := node.fn.Type().(*types.Signature).Params()
+			for i := 0; i < params.Len() && i < len(call.Args); i++ {
+				if field, ok := stored[params.At(i)]; ok {
+					e.fieldFuncs[field] = appendNode(e.fieldFuncs[field], e.funcValue(pkg, call.Args[i]))
 				}
 			}
 		}
-		return true
 	})
-	return out
 }
 
-// staticCallee resolves a call to its *types.Func when the target is a
-// package function or a concrete method (interface calls and func values
-// return the interface/abstract method, which simply has no body node).
+// inspect walks every loaded file.
+func (e *Engine) inspect(visit func(ix int, pkg *Package, n ast.Node)) {
+	for ix, pkg := range e.pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				visit(ix, pkg, n)
+				return true
+			})
+		}
+	}
+}
+
+// bind records lhs = rhs when rhs is a function value stored into a
+// variable or a func-typed field, or a variable stored into a field.
+func (e *Engine) bind(pkg *Package, lhs, rhs ast.Expr, stored map[types.Object]string) {
+	target := e.funcValue(pkg, rhs)
+	switch lhs := ast.Unparen(lhs).(type) {
+	case *ast.Ident:
+		if obj := pkg.Info.ObjectOf(lhs); obj != nil && target != nil {
+			e.varFuncs[obj] = appendNode(e.varFuncs[obj], target)
+		}
+	case *ast.SelectorExpr:
+		field := objKey(pkg.Fset, pkg.Info.Uses[lhs.Sel])
+		id, isIdent := ast.Unparen(rhs).(*ast.Ident)
+		switch {
+		case field == "":
+		case target != nil:
+			e.fieldFuncs[field] = appendNode(e.fieldFuncs[field], target)
+		case isIdent && pkg.Info.Uses[id] != nil:
+			stored[pkg.Info.Uses[id]] = field
+		}
+	}
+}
+
+// funcValue resolves an expression used as a function value: a literal,
+// a declared function, or a method value.
+func (e *Engine) funcValue(pkg *Package, x ast.Expr) *fnNode {
+	switch x := ast.Unparen(x).(type) {
+	case *ast.FuncLit:
+		return e.lits[x]
+	case *ast.Ident:
+		fn, _ := pkg.Info.Uses[x].(*types.Func)
+		return e.fns[funcID(fn)]
+	case *ast.SelectorExpr:
+		fn, _ := pkg.Info.Uses[x.Sel].(*types.Func)
+		return e.fns[funcID(fn)]
+	}
+	return nil
+}
+
+func appendNode(nodes []*fnNode, n *fnNode) []*fnNode {
+	if n == nil {
+		return nodes
+	}
+	for _, have := range nodes {
+		if have == n {
+			return nodes
+		}
+	}
+	return append(nodes, n)
+}
+
+// callees resolves a call to the loaded bodies it may run. It is the one
+// call graph of cranevet, built from four rules:
+//
+//  1. a static call runs the function or method it names;
+//  2. a call through a variable runs the functions assigned to it, and an
+//     immediately invoked literal runs itself;
+//  3. a call through a func-typed struct field runs every function stored
+//     into that field, directly or through a setter's parameter;
+//  4. an interface method call runs every loaded concrete method that
+//     implements it.
+func (e *Engine) callees(pkg *Package, call *ast.CallExpr) []*fnNode {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.FuncLit:
+		return []*fnNode{e.lits[fun]}
+	case *ast.Ident:
+		if fns := e.varFuncs[pkg.Info.Uses[fun]]; fns != nil {
+			return fns
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := pkg.Info.Selections[fun]; ok && sel.Kind() == types.FieldVal {
+			return e.fieldFuncs[objKey(pkg.Fset, sel.Obj())]
+		}
+	}
+	fn := staticCallee(pkg.Info, call)
+	if fn == nil {
+		return nil
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		return e.implementers(fn)
+	}
+	if node := e.fns[funcID(fn)]; node != nil {
+		return []*fnNode{node}
+	}
+	return nil
+}
+
+// staticCallee resolves a call to the *types.Func it names: a package
+// function, a concrete method, or an interface method (nil for calls
+// through func values).
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
 	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
-		}
-		// Qualified identifier: pkg.Func.
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
 	}
 	return nil
+}
+
+// implementers returns the loaded concrete methods an interface method
+// call may dispatch to. types.Implements cannot answer here: a package
+// loaded from source and the same package seen through gc export data are
+// distinct type universes, so the same interface has two identities.
+// Methods are matched instead by name and by signature text, whose types
+// TypeString qualifies by package path.
+func (e *Engine) implementers(fn *types.Func) []*fnNode {
+	key := funcID(fn)
+	if nodes, ok := e.dispatch[key]; ok {
+		return nodes
+	}
+	iface := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	var nodes []*fnNode
+	for _, node := range e.methods[fn.Name()] {
+		recv := node.fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		have := map[string]string{}
+		ms := types.NewMethodSet(types.NewPointer(recv))
+		for i := 0; i < ms.Len(); i++ {
+			m := ms.At(i).Obj()
+			have[m.Name()] = types.TypeString(m.Type(), nil)
+		}
+		ok := true
+		for i := 0; i < iface.NumMethods() && ok; i++ {
+			m := iface.Method(i)
+			ok = have[m.Name()] == types.TypeString(m.Type(), nil)
+		}
+		if ok {
+			nodes = append(nodes, node)
+		}
+	}
+	e.dispatch[key] = nodes
+	return nodes
 }
 
 // sccOrder returns Tarjan SCCs in reverse topological order (callees
@@ -503,8 +693,7 @@ func (e *Engine) computeSummaries() {
 				sccChanged := false
 				for _, key := range scc {
 					node := e.fns[key]
-					fa := e.analyze(node, false)
-					if e.installSummary(node, fa) {
+					if node.fn != nil && e.installSummary(node, e.analyze(node, false)) {
 						sccChanged = true
 					}
 				}
@@ -551,12 +740,15 @@ func (e *Engine) installSummary(node *fnNode, fresh *summary) bool {
 	return false
 }
 
-// reportingPass re-analyzes every function with final summaries and
-// collects real-taint-reaches-sink findings.
+// reportingPass re-analyzes every declared function with final summaries
+// and collects real-taint-reaches-sink findings. Literals are analyzed
+// inline with the function that declares them.
 func (e *Engine) reportingPass() {
 	for _, scc := range e.order {
 		for _, key := range scc {
-			e.analyze(e.fns[key], true)
+			if node := e.fns[key]; node.fn != nil {
+				e.analyze(node, true)
+			}
 		}
 	}
 }
@@ -592,9 +784,6 @@ type fnAnalysis struct {
 	pkg    *Package
 	report bool
 	env    map[types.Object]wset
-	// closures maps local variables bound to exactly one FuncLit, so
-	// calls through them can use the lit's return taint.
-	closures map[types.Object]*ast.FuncLit
 	// litRets caches per-FuncLit return taints from the current walk.
 	litRets map[*ast.FuncLit][]wset
 	sum     *summary
@@ -610,14 +799,13 @@ func (e *Engine) analyze(node *fnNode, report bool) *summary {
 	nRets := sig.Results().Len()
 
 	fa := &fnAnalysis{
-		eng:      e,
-		node:     node,
-		pkg:      pkg,
-		report:   report,
-		env:      map[types.Object]wset{},
-		closures: map[types.Object]*ast.FuncLit{},
-		litRets:  map[*ast.FuncLit][]wset{},
-		sum:      newSummary(len(params), nRets),
+		eng:     e,
+		node:    node,
+		pkg:     pkg,
+		report:  report,
+		env:     map[types.Object]wset{},
+		litRets: map[*ast.FuncLit][]wset{},
+		sum:     newSummary(len(params), nRets),
 	}
 	// Seed parameters (receiver first) with their synthetic kinds.
 	for i, p := range params {
@@ -634,7 +822,7 @@ func (e *Engine) analyze(node *fnNode, report bool) *summary {
 		// Closure bodies are re-walked each iteration so taint captured
 		// from the enclosing scope after the first pass still propagates.
 		fa.litRets = map[*ast.FuncLit][]wset{}
-		changed := fa.walkBody(node.decl.Body, retTaint, sig)
+		changed := fa.walkBody(node.body, retTaint, sig)
 		if !changed {
 			break
 		}
@@ -648,7 +836,7 @@ func (e *Engine) analyze(node *fnNode, report bool) *summary {
 				}
 				continue
 			}
-			fa.sum.retSource[j].add(w.withChain(shortName(node.fn)))
+			fa.sum.retSource[j].add(w.withChain(node.name))
 		}
 	}
 	return fa.sum
@@ -802,28 +990,14 @@ func (w *stmtWalker) valueSpec(vs *ast.ValueSpec) {
 		// var a, b = f()
 		tss := w.callResults(vs.Values[0], len(vs.Names))
 		for i, name := range vs.Names {
-			obj := w.fa.pkg.Info.Defs[name]
-			w.bindClosure(obj, vs.Values[0])
-			w.merge(obj, tss[i])
+			w.merge(w.fa.pkg.Info.Defs[name], tss[i])
 		}
 		return
 	}
 	for i, name := range vs.Names {
 		if i < len(vs.Values) {
-			obj := w.fa.pkg.Info.Defs[name]
-			w.bindClosure(obj, vs.Values[i])
-			w.merge(obj, w.expr(vs.Values[i]))
+			w.merge(w.fa.pkg.Info.Defs[name], w.expr(vs.Values[i]))
 		}
-	}
-}
-
-// bindClosure records `v := func(...){...}` so calls through v resolve.
-func (w *stmtWalker) bindClosure(obj types.Object, rhs ast.Expr) {
-	if obj == nil {
-		return
-	}
-	if lit, ok := ast.Unparen(rhs).(*ast.FuncLit); ok {
-		w.fa.closures[obj] = lit
 	}
 }
 
@@ -839,19 +1013,7 @@ func (w *stmtWalker) assign(s *ast.AssignStmt) {
 		if i >= len(s.Rhs) {
 			break
 		}
-		ts := w.expr(s.Rhs[i])
-		if s.Tok == token.ASSIGN || s.Tok == token.DEFINE {
-			if id, ok := lhs.(*ast.Ident); ok {
-				var obj types.Object
-				if s.Tok == token.DEFINE {
-					obj = w.fa.pkg.Info.Defs[id]
-				} else {
-					obj = w.fa.pkg.Info.Uses[id]
-				}
-				w.bindClosure(obj, s.Rhs[i])
-			}
-		}
-		w.store(lhs, ts)
+		w.store(lhs, w.expr(s.Rhs[i]))
 	}
 }
 
@@ -961,8 +1123,7 @@ func (w *stmtWalker) rangeStmt(s *ast.RangeStmt) {
 		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 			// Map iteration: the sequence of keys/values is
 			// order-nondeterministic.
-			mo := wset{kindMapOrder: {kind: kindMapOrder, pos: s.Pos(), fset: w.fa.pkg.Fset,
-				chain: []string{shortName(w.fa.node.fn)}}}
+			mo := wset{kindMapOrder: w.source(kindMapOrder, s.Pos())}
 			keyTaint = keyTaint.clone()
 			keyTaint.union(mo)
 			valTaint = keyTaint
@@ -993,8 +1154,7 @@ func (w *stmtWalker) selectStmt(s *ast.SelectStmt) {
 		}
 		if as, ok := cc.Comm.(*ast.AssignStmt); ok {
 			// v := <-ch inside select: which arm ran is nondeterministic.
-			sel := wset{kindSelect: {kind: kindSelect, pos: s.Pos(), fset: w.fa.pkg.Fset,
-				chain: []string{shortName(w.fa.node.fn)}}}
+			sel := wset{kindSelect: w.source(kindSelect, s.Pos())}
 			for _, lhs := range as.Lhs {
 				w.store(lhs, sel)
 			}
@@ -1008,6 +1168,11 @@ func (w *stmtWalker) selectStmt(s *ast.SelectStmt) {
 			w.stmt(st)
 		}
 	}
+}
+
+// source is the witness of a source of kind firing at pos in this function.
+func (w *stmtWalker) source(kind string, pos token.Pos) witness {
+	return witness{kind: kind, pos: pos, fset: w.fa.pkg.Fset, chain: []string{w.fa.node.name}}
 }
 
 // expr computes the taint of an expression, with all side effects
@@ -1173,8 +1338,7 @@ func (w *stmtWalker) call(call *ast.CallExpr) []wset {
 		if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Kind() == types.Uintptr {
 			if atv, ok := info.Types[call.Args[0]]; ok {
 				if ab, ok := atv.Type.Underlying().(*types.Basic); ok && ab.Kind() == types.UnsafePointer {
-					ts.add(witness{kind: kindPtrFormat, pos: call.Pos(), fset: w.fa.pkg.Fset,
-						chain: []string{shortName(w.fa.node.fn)}})
+					ts.add(w.source(kindPtrFormat, call.Pos()))
 				}
 			}
 		}
@@ -1212,8 +1376,7 @@ func (w *stmtWalker) call(call *ast.CallExpr) []wset {
 		for _, ts := range argTaint {
 			src.union(ts)
 		}
-		src.add(witness{kind: kind, pos: call.Pos(), fset: w.fa.pkg.Fset,
-			chain: []string{shortName(w.fa.node.fn)}})
+		src.add(w.source(kind, call.Pos()))
 		return []wset{src}
 	}
 
@@ -1246,34 +1409,23 @@ func (w *stmtWalker) call(call *ast.CallExpr) []wset {
 		}
 	}
 
-	// Known callee with a body: apply its summary.
-	if node, ok := w.fa.eng.fns[key]; ok && node.sum != nil {
-		return w.applySummary(node, call, fullArgs)
+	// A static call to a loaded function applies its summary.
+	if node := w.fa.eng.fns[key]; node != nil && node.sum != nil {
+		return w.applySummary(node, fullArgs)
 	}
 
-	// Local closure called through a variable, or an immediate call of a
-	// FuncLit.
-	if lit := w.calleeLit(call); lit != nil {
-		rets := w.funcLit(lit)
-		out := make([]wset, len(rets))
-		for j := range rets {
-			out[j] = rets[j].clone()
-		}
-		return out
-	}
-
-	// Unknown callee (stdlib without a summary, interface method, func
-	// value): conservatively propagate every input to every output.
+	// Any other call (stdlib, a func value, an interface method)
+	// conservatively propagates every input to every output, adds what
+	// the functions it may run return, and taints the writer it writes to.
 	out := wset{}
-	if recvTaint != nil {
-		out.union(recvTaint)
-	}
-	for _, ts := range argTaint {
+	for _, ts := range fullArgs {
 		out.union(ts)
 	}
 	if ptrFmt {
-		out.add(witness{kind: kindPtrFormat, pos: call.Pos(), fset: w.fa.pkg.Fset,
-			chain: []string{shortName(w.fa.node.fn)}})
+		out.add(w.source(kindPtrFormat, call.Pos()))
+	}
+	if x := writerOf(call, fn); x != nil {
+		w.merge(rootObjOf(info, x), out)
 	}
 	n := 1
 	if tv, ok := info.Types[call]; ok {
@@ -1283,27 +1435,48 @@ func (w *stmtWalker) call(call *ast.CallExpr) []wset {
 	}
 	rets := make([]wset, n)
 	for j := range rets {
-		rets[j] = out
+		rets[j] = out.clone()
+	}
+	for _, t := range w.fa.eng.callees(w.fa.pkg, call) {
+		var trets []wset
+		switch {
+		case t.sum != nil:
+			args := fullArgs
+			if recvTaint == nil && t.fn.Type().(*types.Signature).Recv() != nil {
+				args = append([]wset{{}}, argTaint...) // a method value: the receiver is bound
+			}
+			trets = w.applySummary(t, args)
+		case t.lit != nil && w.fa.node.body.Pos() <= t.lit.Pos() && t.lit.End() <= w.fa.node.body.End():
+			trets = w.funcLit(t.lit) // a literal of this function, analyzed inline
+		}
+		for j := 0; j < n && j < len(trets); j++ {
+			rets[j].union(trets[j])
+		}
 	}
 	return rets
 }
 
-// calleeLit resolves a call through a locally bound closure variable or an
-// immediately invoked FuncLit.
-func (w *stmtWalker) calleeLit(call *ast.CallExpr) *ast.FuncLit {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.FuncLit:
-		return fun
-	case *ast.Ident:
-		if obj := w.fa.pkg.Info.Uses[fun]; obj != nil {
-			return w.fa.closures[obj]
+// writerOf returns the writer a call appends its inputs to: the first
+// argument of fmt.Fprint*, or the receiver of a Write, WriteString,
+// WriteByte or WriteRune method.
+func writerOf(call *ast.CallExpr, fn *types.Func) ast.Expr {
+	if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
+		return nil
+	}
+	if fn.Pkg().Path() == "fmt" && strings.HasPrefix(fn.Name(), "Fprint") {
+		return call.Args[0]
+	}
+	switch fn.Name() {
+	case "Write", "WriteString", "WriteByte", "WriteRune":
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && fn.Type().(*types.Signature).Recv() != nil {
+			return sel.X
 		}
 	}
 	return nil
 }
 
 // applySummary folds a callee's summary into this call site.
-func (w *stmtWalker) applySummary(callee *fnNode, call *ast.CallExpr, fullArgs []wset) []wset {
+func (w *stmtWalker) applySummary(callee *fnNode, fullArgs []wset) []wset {
 	sum := callee.sum
 	rets := make([]wset, sum.nRets)
 	for j := range rets {
@@ -1319,7 +1492,7 @@ func (w *stmtWalker) applySummary(callee *fnNode, call *ast.CallExpr, fullArgs [
 		// Param flows to results.
 		for j := 0; j < sum.nRets; j++ {
 			if chain := sum.paramRet[i][j]; chain != nil {
-				links := append(append([]string{}, chain...), shortName(callee.fn))
+				links := append(append([]string{}, chain...), callee.name)
 				for _, wit := range ts {
 					rets[j].add(wit.withChain(links...))
 				}
@@ -1356,7 +1529,7 @@ func (w *stmtWalker) hitSink(label string, pos token.Pos, ts wset, extraChain []
 				sink:  label,
 				pos:   pos,
 				pkgIx: w.sinkPkgIx(pos),
-				chain: joinChain(wit.chain, []string{shortName(w.fa.node.fn)}, extraChain),
+				chain: joinChain(wit.chain, []string{w.fa.node.name}, extraChain),
 			})
 			continue
 		}
@@ -1374,7 +1547,7 @@ func (w *stmtWalker) hitSink(label string, pos token.Pos, ts wset, extraChain []
 			kind:   kind,
 			srcPos: srcPos,
 			sink:   label,
-			chain:  joinChain(wit.chain, []string{shortName(w.fa.node.fn)}, extraChain),
+			chain:  joinChain(wit.chain, []string{w.fa.node.name}, extraChain),
 		}
 	}
 }
@@ -1413,11 +1586,11 @@ func sourceKindFor(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
-	if kind, ok := sourceFuncs[funcID(fn)]; ok {
-		return kind
+	if src, ok := sourceFuncs[funcID(fn)]; ok {
+		return src.kind
 	}
-	if kind, ok := sourcePkgs[fn.Pkg().Path()]; ok {
-		return kind
+	if src, ok := sourcePkgs[fn.Pkg().Path()]; ok {
+		return src.kind
 	}
 	return ""
 }

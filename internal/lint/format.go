@@ -9,12 +9,11 @@ import (
 	"strings"
 )
 
-// Output formatting for cranevet. Three formats, one ordering: findings
-// are emitted exactly as sorted by SortDiagnostics, so every format is
+// Output formatting for cranevet. Two formats, one ordering: findings are
+// emitted exactly as sorted by SortDiagnostics, so every format is
 // byte-stable across runs and diffable in CI.
 //
 //   - text:  the go-vet line format, for humans and the CI gate
-//   - json:  a flat array, for scripting
 //   - sarif: SARIF 2.1.0, for code-scanning upload (file paths are
 //     emitted relative to the working directory with forward slashes,
 //     which is what upload annotators expect)
@@ -27,33 +26,6 @@ func WriteText(w io.Writer, diags []Diagnostic) error {
 		}
 	}
 	return nil
-}
-
-// jsonFinding is the stable JSON shape of one finding.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON writes findings as a JSON array (empty slice, not null, when
-// there are none).
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	out := make([]jsonFinding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonFinding{
-			Analyzer: d.Analyzer,
-			File:     relPath(d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // SARIF 2.1.0 skeleton — only the fields code-scanning consumers read.

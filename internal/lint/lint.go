@@ -11,8 +11,9 @@
 // argues must be system-enforced. The analyzers in this package turn the
 // convention into a build-failing check:
 //
-//   - nondet:    raw goroutines, select, sync, time, math/rand, escaping
-//     map iteration, and direct net dialing in replicated packages
+//   - nondet:    raw goroutines, select, sync, escaping map iteration,
+//     direct net dialing, and the sources of the engine's source table
+//     (time, math/rand, the environment) in replicated packages
 //   - lockorder: a static inter-procedural lock-acquisition graph whose
 //     cycles are potential deadlocks (the static companion of
 //     internal/analysis.LockOrderChecker)
@@ -21,16 +22,22 @@
 //   - laneconsistency: lane-bound papi sync objects (NewMutexLane and
 //     friends) used from threads of a different lane — conflict-map drift
 //     caught at lint time instead of by the runtime assertion
-//   - specleak:  client-visible effects (socket writes, output-log
-//     records, WAL appends) in internal/crane that bypass the speculation
-//     gate buffer
+//   - specleak:  client-visible effects (the gated sinks of the engine's
+//     sink table: socket writes, output-log records, WAL appends) in
+//     internal/crane that bypass the speculation gate buffer
 //   - detflow:   interprocedural taint tracking from nondeterminism
-//     sources (time, rand, env, map order, select, pointer formatting,
-//     unseeded hashing) to determinism sinks (seq wire, DMT schedule,
-//     speculation gate, WAL payloads, output log); rides the shared
-//     summary engine in engine.go
+//     sources (time, rand, env, the live DMT clock, map order, select,
+//     pointer formatting, unseeded hashing) to determinism sinks (seq
+//     wire, DMT schedule, speculation gate, WAL payloads, output log,
+//     client sockets)
 //   - atomicmix: words accessed both through sync/atomic and with plain
 //     loads/stores — the lock-free mirror discipline, checked suite-wide
+//   - groncouple: "//crane:pergroup" fields indexed by anything but a
+//     group id
+//
+// engine.go holds what the analyzers share: the one call graph (detflow
+// and lockorder walk it), and the one table of sources and sinks (detflow,
+// nondet and specleak read it).
 //
 // Suppression: a finding may be deliberately accepted with a
 // "//crane:<analyzer>-ok <reason>" comment on the flagged line, the line
@@ -41,11 +48,11 @@
 // helper covers the measurement closure it returns. The reason is
 // mandatory.
 //
-// Replication scope: a package is "replicated" — and subject to nondet —
-// if its import path is under crane/internal/apps, or any of its files
-// carries a "//crane:replicated" comment. Test files are never analyzed
-// (the loader reads only GoFiles), and client harness code inside
-// replicated packages is exempted line-by-line via annotations.
+// Scope is the import path alone: a package is "replicated" — and
+// subject to nondet — if its import path is under crane/internal/apps.
+// Test files are never analyzed (the loader reads only GoFiles), and
+// client harness code inside replicated packages is exempted
+// line-by-line via annotations.
 package lint
 
 import (
@@ -60,10 +67,10 @@ import (
 
 // Analyzer is one named check. Exactly one of Run, RunSuite, and
 // RunEngine is set: Run analyzes a single package; RunSuite analyzes the
-// whole loaded universe at once (needed for inter-package lock-order and
-// atomic-mix analysis); RunEngine additionally receives the shared
-// interprocedural taint engine (see engine.go), built once per
-// RunAnalyzers invocation however many analyzers ride it.
+// whole loaded universe at once (needed for atomic-mix analysis);
+// RunEngine additionally receives the shared interprocedural engine (see
+// engine.go), built once per RunAnalyzers invocation however many
+// analyzers ride it.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -196,20 +203,8 @@ func (s suppressions) covers(analyzer string, pos token.Position) bool {
 }
 
 // replicated reports whether a package is subject to the papi discipline.
-func replicated(path string, files []*ast.File) bool {
-	if path == "crane/internal/apps" || strings.HasPrefix(path, "crane/internal/apps/") {
-		return true
-	}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "crane:replicated") {
-					return true
-				}
-			}
-		}
-	}
-	return false
+func replicated(path string) bool {
+	return path == "crane/internal/apps" || strings.HasPrefix(path, "crane/internal/apps/")
 }
 
 // closureSpan is the source span of a function literal declared inside a
@@ -342,7 +337,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Files:      pkg.Files,
 				Pkg:        pkg.Types,
 				Info:       pkg.Info,
-				Replicated: replicated(pkg.PkgPath, pkg.Files),
+				Replicated: replicated(pkg.PkgPath),
 				diags:      &diags,
 			}
 		}

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -19,14 +18,15 @@ import (
 // clock mirror is exactly this bug class: package A invokes a registered
 // hook while holding its own lock, and the hook implementation calls back
 // into an A method that takes the same lock from under the registrant's
-// lock. Hook calls through func-typed struct fields are therefore resolved
-// to every function the codebase stores into that field (directly or via a
-// setter parameter).
+// lock. Calls are resolved by the engine's call graph, which follows hook
+// calls through func-typed struct fields to every function the codebase
+// stores into that field (directly or via a setter parameter), and
+// interface calls to the loaded methods that implement them.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "report cycles in the static inter-procedural lock-acquisition " +
 		"graph over sync and papi mutexes",
-	RunSuite: runLockOrder,
+	RunEngine: runLockOrder,
 }
 
 // lockKind classifies a method call on a lock value.
@@ -68,19 +68,6 @@ func classifyLockCall(pass *Pass, sel *ast.SelectorExpr) (lockKind, types.Object
 	return lockNone, nil
 }
 
-// funcKey identifies an analyzable function body: a declared function or
-// method (by its types.Func) or a function literal (by position).
-type funcKey struct {
-	obj types.Object
-	lit token.Pos
-}
-
-type funcBody struct {
-	pass *Pass
-	body *ast.BlockStmt
-	name string
-}
-
 // lockEdge records "from held while acquiring to" with a witness position.
 type lockEdge struct {
 	pos  token.Pos
@@ -90,20 +77,12 @@ type lockEdge struct {
 
 // lockGraph accumulates the universe-wide acquisition graph.
 type lockGraph struct {
+	eng    *Engine
 	passes []*Pass
-	funcs  map[funcKey]*funcBody
-	// hookTargets maps a func-typed struct field to the functions the
-	// codebase stores into it.
-	hookTargets map[types.Object][]funcKey
-	// setters maps (method, param index) to the hook field that method
-	// assigns the parameter into.
-	setters map[types.Object]map[int]types.Object
-
-	// summaries: locks a function may acquire, transitively.
-	summaries map[funcKey]map[types.Object]bool
-	inFlight  map[funcKey]bool
-
-	edges map[types.Object]map[types.Object]lockEdge
+	// acquired holds the locks each engine node may take, transitively
+	// through the calls the engine resolves.
+	acquired map[*fnNode]map[types.Object]bool
+	edges    map[types.Object]map[types.Object]lockEdge
 	// owner qualifies a lock field with its holder's type name for
 	// diagnostics (Scheduler.mu rather than just mu).
 	owner map[types.Object]string
@@ -130,343 +109,108 @@ func (g *lockGraph) classify(pass *Pass, sel *ast.SelectorExpr) (lockKind, types
 	return kind, lock
 }
 
-func runLockOrder(passes []*Pass) {
+// runLockOrder computes every node's acquired-lock set to a fixpoint in
+// the engine's SCC order (callees first; the members of a recursion cycle
+// iterate together, so none of them settles on a partial set), then walks
+// every body once more to record held -> acquired edges.
+func runLockOrder(eng *Engine, passes []*Pass) {
 	g := &lockGraph{
-		passes:      passes,
-		funcs:       map[funcKey]*funcBody{},
-		hookTargets: map[types.Object][]funcKey{},
-		setters:     map[types.Object]map[int]types.Object{},
-		summaries:   map[funcKey]map[types.Object]bool{},
-		inFlight:    map[funcKey]bool{},
-		edges:       map[types.Object]map[types.Object]lockEdge{},
-		owner:       map[types.Object]string{},
+		eng:      eng,
+		passes:   passes,
+		acquired: map[*fnNode]map[types.Object]bool{},
+		edges:    map[types.Object]map[types.Object]lockEdge{},
+		owner:    map[types.Object]string{},
 	}
-	g.index()
-	g.resolveHooks()
-	for key := range g.funcs {
-		g.analyze(key)
+	for _, scc := range eng.order {
+		for changed := true; changed; {
+			changed = false
+			for _, key := range scc {
+				changed = g.scan(eng.fns[key], false) || changed
+			}
+		}
+	}
+	for _, scc := range eng.order {
+		for _, key := range scc {
+			g.scan(eng.fns[key], true)
+		}
 	}
 	g.reportCycles()
 }
 
-// index collects every function/method/literal body and every direct
-// hook-field assignment.
-func (g *lockGraph) index() {
-	for _, pass := range g.passes {
-		pass := pass
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj := pass.Info.Defs[fd.Name]
-				if obj == nil {
-					continue
-				}
-				key := funcKey{obj: obj}
-				g.funcs[key] = &funcBody{pass: pass, body: fd.Body, name: qualifiedFuncName(pass, fd)}
-				g.indexSetter(pass, fd, obj)
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncLit:
-					key := funcKey{lit: n.Pos()}
-					pos := pass.Fset.Position(n.Pos())
-					g.funcs[key] = &funcBody{pass: pass, body: n.Body,
-						name: fmt.Sprintf("func literal at %s:%d", pos.Filename, pos.Line)}
-				case *ast.AssignStmt:
-					g.indexHookAssign(pass, n)
-				}
-				return true
-			})
-		}
+// scan walks one body in source order, skipping nested literals (nodes
+// of their own). It grows the node's acquired set, reporting whether it
+// grew, and with edges set records held -> acquired edges for direct
+// acquisitions and through every call the engine resolves.
+func (g *lockGraph) scan(node *fnNode, edges bool) bool {
+	pass := g.passes[node.pkgIx]
+	acq := g.acquired[node]
+	if acq == nil {
+		acq = map[types.Object]bool{}
+		g.acquired[node] = acq
 	}
-}
-
-// indexHookAssign records `x.field = <func>` stores into func-typed fields.
-func (g *lockGraph) indexHookAssign(pass *Pass, assign *ast.AssignStmt) {
-	for i, lhs := range assign.Lhs {
-		if i >= len(assign.Rhs) {
-			break
-		}
-		sel, ok := lhs.(*ast.SelectorExpr)
-		if !ok {
-			continue
-		}
-		field := pass.Info.Uses[sel.Sel]
-		if field == nil {
-			continue
-		}
-		if _, isFunc := field.Type().Underlying().(*types.Signature); !isFunc {
-			continue
-		}
-		if target, ok := g.resolveFuncValue(pass, assign.Rhs[i]); ok {
-			g.hookTargets[field] = append(g.hookTargets[field], target)
-		}
-	}
-}
-
-// indexSetter detects methods that store a func-typed parameter into a
-// struct field (SetObserver/SetConsumedHook patterns), so that arguments
-// at their call sites become hook targets.
-func (g *lockGraph) indexSetter(pass *Pass, fd *ast.FuncDecl, obj types.Object) {
-	if fd.Type.Params == nil {
-		return
-	}
-	paramObjs := map[types.Object]int{}
-	idx := 0
-	for _, f := range fd.Type.Params.List {
-		for _, name := range f.Names {
-			if po := pass.Info.Defs[name]; po != nil {
-				if _, isFunc := po.Type().Underlying().(*types.Signature); isFunc {
-					paramObjs[po] = idx
-				}
-			}
-			idx++
-		}
-	}
-	if len(paramObjs) == 0 {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range assign.Lhs {
-			if i >= len(assign.Rhs) {
-				break
-			}
-			sel, ok := lhs.(*ast.SelectorExpr)
-			if !ok {
-				continue
-			}
-			field := pass.Info.Uses[sel.Sel]
-			rhsID, ok := assign.Rhs[i].(*ast.Ident)
-			if !ok || field == nil {
-				continue
-			}
-			if pi, isParam := paramObjs[pass.Info.Uses[rhsID]]; isParam {
-				if g.setters[obj] == nil {
-					g.setters[obj] = map[int]types.Object{}
-				}
-				g.setters[obj][pi] = field
-			}
-		}
-		return true
-	})
-}
-
-// resolveFuncValue resolves an expression to an analyzable function: a
-// func literal, a package-level function, or a method value.
-func (g *lockGraph) resolveFuncValue(pass *Pass, e ast.Expr) (funcKey, bool) {
-	switch e := e.(type) {
-	case *ast.FuncLit:
-		return funcKey{lit: e.Pos()}, true
-	case *ast.Ident:
-		if fn, ok := pass.Info.Uses[e].(*types.Func); ok {
-			return funcKey{obj: fn}, true
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pass.Info.Selections[e]; ok && sel.Kind() == types.MethodVal {
-			return funcKey{obj: sel.Obj()}, true
-		}
-		if fn, ok := pass.Info.Uses[e.Sel].(*types.Func); ok {
-			return funcKey{obj: fn}, true
-		}
-	}
-	return funcKey{}, false
-}
-
-// resolveHooks adds hook targets flowing through setter calls
-// (s.SetConsumedHook(fn) -> fn becomes a target of the hooked field).
-func (g *lockGraph) resolveHooks() {
-	for _, pass := range g.passes {
-		pass := pass
-		for _, file := range pass.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := g.resolveCallee(pass, call)
-				if callee.obj == nil {
-					return true
-				}
-				params := g.setters[callee.obj]
-				for pi, field := range params {
-					if pi < len(call.Args) {
-						if target, ok := g.resolveFuncValue(pass, call.Args[pi]); ok {
-							g.hookTargets[field] = append(g.hookTargets[field], target)
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// resolveCallee resolves a call expression to a single declared
-// function/method, a func literal, or — via callTargets — hook-field
-// targets.
-func (g *lockGraph) resolveCallee(pass *Pass, call *ast.CallExpr) funcKey {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		if f, ok := pass.Info.Uses[fn].(*types.Func); ok {
-			return funcKey{obj: f}
-		}
-	case *ast.FuncLit:
-		return funcKey{lit: fn.Pos()}
-	case *ast.SelectorExpr:
-		if sel, ok := pass.Info.Selections[fn]; ok && sel.Kind() == types.MethodVal {
-			return funcKey{obj: sel.Obj()}
-		}
-		if f, ok := pass.Info.Uses[fn.Sel].(*types.Func); ok {
-			return funcKey{obj: f}
-		}
-	}
-	return funcKey{}
-}
-
-// callTargets returns every analyzable body a call may reach: the direct
-// callee, or all registered hook targets when calling through a func field.
-func (g *lockGraph) callTargets(pass *Pass, call *ast.CallExpr) []funcKey {
-	if key := g.resolveCallee(pass, call); key.obj != nil || key.lit.IsValid() {
-		return []funcKey{key}
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if field := pass.Info.Uses[sel.Sel]; field != nil {
-			if targets := g.hookTargets[field]; len(targets) > 0 {
-				return targets
-			}
-		}
-	}
-	return nil
-}
-
-// summarize computes (memoized, cycle-tolerant) the set of locks a
-// function may acquire, transitively through resolvable calls.
-func (g *lockGraph) summarize(key funcKey) map[types.Object]bool {
-	if s, ok := g.summaries[key]; ok {
-		return s
-	}
-	if g.inFlight[key] {
-		return nil // recursion: the fixpoint converges on what is known so far
-	}
-	fb := g.funcs[key]
-	if fb == nil {
-		return nil
-	}
-	g.inFlight[key] = true
-	acquired := map[types.Object]bool{}
-	ast.Inspect(fb.body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok && n.Pos() != fb.body.Pos() {
-			return false // literals are separate functions
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if kind, lock := g.classify(fb.pass, sel); kind == lockAcquire && lock != nil {
-				acquired[lock] = true
-				return true
-			}
-		}
-		for _, target := range g.callTargets(fb.pass, call) {
-			for l := range g.summarize(target) {
-				acquired[l] = true
-			}
-		}
-		return true
-	})
-	delete(g.inFlight, key)
-	g.summaries[key] = acquired
-	return acquired
-}
-
-// analyze walks one function body in source order, tracking held locks
-// and adding edges held->acquired for direct acquisitions and through
-// resolvable calls.
-func (g *lockGraph) analyze(key funcKey) {
-	fb := g.funcs[key]
+	grew := false
 	var held []types.Object
-	release := func(lock types.Object) {
-		for i := len(held) - 1; i >= 0; i-- {
-			if held[i] == lock {
-				held = append(held[:i], held[i+1:]...)
-				return
+	take := func(lock types.Object, pos token.Pos, via string) {
+		if !acq[lock] {
+			acq[lock] = true
+			grew = true
+		}
+		for _, h := range held {
+			if edges && h != lock {
+				g.addEdge(h, lock, lockEdge{pos: pos, pass: pass, via: via})
 			}
 		}
 	}
-	addEdge := func(from, to types.Object, pos token.Pos, via string) {
-		if from == to {
-			return
-		}
-		m := g.edges[from]
-		if m == nil {
-			m = map[types.Object]lockEdge{}
-			g.edges[from] = m
-		}
-		if _, ok := m[to]; !ok {
-			m[to] = lockEdge{pos: pos, pass: fb.pass, via: via}
-		}
-	}
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return n.Pos() == fb.body.Pos()
-			case *ast.DeferStmt:
-				// A deferred Unlock keeps the lock held for the rest of
-				// the function; other deferred calls are walked normally.
-				if sel, ok := n.Call.Fun.(*ast.SelectorExpr); ok {
-					if kind, _ := g.classify(fb.pass, sel); kind == lockRelease {
-						return false
-					}
-				}
-				return true
-			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					kind, lock := g.classify(fb.pass, sel)
-					switch kind {
-					case lockAcquire:
-						if lock != nil {
-							for _, h := range held {
-								addEdge(h, lock, n.Pos(), "")
-							}
-							held = append(held, lock)
-						}
-						return true
-					case lockRelease:
-						if lock != nil {
-							release(lock)
-						}
-						return true
-					}
-				}
-				if len(held) > 0 {
-					for _, target := range g.callTargets(fb.pass, n) {
-						tfb := g.funcs[target]
-						for l := range g.summarize(target) {
-							for _, h := range held {
-								via := ""
-								if tfb != nil {
-									via = " via call to " + tfb.name
-								}
-								addEdge(h, l, n.Pos(), via)
-							}
-						}
-					}
+	ast.Inspect(node.body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.DeferStmt:
+			// A deferred Unlock keeps the lock held for the rest of the
+			// function; other deferred calls are walked normally.
+			if sel, ok := n.Call.Fun.(*ast.SelectorExpr); ok {
+				if kind, _ := g.classify(pass, sel); kind == lockRelease {
+					return false
 				}
 			}
-			return true
-		})
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				switch kind, lock := g.classify(pass, sel); {
+				case kind == lockNone:
+				case lock == nil:
+					return true
+				case kind == lockAcquire:
+					take(lock, n.Pos(), "")
+					held = append(held, lock)
+					return true
+				default:
+					for i := len(held) - 1; i >= 0; i-- {
+						if held[i] == lock {
+							held = append(held[:i], held[i+1:]...)
+							break
+						}
+					}
+					return true
+				}
+			}
+			for _, callee := range g.eng.callees(g.eng.pkgs[node.pkgIx], n) {
+				for l := range g.acquired[callee] {
+					take(l, n.Pos(), " via call to "+callee.name)
+				}
+			}
+		}
+		return true
+	})
+	return grew
+}
+
+func (g *lockGraph) addEdge(from, to types.Object, e lockEdge) {
+	if g.edges[from] == nil {
+		g.edges[from] = map[types.Object]lockEdge{}
 	}
-	walk(fb.body)
+	if _, ok := g.edges[from][to]; !ok {
+		g.edges[from][to] = e
+	}
 }
 
 // reportCycles finds strongly connected components in the edge graph and
@@ -551,24 +295,4 @@ func (g *lockGraph) lockName(o types.Object) string {
 		name = parts[len(parts)-1] + "." + name
 	}
 	return name
-}
-
-// qualifiedFuncName renders pkg.(Recv).Name for diagnostics.
-func qualifiedFuncName(pass *Pass, fd *ast.FuncDecl) string {
-	name := fd.Name.Name
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		t := fd.Recv.List[0].Type
-		if star, ok := t.(*ast.StarExpr); ok {
-			t = star.X
-		}
-		if id, ok := t.(*ast.Ident); ok {
-			name = id.Name + "." + name
-		} else if idx, ok := t.(*ast.IndexExpr); ok {
-			if id, ok := idx.X.(*ast.Ident); ok {
-				name = id.Name + "." + name
-			}
-		}
-	}
-	parts := strings.Split(pass.Pkg.Path(), "/")
-	return parts[len(parts)-1] + "." + name
 }

@@ -11,8 +11,9 @@ import (
 // packages. Every construct it reports is one the LD_PRELOAD interposition
 // of the original system would have captured and that therefore MUST be
 // routed through internal/papi here: raw goroutines, select, sync
-// primitives, physical time, math/rand, escaping map iteration, and
-// direct net use.
+// primitives, escaping map iteration, direct net use, and the package
+// functions and packages of the engine's source table (physical time, the
+// environment, math/rand, hash/maphash).
 var NondetAnalyzer = &Analyzer{
 	Name: "nondet",
 	Doc: "flag nondeterminism that bypasses the papi interposition layer " +
@@ -30,13 +31,6 @@ var syncEquivalent = map[string]string{
 	"Map":       "a papi.Mutex-guarded map",
 }
 
-// timeEquivalent names the papi replacement for each raw time function.
-var timeEquivalent = map[string]string{
-	"Now":   "papi.T.Now (deterministic logical-clock time)",
-	"Since": "papi.T.Now deltas",
-	"After": "papi.Listener.Poll deadlines",
-}
-
 func runNondet(pass *Pass) {
 	if !pass.Replicated {
 		return
@@ -44,10 +38,10 @@ func runNondet(pass *Pass) {
 	for _, file := range pass.Files {
 		for _, imp := range file.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
-			switch path {
-			case "math/rand", "math/rand/v2":
-				pass.Report(imp.Pos(), "import of %s is nondeterministic across replicas; use papi.Rand (deterministic seeded PRNG)", path)
-			case "net":
+			if src, ok := sourcePkgs[path]; ok {
+				pass.Report(imp.Pos(), "import of %s is nondeterministic across replicas; use %s", path, src.papi)
+			}
+			if path == "net" {
 				pass.Report(imp.Pos(), "direct net use bypasses the replicated socket layer; use papi.T.Listen and papi.Conn")
 			}
 		}
@@ -68,21 +62,18 @@ func runNondet(pass *Pass) {
 }
 
 // nondetSelector flags uses of sync types, sync-type method calls, and
-// time.Now/Since/After.
+// the package functions of the engine's source table (time.Now,
+// os.Getenv, ...).
 func nondetSelector(pass *Pass, sel *ast.SelectorExpr) {
-	// Package-qualified references: sync.Mutex, time.Now, rand.Intn, net.Dial.
+	// Package-qualified references: sync.Mutex, time.Now, os.Getenv.
 	if id, ok := sel.X.(*ast.Ident); ok {
 		if pkg, ok := pass.Info.Uses[id].(*types.PkgName); ok {
-			name := sel.Sel.Name
-			switch pkg.Imported().Path() {
-			case "sync":
-				if eq, ok := syncEquivalent[name]; ok {
-					pass.Report(sel.Pos(), "raw sync.%s bypasses the DMT scheduler; use %s", name, eq)
-				}
-			case "time":
-				if eq, ok := timeEquivalent[name]; ok {
-					pass.Report(sel.Pos(), "time.%s reads physical time, which diverges across replicas; use %s", name, eq)
-				}
+			name := pkg.Imported().Path() + "." + sel.Sel.Name
+			if eq, ok := syncEquivalent[sel.Sel.Name]; ok && pkg.Imported().Path() == "sync" {
+				pass.Report(sel.Pos(), "raw %s bypasses the DMT scheduler; use %s", name, eq)
+			}
+			if src, ok := sourceFuncs[name]; ok {
+				pass.Report(sel.Pos(), "%s reads %s, which diverges across replicas; use %s", name, src.reads, src.papi)
 			}
 			return
 		}

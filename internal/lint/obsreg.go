@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // ObsRegAnalyzer enforces the nil-registry-safe instrumentation pattern of
@@ -27,22 +26,9 @@ var ObsRegAnalyzer = &Analyzer{
 // layer emit an event per scheduler turn / consumed call, so the
 // allocating Journal.Note path (detail string, annotation entry) is
 // banned inside their loops — Journal.Emit is the fixed-arity fast path.
-// Other packages opt in with a `crane:flight-hot` marker comment.
 func flightHot(pass *Pass) bool {
-	switch pass.Pkg.Path() {
-	case "crane/internal/dmt", "crane/internal/seq":
-		return true
-	}
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "crane:flight-hot") {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	path := pass.Pkg.Path()
+	return path == "crane/internal/dmt" || path == "crane/internal/seq"
 }
 
 // journalNote reports whether call invokes flight.Journal.Note.

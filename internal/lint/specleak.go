@@ -1,85 +1,28 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
+import "go/ast"
 
 // SpecLeakAnalyzer flags externally visible effects that bypass the
 // speculation gate. With Config.Speculation on, code in internal/crane
 // runs while a speculative window may be open: the server's outputs must
 // route through Replica.emitOutput → speculator.emit so an open window
-// can buffer them until its commits confirm (ISSUE 7). A direct
+// can buffer them until its commits confirm. A direct
 // simnet.Conn.Write, trace.OutputLog.Record, or wal.Log append from that
 // package leaks a possibly-aborted effect to a client, the cross-replica
 // output fingerprint, or the durable log — a leak no rollback can recall.
+// Those effects are the sinks of the engine's sink table marked gated.
 //
-// Scope: the crane/internal/crane package itself, plus any package whose
-// files carry a "//crane:specgated" comment (mirrors "//crane:replicated"
-// for nondet). The two legitimate sinks below the gate — emitOutput's
-// declined-by-speculator path and the flush path — carry
-// "//crane:specleak-ok <reason>" suppressions.
+// Scope: the crane/internal/crane package. The two legitimate sinks below
+// the gate — emitOutput's declined-by-speculator path and the flush path —
+// carry "//crane:specleak-ok <reason>" suppressions.
 var SpecLeakAnalyzer = &Analyzer{
 	Name: "specleak",
 	Doc:  "flag client-visible effects in internal/crane that bypass the speculation gate buffer",
 	Run:  runSpecLeak,
 }
 
-// specGated reports whether the pass's package is subject to the
-// speculation-gate discipline.
-func specGated(pass *Pass) bool {
-	if pass.Pkg.Path() == "crane/internal/crane" {
-		return true
-	}
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "crane:specgated") {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// specLeakCall reports whether call is an externally visible effect that
-// must not bypass the gate, with a short label for diagnostics.
-func specLeakCall(pass *Pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	selection, ok := pass.Info.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal {
-		return "", false
-	}
-	recv := selection.Recv()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	pkg, typ, method := named.Obj().Pkg().Path(), named.Obj().Name(), sel.Sel.Name
-	switch {
-	case pkg == "crane/internal/simnet" && typ == "Conn" && method == "Write":
-		return "simnet.Conn.Write", true
-	case pkg == "crane/internal/trace" && typ == "OutputLog" && method == "Record":
-		return "trace.OutputLog.Record", true
-	case pkg == "crane/internal/wal" && typ == "Log":
-		switch method {
-		case "Append", "AppendBatch":
-			return "wal.Log." + method, true
-		}
-	}
-	return "", false
-}
-
 func runSpecLeak(pass *Pass) {
-	if !specGated(pass) {
+	if pass.Pkg.Path() != "crane/internal/crane" {
 		return
 	}
 	for _, file := range pass.Files {
@@ -88,8 +31,8 @@ func runSpecLeak(pass *Pass) {
 			if !ok {
 				return true
 			}
-			if label, ok := specLeakCall(pass, call); ok {
-				pass.Report(call.Pos(), "%s bypasses the speculation gate: an open window cannot buffer or roll back this effect; route it through Replica.emitOutput, or annotate why no window can be open here", label)
+			if spec := sinkFuncs[funcID(staticCallee(pass.Info, call))]; spec.gated {
+				pass.Report(call.Pos(), "%s bypasses the speculation gate: an open window cannot buffer or roll back this effect; route it through Replica.emitOutput, or annotate why no window can be open here", spec.label)
 			}
 			return true
 		})

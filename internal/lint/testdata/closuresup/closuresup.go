@@ -1,7 +1,6 @@
 // Package closuresup exercises declaration-line suppression covering
-// closures declared within the annotated declaration's span.
-//
-//crane:replicated
+// closures declared within the annotated declaration's span. The test
+// loads it under an internal/apps import path.
 package closuresup
 
 import "time"

@@ -4,6 +4,7 @@
 package detflow
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"sort"
@@ -82,3 +83,26 @@ func emitSuppressed() {
 // localStamp reads time but never crosses a sink: detflow stays silent
 // where the pattern matcher would have flagged the call site.
 func localStamp() string { return time.Now().String() }
+
+// clock is the interposition seam in miniature: callers see only the
+// interface, the source read sits in a concrete method behind it.
+type clock interface{ Now() int64 }
+
+type wallClock struct{}
+
+// Now reads physical time behind the interface.
+func (wallClock) Now() int64 { return time.Now().UnixNano() }
+
+// emitVia sinks whatever the clock returns: the engine must dispatch the
+// interface call to wallClock.Now to see the source.
+func emitVia(c clock) {
+	out.Record(8, []byte(fmt.Sprint(c.Now()))) // want `nondeterministic value \(time\.Now at [^)]+\) reaches trace\.OutputLog\.Record via detflow\.wallClock\.Now → detflow\.emitVia`
+}
+
+// emitBuffer formats the timestamp into a buffer and sinks the buffer's
+// bytes: Fprintf taints the writer it writes to.
+func emitBuffer() {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "at=%d", time.Now().UnixNano())
+	out.Record(9, b.Bytes()) // want `nondeterministic value \(time\.Now at [^)]+\) reaches trace\.OutputLog\.Record via detflow\.emitBuffer`
+}

@@ -1,8 +1,7 @@
-// Package c is replicated and sinks the laundered label into the output
+// Package c is replicated (the tests load it under an internal/apps
+// import path) and sinks the laundered label into the output
 // fingerprint. nondet sees no raw source anywhere in this package;
 // detflow reports the full cross-package chain at the sink.
-//
-//crane:replicated
 package c
 
 import (

@@ -90,3 +90,43 @@ func (p *ConsistentPair) BothAgain() {
 	p.b.Unlock()
 	p.a.Unlock()
 }
+
+// Rec is the mutual-recursion case: A and B call each other, so whichever
+// of them a bottom-up summary reaches second must still see the other's
+// locks. C reaches a only through B; D takes a then x; the cycle a -> x ->
+// a exists only if B's lock set includes a.
+type Rec struct {
+	a, x, y sync.Mutex
+}
+
+// A takes a and calls B.
+func (r *Rec) A() {
+	r.a.Lock()
+	defer r.a.Unlock()
+	r.B()
+}
+
+// B calls A.
+func (r *Rec) B() { r.A() }
+
+// C holds x and calls B, which reaches A and takes a.
+func (r *Rec) C() {
+	r.x.Lock()
+	defer r.x.Unlock()
+	r.B()
+}
+
+// D takes a, then x.
+func (r *Rec) D() {
+	r.a.Lock()
+	defer r.a.Unlock()
+	r.x.Lock() // want `lock-order cycle \(potential deadlock\): lockorder\.Rec\.a -> lockorder\.Rec\.x -> lockorder\.Rec\.a`
+	defer r.x.Unlock()
+}
+
+// E holds y and calls A: an edge y -> a, no cycle.
+func (r *Rec) E() {
+	r.y.Lock()
+	defer r.y.Unlock()
+	r.A()
+}

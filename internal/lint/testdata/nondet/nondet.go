@@ -1,7 +1,7 @@
 // Package nondet exercises the nondet analyzer: every raw source of
 // nondeterminism that must be routed through papi in replicated code.
-//
-//crane:replicated
+// The test loads it under an internal/apps import path, which is what
+// makes it replicated.
 package nondet
 
 import (

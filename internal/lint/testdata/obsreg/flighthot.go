@@ -3,9 +3,8 @@
 // Journal.Note path is banned inside loops — the DMT scheduler and the
 // sequence layer emit an event per turn, so per-iteration annotations
 // would put an allocation on the determinism hot path. Journal.Emit is
-// the fixed-arity fast path and stays legal everywhere.
-//
-//crane:flight-hot
+// the fixed-arity fast path and stays legal everywhere. The test loads
+// this package as crane/internal/seq, one of the hot packages.
 package obsreg
 
 import "crane/internal/obs/flight"

@@ -1,6 +1,6 @@
 // Package specleakout has the same effect calls as the specleak testdata
-// but no //crane:specgated marker and an import path that is not
-// crane/internal/crane: out of scope, so no findings.
+// but an import path that is not crane/internal/crane: out of scope, so
+// no findings.
 package specleakout
 
 import "crane/internal/simnet"

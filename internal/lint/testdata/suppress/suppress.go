@@ -1,7 +1,6 @@
 // Package suppress holds an intentionally reasonless suppression; the
-// framework must reject it and keep the underlying finding alive.
-//
-//crane:replicated
+// framework must reject it and keep the underlying finding alive. The
+// test loads it under an internal/apps import path.
 package suppress
 
 import "time"

@@ -1,6 +1,5 @@
 // Package unreplicated uses raw concurrency and time without being under
-// internal/apps or carrying a replication marker: the nondet analyzer
-// must stay silent (infrastructure below the interposition layer is
+// internal/apps: the nondet analyzer must stay silent (infrastructure below the interposition layer is
 // allowed — it IS the interposition layer).
 package unreplicated
 

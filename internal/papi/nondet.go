@@ -182,7 +182,7 @@ func (t *nondetT) Work(units int) { BurnWork(units) }
 
 // Now returns physical time (the un-replicated baseline has no logical
 // clock to derive deterministic time from).
-func (t *nondetT) Now() time.Time { return time.Now() }
+func (t *nondetT) Now() time.Time { return time.Now() } //crane:detflow-ok ModeNondet is the un-replicated baseline, nondeterministic by design
 
 func (t *nondetT) Killed() bool {
 	select {
