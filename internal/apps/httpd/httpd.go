@@ -48,8 +48,10 @@ type Config struct {
 	CacheEnabled bool
 	// Port is the listening port (default 8080).
 	Port int
-	// WithDate adds physical-time Date headers (nondeterministic output
-	// the consistency experiments normalize away).
+	// WithDate adds a Date header read from T.Now. Under DMT that is the
+	// logical clock, so replicas agree on it; only the ModeNondet baseline
+	// reads the wall clock, and consistency runs against it normalise the
+	// header away (httpkit.DateHeaderPattern).
 	WithDate bool
 }
 

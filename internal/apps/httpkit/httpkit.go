@@ -133,10 +133,11 @@ func StatusText(code int) string {
 	}
 }
 
-// Write serializes and sends the response. withDate adds a physical-time
-// Date header — the one nondeterministic output field the paper's
-// consistency comparison tolerates ("consistent except physical times in
-// the responded HTTP headers", §7.2).
+// Write serializes and sends the response. withDate adds a Date header
+// from t.Now. The paper's consistency comparison tolerates it ("consistent
+// except physical times in the responded HTTP headers", §7.2); here it is
+// physical time only in the ModeNondet baseline, and DMT replicas agree on
+// it.
 func (resp *Response) Write(t papi.T, c papi.Conn, server string, withDate bool) error {
 	reason := resp.Reason
 	if reason == "" {

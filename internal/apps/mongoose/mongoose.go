@@ -34,7 +34,8 @@ type Config struct {
 	ScriptChunkWork int
 	// Port is the listening port (default 8081).
 	Port int
-	// WithDate adds physical-time Date headers.
+	// WithDate adds a Date header read from T.Now: the logical clock under
+	// DMT, the wall clock only in the ModeNondet baseline.
 	WithDate bool
 }
 

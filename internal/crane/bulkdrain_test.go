@@ -130,7 +130,6 @@ func TestBulkDrainApacheTwoLanes(t *testing.T) {
 	hcfg.PHPChunks = 3
 	hcfg.PHPChunkWork = 30
 	hcfg.CacheEnabled = false
-	hcfg.WithDate = false
 	ccfg := integrationConfig(ModeCrane)
 	ccfg.Lanes = 2
 	ccfg.AuditEvery = 8

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"crane/internal/analysis"
 	"crane/internal/checkpoint"
 	"crane/internal/papi"
 	"crane/internal/paxos"
@@ -74,17 +73,6 @@ type Config struct {
 	// non-empty (one subdirectory per replica). Required for
 	// RestartReplica (recovery by log replay).
 	WALDir string
-
-	// TCPConsensus runs replica-to-replica consensus over real loopback
-	// TCP sockets (gob-framed) instead of the in-memory hub — the
-	// deployment path for replicas on separate machines. Failure
-	// injection (FailReplica) still works: the transport is closed.
-	TCPConsensus bool
-
-	// AnalyzeBackup attaches a REPFRAME-style lock-order analysis (§6.2)
-	// to the last replica's DMT scheduler. Only meaningful in DMT modes.
-	// Retrieve results with Cluster.Analysis.
-	AnalyzeBackup bool
 
 	// MetricsAddr enables each replica's HTTP scrape endpoint (/metrics,
 	// /healthz, /trace, /debug/pprof) when non-empty. Replica i binds the
@@ -175,7 +163,6 @@ type Cluster struct {
 	prog     papi.Program
 	net      *simnet.Network
 	hub      *paxos.ChanHub
-	tcpAddrs map[int]string // consensus addresses when TCPConsensus
 	replicas []*Replica
 	stopped  bool
 }
@@ -198,34 +185,11 @@ func StartCluster(cfg Config, prog papi.Program) (*Cluster, error) {
 		prog: prog,
 		net:  simnet.New(cfg.NetOptions),
 	}
-	var transports []*paxos.TCPTransport
-	switch {
-	case !cfg.Mode.replicated():
-	case !cfg.TCPConsensus:
+	if cfg.Mode.replicated() {
 		c.hub = paxos.NewChanHub(cfg.HubLatency, cfg.HubJitter, 0, cfg.Seed)
-	default:
-		// Bind every replica's consensus listener first so the full
-		// address table exists before any node starts.
-		c.tcpAddrs = make(map[int]string, cfg.Replicas)
-		transports = make([]*paxos.TCPTransport, cfg.Replicas)
-		for i := range transports {
-			tr, err := paxos.NewTCPTransport(i, map[int]string{i: "127.0.0.1:0"})
-			if err != nil {
-				c.Stop()
-				return nil, err
-			}
-			transports[i] = tr
-			c.tcpAddrs[i] = tr.Addr()
-		}
-		for _, tr := range transports {
-			tr.SetPeerAddrs(c.tcpAddrs)
-		}
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		r := newReplica(i, &c.cfg, prog, c.net)
-		if transports != nil {
-			r.transport = transports[i]
-		}
 		if err := r.start(c.hub); err != nil {
 			c.Stop()
 			return nil, err
@@ -456,17 +420,6 @@ func (c *Cluster) RestartReplica(i int) error {
 	// The WAL's recovered entries re-deliver from index 0, replaying the
 	// full socket-call sequence through the fresh server instance.
 	return c.rejoin(i, newReplica(i, &c.cfg, c.prog, c.net))
-}
-
-// Analysis returns the backup lock-order checker (nil unless
-// Config.AnalyzeBackup was set on a DMT-mode cluster).
-func (c *Cluster) Analysis() *analysis.LockOrderChecker {
-	for _, r := range c.replicas {
-		if r.checker != nil {
-			return r.checker
-		}
-	}
-	return nil
 }
 
 // AnchorGC promises, on every live replica and for every Paxos group, that

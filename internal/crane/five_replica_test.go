@@ -45,28 +45,3 @@ func TestFiveReplicaCluster(t *testing.T) {
 		t.Fatalf("GET after two failures = %q", got)
 	}
 }
-
-// TestTCPConsensusCluster runs full CRANE with consensus over real
-// loopback TCP sockets (the multi-machine deployment path).
-func TestTCPConsensusCluster(t *testing.T) {
-	cfg := testConfig(ModeCrane)
-	cfg.TCPConsensus = true
-	c, err := StartCluster(cfg, newTestKV(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	if got := kvRequest(t, c, "tcp:1", "SET over tcp"); got != "OK" {
-		t.Fatalf("SET = %q", got)
-	}
-	if got := kvRequest(t, c, "tcp:2", "GET over"); got != "VALUE tcp" {
-		t.Fatalf("GET = %q", got)
-	}
-	if err := c.WaitQuiescent(15 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if divs := trace.DiffAll(c.OutputLogs()); len(divs) != 0 {
-		t.Fatalf("tcp-consensus divergence: %v", divs)
-	}
-	assertNoDivergenceAlarms(t, c)
-}

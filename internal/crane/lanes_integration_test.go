@@ -77,7 +77,6 @@ func TestCraneHTTPDLanes(t *testing.T) {
 	cfg.PHPChunks = 3
 	cfg.PHPChunkWork = 30
 	cfg.CacheEnabled = false
-	cfg.WithDate = false
 	ccfg := integrationConfig(ModeCrane)
 	ccfg.Lanes = 4
 	c, err := StartCluster(ccfg, httpd.Program(cfg))
@@ -188,7 +187,6 @@ func TestCraneMongooseLanes(t *testing.T) {
 	mcfg := mongoose.DefaultConfig()
 	mcfg.ScriptChunks = 3
 	mcfg.ScriptChunkWork = 30
-	mcfg.WithDate = false
 	ccfg := integrationConfig(ModeCrane)
 	ccfg.Lanes = 2
 	c, err := StartCluster(ccfg, mongoose.Program(mcfg))

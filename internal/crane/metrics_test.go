@@ -194,6 +194,14 @@ func scrapeEndpoints(t *testing.T, groups int) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// The in-process transport has no wire: no byte, flush or reconnect
+	// gauges that would always read 0.
+	for _, gone := range []string{"transport_bytes_sent_total", "transport_bytes_received_total",
+		"transport_flushes_total", "transport_reconnects_total"} {
+		if strings.Contains(metrics, gone) {
+			t.Errorf("/metrics lists %q", gone)
+		}
+	}
 
 	// Every group commits (the quiet one on bubbles alone) and persists.
 	healthOf := func(r *Replica) obs.Health {

@@ -239,26 +239,14 @@ func (ro *replicaObs) dropConnReq(conn uint64) {
 	ro.mu.Unlock()
 }
 
-// registerTransportStats exposes a consensus transport's counters (both
-// ChanTransport and TCPTransport provide Stats) through the registry.
+// registerTransportStats exposes a consensus transport's counters through
+// the registry.
 func registerTransportStats(reg *obs.Registry, stats func() paxos.TransportStats) {
 	reg.GaugeFunc("transport_msgs_sent_total", "consensus messages sent", func() float64 {
 		return float64(stats().Sent)
 	})
 	reg.GaugeFunc("transport_msgs_received_total", "consensus messages delivered", func() float64 {
 		return float64(stats().MsgsReceived)
-	})
-	reg.GaugeFunc("transport_bytes_sent_total", "consensus wire bytes written", func() float64 {
-		return float64(stats().BytesSent)
-	})
-	reg.GaugeFunc("transport_bytes_received_total", "consensus wire bytes read", func() float64 {
-		return float64(stats().BytesRecv)
-	})
-	reg.GaugeFunc("transport_flushes_total", "batch-boundary buffer flushes", func() float64 {
-		return float64(stats().Flushes)
-	})
-	reg.GaugeFunc("transport_reconnects_total", "peer dials (initial and after failure)", func() float64 {
-		return float64(stats().Reconnects)
 	})
 	reg.GaugeFunc("transport_drops_total", "outbound loss plus inbox overflow drops", func() float64 {
 		s := stats()

@@ -88,38 +88,6 @@ func TestRestartReplicaRequiresWAL(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBackup exercises the REPFRAME-style analysis (§6.2): the
-// lock-order checker on a backup observes the replicated execution.
-func TestAnalyzeBackup(t *testing.T) {
-	cfg := testConfig(ModeCrane)
-	cfg.AnalyzeBackup = true
-	c, err := StartCluster(cfg, newTestKV(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	for i := 0; i < 4; i++ {
-		kvRequest(t, c, fmt.Sprintf("a:%d", i), fmt.Sprintf("SET x%d 1", i))
-	}
-	if err := c.WaitQuiescent(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	chk := c.Analysis()
-	if chk == nil {
-		t.Fatal("no analysis attached")
-	}
-	if chk.Events() == 0 {
-		t.Fatal("backup analysis observed no events")
-	}
-	// testKV acquires its two locks in a fixed order: no inversions.
-	if invs := chk.Inversions(); len(invs) != 0 {
-		t.Fatalf("false lock-order inversions: %v", invs)
-	}
-	if chk.LockCount() < 2 {
-		t.Fatalf("LockCount = %d", chk.LockCount())
-	}
-}
-
 // TestDeterministicNow checks the §6.1 extension: time reads under DMT are
 // logical-clock derived and therefore identical across replicas at the
 // same execution point.

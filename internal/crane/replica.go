@@ -3,8 +3,6 @@ package crane
 import (
 	"fmt"
 	"path/filepath"
-
-	"crane/internal/analysis"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,14 +143,11 @@ type Replica struct {
 	// it adopts the running cluster's view instead of claiming the
 	// bootstrap primaryship.
 	rejoining bool
-	checker   *analysis.LockOrderChecker
 	// entArenas are the per-group decode arenas: group g's delivery
 	// goroutine owns entArenas[g] exclusively. cloneArena backs the
 	// bubble clones made in enqueueDelivered, which runs under gm's lock.
 	entArenas  [][]seq.Entry //crane:pergroup
 	cloneArena []seq.Entry
-	// transport overrides the hub endpoint (TCP consensus deployments).
-	transport paxos.Transport
 	// ro is the replica's observability state: instrument registry,
 	// lifecycle tracer, and (opt-in) HTTP scrape endpoint.
 	ro *replicaObs
@@ -297,15 +292,10 @@ func (r *Replica) start(hub *paxos.ChanHub) error {
 			// primaryship (§7.6's self-downgrading).
 			initialPrimary = -1
 		}
-		transport := r.transport
-		if transport == nil {
-			transport = hub.Endpoint(r.id)
-		}
-		if ts, ok := transport.(interface{ Stats() paxos.TransportStats }); ok {
-			// The wire is shared across groups, so transport counters are
-			// never renamed per group.
-			registerTransportStats(r.ro.reg, ts.Stats)
-		}
+		transport := hub.Endpoint(r.id)
+		// The wire is shared across groups, so transport counters are
+		// never renamed per group.
+		registerTransportStats(r.ro.reg, transport.Stats)
 		peers := make([]int, r.cfg.Replicas)
 		for i := range peers {
 			peers[i] = i
@@ -392,12 +382,6 @@ func (r *Replica) start(hub *paxos.ChanHub) error {
 	}
 	if pproc := r.proc(); pproc != nil {
 		pproc.Sched.SetObs(r.ro.reg)
-	}
-	// REPFRAME-style analysis (§6.2): attach the lock-order checker to
-	// the designated backup's scheduler.
-	if r.cfg.AnalyzeBackup && r.proc() != nil && r.id == r.cfg.Replicas-1 && r.cfg.Replicas > 1 {
-		r.checker = analysis.NewLockOrderChecker()
-		r.proc().Sched.SetObserver(r.checker.Observer())
 	}
 
 	if r.mode.replicated() {

@@ -340,7 +340,6 @@ func TestTailBubbleApacheTwoLanes(t *testing.T) {
 	hcfg.PHPChunks = 3
 	hcfg.PHPChunkWork = 1000
 	hcfg.CacheEnabled = false
-	hcfg.WithDate = false
 	ccfg := integrationConfig(ModeCrane)
 	ccfg.Lanes = 2
 	ccfg.AuditEvery = 8

@@ -172,7 +172,6 @@ type Scheduler struct {
 	flight *flight.Journal
 
 	gate      Gate
-	observer  Observer
 	barriers  []*SoftBarrier
 	recording *Schedule
 	replay    *Schedule
@@ -314,9 +313,8 @@ func (s *Scheduler) StartMain(name string, fn func(*Thread)) *Thread {
 	s.started = true
 	s.mu.Unlock()
 	if len(s.lanes) > 1 {
-		// Gate, observer, and idle pacing are installed on the root before
-		// Start; fan them out to every lane. Observers may now be invoked
-		// concurrently (one token holder per lane), so serialize them.
+		// Gate and idle pacing are installed on the root before Start;
+		// fan them out to every lane.
 		if s.gate != nil {
 			sg, ok := s.gate.(LaneStampGate)
 			if !ok {
@@ -324,18 +322,8 @@ func (s *Scheduler) StartMain(name string, fn func(*Thread)) *Thread {
 			}
 			s.cross.stamp = sg.StampLane
 		}
-		if s.observer != nil {
-			var omu sync.Mutex
-			inner := s.observer
-			s.observer = func(e Event) {
-				omu.Lock()
-				inner(e)
-				omu.Unlock()
-			}
-		}
 		for _, ln := range s.lanes[1:] {
 			ln.gate = s.gate
-			ln.observer = s.observer
 			ln.IdleSleep = s.IdleSleep
 			ln.started = true
 		}
@@ -832,7 +820,7 @@ func (t *Thread) PutTurn() {
 // rotation order.
 //
 // Only the clock mirror is published per tick (ClockFast must be exact —
-// the seq consumption hook and observers stamp events with it). The other
+// the seq consumption hook stamps events with it). The other
 // mirrors are refreshed by pubLocked at schedule boundaries and every 32nd
 // tick: each atomic store is a full fence on amd64, and three of them per
 // token pass was the single largest cost of the handoff fast path.
@@ -988,7 +976,6 @@ func (t *Thread) HasWaiter(key any) bool {
 // returns; threads must not use t afterwards.
 func (t *Thread) Exit() {
 	t.GetTurn()
-	t.observe(EvThreadExit, nil)
 	s := t.s
 	s.mu.Lock()
 	if s.rlen == 0 || s.runq[s.rhead] != t {

@@ -8,9 +8,9 @@ package dmt
 // and round-robin token — all the single-token machinery of dmt.go, reused
 // unchanged. The root scheduler (the one created by New) is lane 0;
 // SetLanes(n) attaches n-1 child schedulers that share the root's
-// WaitGroup, gate, observer, and a crossDomain. The single-lane
-// configuration never allocates any of this, so the pre-lane behaviour is
-// the 1-lane special case, bit for bit.
+// WaitGroup, gate, and a crossDomain. The single-lane configuration never
+// allocates any of this, so the pre-lane behaviour is the 1-lane special
+// case, bit for bit.
 //
 // Threads are pinned to a lane for life. Synchronization objects are
 // either *lane-bound* (BindLane; usable only from their lane's threads,
@@ -361,9 +361,6 @@ func (t *Thread) crossLock(m *Mutex) {
 				ok = true
 			}
 		})
-		if ok {
-			t.observe(EvLockAcquire, m)
-		}
 		t.PutTurn()
 		if ok {
 			return
@@ -383,9 +380,6 @@ func (t *Thread) crossTryLock(m *Mutex) bool {
 			ok = true
 		}
 	})
-	if ok {
-		t.observe(EvLockAcquire, m)
-	}
 	t.PutTurn()
 	return ok
 }
@@ -403,9 +397,6 @@ func (t *Thread) crossUnlock(m *Mutex) {
 		m.locked = false
 		m.owner = nil
 	})
-	if !bad {
-		t.observe(EvLockRelease, m)
-	}
 	t.PutTurn()
 	if bad {
 		panic("dmt: Unlock of unlocked Mutex")
@@ -425,9 +416,6 @@ func (t *Thread) crossRLock(rw *RWMutex) {
 				ok = true
 			}
 		})
-		if ok {
-			t.observe(EvRLockAcquire, rw)
-		}
 		t.PutTurn()
 		if ok {
 			return
@@ -446,9 +434,6 @@ func (t *Thread) crossRUnlock(rw *RWMutex) {
 		}
 		rw.readers--
 	})
-	if !bad {
-		t.observe(EvRLockRelease, rw)
-	}
 	t.PutTurn()
 	if bad {
 		panic("dmt: RUnlock without read lock")
@@ -466,9 +451,6 @@ func (t *Thread) crossWLock(rw *RWMutex) {
 				ok = true
 			}
 		})
-		if ok {
-			t.observe(EvWLockAcquire, rw)
-		}
 		t.PutTurn()
 		if ok {
 			return
@@ -487,9 +469,6 @@ func (t *Thread) crossWUnlock(rw *RWMutex) {
 		}
 		rw.writer = false
 	})
-	if !bad {
-		t.observe(EvWLockRelease, rw)
-	}
 	t.PutTurn()
 	if bad {
 		panic("dmt: WUnlock without write lock")

@@ -10,25 +10,35 @@ import (
 	"time"
 )
 
-// runLanesProgram starts a scheduler with n lanes, spawns bodies[lane] into
+// runLanesProgram starts a scheduler with n lanes, runs bodies[lane] in
 // each lane, waits for all of them, and returns the root for inspection.
-// Callers must Kill+Join the returned scheduler.
+// Every spawn is a scheduled operation: a main thread bootstraps one
+// lane-main per lane, and each lane-main spawns its lane's threads in-lane
+// and joins them. Callers must Kill+Join the returned scheduler.
 func runLanesProgram(t *testing.T, n int, bodies [][]func(*Thread)) *Scheduler {
 	t.Helper()
 	s := New()
 	s.SetLanes(n)
-	s.Start()
+	laneMains := make([]*Thread, len(bodies))
+	main := s.StartMain("main", func(m *Thread) {
+		for lane, fns := range bodies {
+			lane, fns := lane, fns
+			laneMains[lane] = s.SpawnLane(m, lane, fmt.Sprintf("l%dmain", lane), func(lm *Thread) {
+				threads := make([]*Thread, len(fns))
+				for i, body := range fns {
+					threads[i] = s.Spawn(lm, fmt.Sprintf("l%dt%d", lane, i), body)
+				}
+				for _, th := range threads {
+					lm.Join(th)
+				}
+			})
+		}
+	})
 	done := make(chan struct{})
 	go func() {
-		var threads []*Thread
-		for lane, fns := range bodies {
-			for i, body := range fns {
-				threads = append(threads,
-					s.SpawnLane(nil, lane, fmt.Sprintf("l%dt%d", lane, i), body))
-			}
-		}
-		for _, th := range threads {
-			waitDone(th.s, th)
+		waitDone(s, main)
+		for _, lm := range laneMains {
+			waitDone(lm.s, lm)
 		}
 		close(done)
 	}()

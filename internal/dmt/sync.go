@@ -40,7 +40,6 @@ func (t *Thread) Lock(m *Mutex) {
 	}
 	m.locked = true
 	m.owner = t
-	t.observe(EvLockAcquire, m)
 	t.PutTurn()
 }
 
@@ -58,7 +57,6 @@ func (t *Thread) TryLock(m *Mutex) bool {
 	if ok {
 		m.locked = true
 		m.owner = t
-		t.observe(EvLockAcquire, m)
 	}
 	t.PutTurn()
 	return ok
@@ -81,7 +79,6 @@ func (t *Thread) Unlock(m *Mutex) {
 	}
 	m.locked = false
 	m.owner = nil
-	t.observe(EvLockRelease, m)
 	t.SignalKey(m)
 	t.PutTurn()
 }
@@ -121,8 +118,6 @@ func (t *Thread) CondWait(c *Cond, m *Mutex) {
 	}
 	m.locked = false
 	m.owner = nil
-	t.observe(EvLockRelease, m)
-	t.observe(EvCondWait, c)
 	t.SignalKey(m)
 	t.WaitOn(c)
 	for m.locked {
@@ -130,7 +125,6 @@ func (t *Thread) CondWait(c *Cond, m *Mutex) {
 	}
 	m.locked = true
 	m.owner = t
-	t.observe(EvLockAcquire, m)
 	t.PutTurn()
 }
 
@@ -141,7 +135,6 @@ func (t *Thread) CondSignal(c *Cond) {
 	}
 	t.GetTurn()
 	t.Admit()
-	t.observe(EvCondSignal, c)
 	t.SignalKey(c)
 	t.PutTurn()
 }
@@ -153,7 +146,6 @@ func (t *Thread) CondBroadcast(c *Cond) {
 	}
 	t.GetTurn()
 	t.Admit()
-	t.observe(EvCondBroadcast, c)
 	t.BroadcastKey(c)
 	t.PutTurn()
 }
@@ -183,7 +175,6 @@ func (t *Thread) RLock(rw *RWMutex) {
 		t.WaitOn(rw)
 	}
 	rw.readers++
-	t.observe(EvRLockAcquire, rw)
 	t.PutTurn()
 }
 
@@ -203,7 +194,6 @@ func (t *Thread) RUnlock(rw *RWMutex) {
 		panic("dmt: RUnlock without read lock")
 	}
 	rw.readers--
-	t.observe(EvRLockRelease, rw)
 	if rw.readers == 0 {
 		t.BroadcastKey(rw)
 	}
@@ -225,7 +215,6 @@ func (t *Thread) WLock(rw *RWMutex) {
 		t.WaitOn(rw)
 	}
 	rw.writer = true
-	t.observe(EvWLockAcquire, rw)
 	t.PutTurn()
 }
 
@@ -246,7 +235,6 @@ func (t *Thread) WUnlock(rw *RWMutex) {
 		panic("dmt: WUnlock without write lock")
 	}
 	rw.writer = false
-	t.observe(EvWLockRelease, rw)
 	t.BroadcastKey(rw)
 	t.PutTurn()
 }

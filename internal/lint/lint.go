@@ -15,8 +15,8 @@
 //     direct net dialing, and the sources of the engine's source table
 //     (time, math/rand, the environment) in replicated packages
 //   - lockorder: a static inter-procedural lock-acquisition graph whose
-//     cycles are potential deadlocks (the static companion of
-//     internal/analysis.LockOrderChecker)
+//     cycles are potential deadlocks (the repository's only lock-order
+//     check)
 //   - fsyncerr:  dropped or shadowed errors on WAL/commit durability paths
 //   - obsreg:    instrument registration on observation hot paths
 //   - laneconsistency: lane-bound papi sync objects (NewMutexLane and

@@ -8,11 +8,10 @@ import (
 	"strings"
 )
 
-// LockOrderAnalyzer is the static companion of the runtime
-// internal/analysis.LockOrderChecker: it builds an inter-procedural
-// lock-acquisition graph over sync.Mutex/RWMutex fields and papi.Mutex
-// values across every loaded package and reports cycles — the potential
-// deadlocks the runtime checker can only observe once they are scheduled.
+// LockOrderAnalyzer is the repository's only lock-order check: it builds an
+// inter-procedural lock-acquisition graph over sync.Mutex/RWMutex fields
+// and papi.Mutex values across every loaded package and reports cycles —
+// potential deadlocks, found before any schedule runs them.
 //
 // The dmt consumed-hook inversion that PR 3 worked around with an atomic
 // clock mirror is exactly this bug class: package A invokes a registered

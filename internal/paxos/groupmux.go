@@ -3,12 +3,11 @@ package paxos
 import "sync"
 
 // GroupMux multiplexes several consensus groups' traffic over one
-// underlying Transport endpoint (ISSUE 10): each replica keeps a single
-// hub endpoint or TCP connection set per peer, and the mux fans messages
-// out to per-group Nodes by the Message.Group tag. Port(g) returns the
-// Transport for group g; sends through it stamp Group=g, and the mux's
-// handler on the inner endpoint dispatches inbound messages to the
-// registered group handler.
+// underlying Transport endpoint: each replica keeps a single hub endpoint,
+// and the mux fans messages out to per-group Nodes by the Message.Group
+// tag. Port(g) returns the Transport for group g; sends through it stamp
+// Group=g, and the mux's handler on the inner endpoint dispatches inbound
+// messages to the registered group handler.
 //
 // Lifecycle: each Node closes its own Transport when it stops, so ports
 // are reference-counted — the inner endpoint closes when the last open
@@ -113,20 +112,4 @@ func (p *muxPort) Close() error {
 		return m.inner.Close()
 	}
 	return nil
-}
-
-// Flush implements Flusher when the inner transport buffers writes.
-func (p *muxPort) Flush() {
-	if f, ok := p.mux.inner.(Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Stats surfaces the inner endpoint's counters when it exposes them
-// (shared across groups — the wire is shared).
-func (m *GroupMux) Stats() TransportStats {
-	if s, ok := m.inner.(interface{ Stats() TransportStats }); ok {
-		return s.Stats()
-	}
-	return TransportStats{}
 }

@@ -198,7 +198,6 @@ type Node struct {
 	commitIdx  uint64
 	acks       map[uint64]map[int]bool
 	lastHB     time.Time
-	flusher    Flusher       // Transport's batch-boundary hook, nil if none
 	pending    [][]byte      // queued proposals not yet in an Accept round
 	inflight   []uint64      // last index of each unacknowledged Accept round
 	electDelay time.Duration // randomized election timeout
@@ -278,7 +277,6 @@ func NewNode(cfg Config) (*Node, error) {
 		peerDone: make(map[int]uint64),
 		lastHB:   time.Now(), //crane:detflow-ok heartbeat timer, below the consensus boundary
 	}
-	n.flusher, _ = cfg.Transport.(Flusher)
 	if cfg.Obs != nil {
 		n.obsProposals = cfg.Obs.Counter("paxos_proposals_total",
 			"payloads accepted for consensus ordering by this node")
@@ -620,11 +618,6 @@ func (n *Node) loop() {
 			}
 		case <-ticker.C:
 			n.handleTick()
-		}
-		if n.flusher != nil {
-			// Batch boundary: every send triggered by this event shares
-			// one transport flush (one syscall on buffered transports).
-			n.flusher.Flush()
 		}
 		n.publish()
 	}

@@ -12,7 +12,7 @@ import (
 // deliver messages to the registered handler serially per node (the node's
 // event loop assumes single-threaded message intake is not required — it
 // serializes internally — but ordering per sender should be preserved,
-// which both provided implementations do).
+// which ChanTransport does).
 type Transport interface {
 	// Send transmits msg to the node with the given id. Send is
 	// best-effort: transport-level loss is handled by the protocol's
@@ -23,14 +23,6 @@ type Transport interface {
 	SetHandler(h func(msg Message))
 	// Close releases transport resources.
 	Close() error
-}
-
-// Flusher is an optional Transport capability: transports that buffer
-// writes (e.g. TCPTransport's bufio-wrapped peers) implement it, and the
-// node's event loop calls Flush once per handled event — the batch
-// boundary — so all sends triggered by one event share one syscall.
-type Flusher interface {
-	Flush()
 }
 
 // ErrTransportClosed is returned by Send after Close.
@@ -141,18 +133,12 @@ type ChanTransport struct {
 	closed   bool
 }
 
-// TransportStats is a snapshot of a transport endpoint's counters, shared
-// by ChanTransport and TCPTransport. Overflow and loss drops are legal (the
-// protocol retransmits) but were previously invisible, making soak-test
-// loss undiagnosable. Byte/flush/reconnect counters only move on transports
-// with real sockets (ChanTransport passes Message values in process).
+// TransportStats is a snapshot of a ChanTransport endpoint's counters.
+// Overflow and loss drops are legal (the protocol retransmits) but were
+// previously invisible, making soak-test loss undiagnosable.
 type TransportStats struct {
 	Sent         uint64 // messages submitted to Send (before loss)
 	MsgsReceived uint64 // messages delivered to the handler
-	BytesSent    uint64 // wire bytes written (TCP only)
-	BytesRecv    uint64 // wire bytes read (TCP only)
-	Flushes      uint64 // batch-boundary buffer flushes (TCP only)
-	Reconnects   uint64 // peer dials, initial and after failures (TCP only)
 	LossDropped  uint64 // outbound drops from simulated loss or isolation
 	InboxDropped uint64 // inbound drops from inbox overflow
 }
