@@ -127,37 +127,6 @@ func (c *Checkpointer) Capture(proc Process, fs *cfs.FS, base *cfs.Snapshot, ind
 	}, tm, nil
 }
 
-// TryCapture is the single-attempt form of Capture for hot paths that
-// cannot afford to block: it fails immediately with ErrNotQuiescent
-// instead of backing off and retrying. The speculation layer uses it to
-// opportunistically advance its rollback boundary between bursts — a miss
-// just means the boundary advances on a later, quieter attempt.
-func (c *Checkpointer) TryCapture(proc Process, fs *cfs.FS, base *cfs.Snapshot, index func() uint64) (*Checkpoint, *Timings, error) {
-	tm := &Timings{}
-	if !proc.Quiescent() {
-		return nil, tm, ErrNotQuiescent
-	}
-	start := time.Now()
-	procImg, err := proc.Snapshot()
-	if err != nil {
-		return nil, tm, fmt.Errorf("checkpoint: process snapshot: %w", err)
-	}
-	idx := index()
-	tm.CheckpointProcess = time.Since(start)
-
-	start = time.Now()
-	patch := fs.Diff(base)
-	tm.CheckpointFS = time.Since(start)
-	tm.FSPatchBytes = patch.Bytes()
-
-	return &Checkpoint{
-		Index:   idx,
-		Process: procImg,
-		FSPatch: *patch,
-		Taken:   time.Now(), //crane:detflow-ok capture wall-clock stamp, diagnostics only
-	}, tm, nil
-}
-
 // RestoreFS materializes the checkpointed filesystem: fresh base + patch.
 func (c *Checkpointer) RestoreFS(ck *Checkpoint, base *cfs.Snapshot) (*cfs.FS, time.Duration, error) {
 	start := time.Now()

@@ -184,53 +184,3 @@ func TestRestoreIsRepeatable(t *testing.T) {
 		}
 	}
 }
-
-// TestTryCaptureBusyFailsImmediately pins the single-attempt contract the
-// speculation layer relies on: a busy process fails with ErrNotQuiescent
-// right away — no backoff, no retries — because the caller runs on an
-// opportunistic path that cannot afford to block.
-func TestTryCaptureBusyFailsImmediately(t *testing.T) {
-	proc := &fakeProc{}
-	proc.conns.Store(1) // busy
-	fs := cfs.New()
-	cp := New(Options{Backoff: time.Second, MaxRetries: 100})
-	start := time.Now()
-	_, _, err := cp.TryCapture(proc, fs, fs.Snapshot(), func() uint64 { return 0 })
-	if !errors.Is(err, ErrNotQuiescent) {
-		t.Fatalf("err = %v, want ErrNotQuiescent", err)
-	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("TryCapture backed off instead of failing immediately")
-	}
-}
-
-// TestTryCaptureQuiescentRoundTrip verifies a successful single-attempt
-// capture restores exactly like a Capture checkpoint.
-func TestTryCaptureQuiescentRoundTrip(t *testing.T) {
-	proc := &fakeProc{Counter: 7}
-	fs := cfs.New()
-	base := fs.Snapshot()
-	fs.Write("work/state", []byte("boundary"))
-	cp := New(Options{})
-	ck, _, err := cp.TryCapture(proc, fs, base, func() uint64 { return 99 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Index != 99 {
-		t.Fatalf("Index = %d", ck.Index)
-	}
-	proc2 := &fakeProc{}
-	if _, err := cp.RestoreProcess(ck, proc2); err != nil {
-		t.Fatal(err)
-	}
-	if proc2.Counter != 7 {
-		t.Fatalf("restored counter = %d", proc2.Counter)
-	}
-	fs2, _, err := cp.RestoreFS(ck, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfs.Equal(fs, fs2) {
-		t.Fatal("restored fs differs")
-	}
-}

@@ -45,7 +45,6 @@ type DivergenceAlarm struct {
 	Replica int    // peer whose sample mismatched
 	Lane    int32  // journal lane (flight.OutputLane for output samples)
 	Pos     uint64 // consumed position (or cumulative output count)
-	Epoch   uint32 // journal epoch the sample was recorded under
 	Want    uint64 // this replica's chain/fingerprint at Pos
 	Got     uint64 // the peer's
 	Kind    string // "chain-mismatch", "output-mismatch", or "mark-misaligned"
@@ -53,8 +52,8 @@ type DivergenceAlarm struct {
 
 // String renders the alarm for logs and test failures.
 func (a DivergenceAlarm) String() string {
-	return fmt.Sprintf("divergence[%s]: replica %d lane %d pos %d epoch %d: want %016x got %016x",
-		a.Kind, a.Replica, a.Lane, a.Pos, a.Epoch, a.Want, a.Got)
+	return fmt.Sprintf("divergence[%s]: replica %d lane %d pos %d: want %016x got %016x",
+		a.Kind, a.Replica, a.Lane, a.Pos, a.Want, a.Got)
 }
 
 func newAuditor(r *Replica) *auditor {
@@ -104,13 +103,6 @@ func (au *auditor) checkLocked(from int, s flight.AuditSample) auditOutcome {
 		m, ok, within := rec.OutputMarkAt(s.Pos)
 		return au.verdictLocked(from, s, m, ok, within, "output-mismatch")
 	}
-	if s.Epoch != rec.Epoch() {
-		// A rollback re-based one side's journal; chains recorded under
-		// different epochs are incomparable by design. The output
-		// fingerprint audit (committed effects only) keeps covering the
-		// run.
-		return auditDone
-	}
 	j := rec.Lane(int(s.Lane))
 	if j == nil {
 		return auditDone
@@ -124,7 +116,7 @@ func (au *auditor) verdictLocked(from int, s flight.AuditSample, m flight.Mark, 
 		au.checked.Inc()
 		if m.Chain != s.Chain {
 			au.alarmLocked(DivergenceAlarm{Replica: from, Lane: s.Lane, Pos: s.Pos,
-				Epoch: s.Epoch, Want: m.Chain, Got: s.Chain, Kind: kind})
+				Want: m.Chain, Got: s.Chain, Kind: kind})
 		}
 		return auditDone
 	}
@@ -134,7 +126,7 @@ func (au *auditor) verdictLocked(from int, s flight.AuditSample, m flight.Mark, 
 		// which deterministic streams cannot do.
 		au.checked.Inc()
 		au.alarmLocked(DivergenceAlarm{Replica: from, Lane: s.Lane, Pos: s.Pos,
-			Epoch: s.Epoch, Got: s.Chain, Kind: "mark-misaligned"})
+			Got: s.Chain, Kind: "mark-misaligned"})
 		return auditDone
 	}
 	return auditAhead

@@ -98,10 +98,12 @@ type Config struct {
 
 	// Speculation lets the primary execute admitted socket calls while
 	// their Accept round is still in flight, holding every externally
-	// visible effect until the commit confirms the speculated order —
-	// and rolling back to the last checkpoint boundary on the rare
-	// mismatch. Off by default. Only meaningful under ModeCrane, and only
-	// with one Paxos group (validate).
+	// visible effect until the commit confirms the speculated order. On
+	// the rare mismatch the speculative entries are truncated; if the
+	// server already consumed one, the replica fail-stops and recovers
+	// like any failed replica (RestartReplica, RestoreReplica). Off by
+	// default. Only meaningful under ModeCrane, and only with one Paxos
+	// group (validate).
 	Speculation bool
 }
 
@@ -394,6 +396,9 @@ func (c *Cluster) RestoreReplica(i int, ck *checkpoint.Checkpoint) error {
 // rejoin starts r, a rebuilt replica i, as a backup of the running cluster
 // and puts it in the failed one's place.
 func (c *Cluster) rejoin(i int, r *Replica) error {
+	// A speculation fail-stop may still be tearing the failed replica down
+	// on its own goroutine; its WAL and endpoint must be closed first.
+	c.replicas[i].stop()
 	r.rejoining = true
 	if c.hub != nil {
 		c.hub.Reconnect(i)

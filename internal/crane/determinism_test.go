@@ -88,7 +88,7 @@ func runDetHTTPDWorkload(t *testing.T) (sums []uint64, fps []uint64) {
 	}
 	for i := 0; i < cluster.Replicas(); i++ {
 		r := cluster.Replica(i)
-		sums = append(sums, r.proc().Sched.Stats().ScheduleSum)
+		sums = append(sums, r.pproc.Sched.Stats().ScheduleSum)
 		fps = append(fps, r.Outputs().Fingerprint())
 	}
 	return sums, fps
@@ -111,7 +111,7 @@ func waitScheduleStable(t *testing.T, cluster *Cluster) {
 		ok := true
 		for i := 0; i < cluster.Replicas(); i++ {
 			r := cluster.Replica(i)
-			sum := r.proc().Sched.Stats().ScheduleSum
+			sum := r.pproc.Sched.Stats().ScheduleSum
 			if r.openConns.Load() != 0 || sum != last[i] {
 				ok = false
 			}

@@ -146,8 +146,8 @@ func (g *gate) drainBubble(sq *seq.Sequence) uint64 {
 // hrtimer, not a runtime timer: with every P idle the runtime would round
 // W_timeout up to a millisecond. A wake that leaves the sequence empty (the
 // pending request landed without an enqueue) asks again. It reports false
-// when the scheduler was killed — a replica stop or a speculation rollback
-// retiring this scheduler — with the sequence still empty.
+// when the scheduler was killed — a replica stop, a speculation fail-stop
+// included — with the sequence still empty.
 func (g *gate) awaitInput(t *dmt.Thread, sq *seq.Sequence) bool {
 	if !g.bubbling || !sq.Empty() {
 		return true

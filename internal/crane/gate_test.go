@@ -28,7 +28,7 @@ func newGateHarness(t *testing.T, bubbling bool) *gateHarness {
 	proc := papi.NewParrotProc(r.net, r.host, r.fs)
 	proc.SetSocketLayer(&dmtSockets{r: r})
 	proc.Sched.SetGate(newGate(r, bubbling))
-	r.pprocA.Store(proc)
+	r.pproc = proc
 	t.Cleanup(func() {
 		r.killedFlag.Store(true)
 		proc.Kill()

@@ -45,7 +45,7 @@ func waitLanesSettled(t *testing.T, c *Cluster, k int) {
 		ok := true
 		for i := 0; i < c.Replicas(); i++ {
 			r := c.Replica(i)
-			sum := r.proc().Sched.Stats().ScheduleSum
+			sum := r.pproc.Sched.Stats().ScheduleSum
 			if r.openConns.Load() != 0 || sum != last[i] {
 				ok = false
 			}
@@ -141,7 +141,7 @@ func TestCraneHTTPDLanes(t *testing.T) {
 	waitLanesSettled(t, c, 16) // 12 GET + 4 PUT responses
 
 	// Per-lane and merged schedule fingerprints agree across replicas.
-	ref := c.Replica(0).proc().Sched
+	ref := c.Replica(0).pproc.Sched
 	busy := 0
 	for lane := 0; lane < 4; lane++ {
 		if ref.LaneStats(lane).Spawned > 0 {
@@ -152,7 +152,7 @@ func TestCraneHTTPDLanes(t *testing.T) {
 		t.Fatalf("only %d/4 lanes spawned threads", busy)
 	}
 	for i := 1; i < c.Replicas(); i++ {
-		sched := c.Replica(i).proc().Sched
+		sched := c.Replica(i).pproc.Sched
 		for lane := 0; lane < 4; lane++ {
 			got, want := sched.LaneStats(lane).ScheduleSum, ref.LaneStats(lane).ScheduleSum
 			if got != want {
@@ -219,8 +219,8 @@ func TestCraneMongooseLanes(t *testing.T) {
 	waitLanesSettled(t, c, 8)
 	for i := 1; i < c.Replicas(); i++ {
 		for lane := 0; lane < 2; lane++ {
-			got := c.Replica(i).proc().Sched.LaneStats(lane).ScheduleSum
-			want := c.Replica(0).proc().Sched.LaneStats(lane).ScheduleSum
+			got := c.Replica(i).pproc.Sched.LaneStats(lane).ScheduleSum
+			want := c.Replica(0).pproc.Sched.LaneStats(lane).ScheduleSum
 			if got != want {
 				t.Fatalf("replica %d lane %d ScheduleSum %#x != replica 0 %#x", i, lane, got, want)
 			}

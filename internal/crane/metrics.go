@@ -56,7 +56,7 @@ func (r *Replica) Metrics() Metrics {
 		m.View, m.ViewPrim = r.nodes[0].View()
 		m.CommitIdx = r.nodes[0].CommitIndex()
 	}
-	if pproc := r.proc(); pproc != nil {
+	if pproc := r.pproc; pproc != nil {
 		st := pproc.Sched.Stats()
 		m.LogicalClock = st.Clock
 		m.TokenPasses = st.TokenPasses

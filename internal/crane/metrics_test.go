@@ -19,6 +19,11 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	defer c.Stop()
 	kvRequest(t, c, "m:1", "SET a 1")
+	// The client's reply comes from the primary; a backup may not have
+	// executed the request yet. Its output marks that it has.
+	if err := c.WaitOutputs(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	ms := c.ClusterMetrics()
 	if len(ms) != 3 {
 		t.Fatalf("%d metric rows", len(ms))

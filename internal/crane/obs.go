@@ -199,9 +199,9 @@ func (ro *replicaObs) recordConfirmed(req, conn, index uint64) {
 	}
 }
 
-// dropSpec forgets an aborted speculative entry's bookkeeping so its
-// eventual replayed consumption (under the repaired committed order) does
-// not record a bogus admit-to-exec latency.
+// dropSpec forgets an aborted speculative entry's bookkeeping so a later
+// consumption of the same request (should the new view commit it after
+// all) does not record a bogus admit-to-exec latency.
 func (ro *replicaObs) dropSpec(req uint64) {
 	if req == 0 {
 		return

@@ -104,16 +104,11 @@ type Replica struct {
 	px    *proxy
 	pump  *pumpSockets
 
-	// pprocA holds the live DMT process. It is a swappable pointer because
-	// a speculation rollback replaces the entire scheduler: readers go
-	// through proc() and must not cache the pointer across operations that
-	// could overlap a rollback.
-	pprocA atomic.Pointer[papi.ParrotProc]
-	nproc  *papi.NondetProc
-	// execMu guards the cold execution-state pair (fs, inst), swapped
-	// together with the scheduler by a speculation rollback.
-	execMu sync.Mutex
-	inst   papi.Instance
+	// pproc is the DMT process (nil in non-DMT modes), nproc the
+	// nondeterministic one; both are set once in start.
+	pproc *papi.ParrotProc
+	nproc *papi.NondetProc
+	inst  papi.Instance
 	// spec executes bursts ahead of commit (nil unless Config.Speculation
 	// under full CRANE with consensus).
 	spec *speculator
@@ -122,8 +117,10 @@ type Replica struct {
 	baseSnap *cfs.Snapshot
 	out      *trace.OutputLog
 
-	openConns   atomic.Int64
-	killedFlag  atomic.Bool
+	openConns  atomic.Int64
+	killedFlag atomic.Bool
+	// stopped closes when stop's teardown is complete.
+	stopped     chan struct{}
 	closedMu    sync.Mutex
 	closedConns map[uint64]bool
 
@@ -178,6 +175,7 @@ func newReplica(id int, cfg *Config, prog papi.Program, net *simnet.Network) *Re
 		mode:        cfg.Mode,
 		out:         trace.NewOutputLog(fmt.Sprintf("replica%d", id)),
 		closedConns: make(map[uint64]bool),
+		stopped:     make(chan struct{}),
 	}
 	r.lanes = 1
 	if cfg.Mode.deterministic() {
@@ -360,28 +358,26 @@ func (r *Replica) start(hub *paxos.ChanHub) error {
 		r.nproc = papi.NewNondetProc(r.net, r.host, r.fs)
 		r.nproc.SetLanes(r.prog.EffectiveLanes(r.cfg.Lanes))
 	case ModeParrotOnly:
-		pproc := papi.NewParrotProc(r.net, r.host, r.fs)
-		pproc.SetLanes(r.lanes)
-		r.wireFlight(pproc)
-		r.pprocA.Store(pproc)
+		r.pproc = papi.NewParrotProc(r.net, r.host, r.fs)
+		r.pproc.SetLanes(r.lanes)
+		r.wireFlight()
 	case ModePaxosOnly:
 		r.nproc = papi.NewNondetProc(r.net, r.host, r.fs)
 		r.nproc.SetLanes(r.prog.EffectiveLanes(r.cfg.Lanes))
 		r.pump = newPumpSockets(r)
 		r.nproc.SetSocketLayer(r.pump)
 	case ModeCrane, ModeCraneNoBubble:
-		pproc := papi.NewParrotProc(r.net, r.host, r.fs)
-		pproc.SetLanes(r.lanes)
-		r.wireFlight(pproc)
-		pproc.SetSocketLayer(&dmtSockets{r: r})
-		pproc.Sched.SetGate(newGate(r, r.mode == ModeCrane))
+		r.pproc = papi.NewParrotProc(r.net, r.host, r.fs)
+		r.pproc.SetLanes(r.lanes)
+		r.wireFlight()
+		r.pproc.SetSocketLayer(&dmtSockets{r: r})
+		r.pproc.Sched.SetGate(newGate(r, r.mode == ModeCrane))
 		if r.cfg.Speculation && r.mode == ModeCrane {
 			r.spec = newSpeculator(r)
 		}
-		r.pprocA.Store(pproc)
 	}
-	if pproc := r.proc(); pproc != nil {
-		pproc.Sched.SetObs(r.ro.reg)
+	if r.pproc != nil {
+		r.pproc.Sched.SetObs(r.ro.reg)
 	}
 
 	if r.mode.replicated() {
@@ -393,8 +389,8 @@ func (r *Replica) start(hub *paxos.ChanHub) error {
 			return err
 		}
 	}
-	if pproc := r.proc(); pproc != nil {
-		pproc.Start(r.inst)
+	if r.pproc != nil {
+		r.pproc.Start(r.inst)
 	} else {
 		r.nproc.Start(r.inst)
 	}
@@ -411,31 +407,25 @@ func (r *Replica) start(hub *paxos.ChanHub) error {
 }
 
 // wireFlight attaches the flight recorder's lane journals to the DMT
-// scheduler and Paxos sequences. Called before the scheduler starts (and
-// again by the rollback path on the rebuilt process, after AdvanceEpoch
-// re-based the journals): each lane's scheduler and sequence share that
-// lane's journal, whose single-writer discipline the lane token provides.
-func (r *Replica) wireFlight(pproc *papi.ParrotProc) {
+// scheduler and Paxos sequences. Called before the scheduler starts: each
+// lane's scheduler and sequence share that lane's journal, whose
+// single-writer discipline the lane token provides.
+func (r *Replica) wireFlight() {
 	if r.flt == nil {
 		return
 	}
 	for i := 0; i < r.lanes; i++ {
-		ls := pproc.Sched.LaneSched(i)
+		ls := r.pproc.Sched.LaneSched(i)
 		ls.SetFlight(r.flt.Lane(i))
 		r.sqs[i].SetFlight(r.flt.Lane(i), ls.ClockFast)
 	}
 }
 
-// proc returns the live DMT process (nil in non-DMT modes). Speculation
-// rollback swaps the pointer wholesale; load it fresh rather than caching
-// across operations that could overlap a rollback.
-func (r *Replica) proc() *papi.ParrotProc { return r.pprocA.Load() }
-
 // logicalClock reads the DMT scheduler's logical clock (0 in non-DMT
 // modes). Lock-free, so it is safe from callbacks holding other locks.
 func (r *Replica) logicalClock() uint64 {
-	if pproc := r.proc(); pproc != nil {
-		return pproc.Sched.ClockFast()
+	if r.pproc != nil {
+		return r.pproc.Sched.ClockFast()
 	}
 	return 0
 }
@@ -495,8 +485,8 @@ func (r *Replica) onDeliverGroup(g int, e paxos.LogEntry) {
 func (r *Replica) afterMerge(ent *seq.Entry) {
 	if r.spec != nil && r.spec.onCommitted(ent) {
 		// The commit confirmed a speculative clone already in a lane queue
-		// (or was swallowed for rollback replay); it must not be enqueued a
-		// second time.
+		// (or was swallowed by a fail-stopped replica); it must not be
+		// enqueued a second time.
 		if ent.Kind == seq.KindBubble {
 			r.bubblePending.Store(false)
 			// The bubble was enqueued when it was fed, so its commit
@@ -706,7 +696,7 @@ func (r *Replica) alignGroupLeadership() {
 // emitOutput logs an outgoing socket call and, on the primary, forwards it
 // to the client; backups log and drop (§2.1). With speculation enabled the
 // speculator sees every output first: it buffers those produced inside an
-// open window and suppresses replayed ones after a rollback.
+// open window and drops those of a fail-stopped replica.
 func (r *Replica) emitOutput(conn uint64, data []byte) {
 	if r.spec != nil && r.spec.emit(conn, data) {
 		return
@@ -743,25 +733,20 @@ func (r *Replica) connClosed(conn uint64) bool {
 
 func (r *Replica) killed() bool { return r.killedFlag.Load() }
 
-// stop tears the replica down: server process, proxy, consensus node.
+// stop tears the replica down: server process, proxy, consensus node. A
+// second caller waits until the first caller's teardown is complete (a
+// speculation fail-stop runs it on its own goroutine).
 func (r *Replica) stop() {
 	if !r.killedFlag.CompareAndSwap(false, true) {
+		<-r.stopped
 		return
 	}
+	defer close(r.stopped)
 	if r.pump != nil {
 		r.pump.wake()
 	}
-	if r.spec != nil {
-		// Wait out any in-flight rollback's state swap. After the barrier,
-		// whichever scheduler is installed stays installed: the rollback
-		// re-checks the killed flag (set above) under its lock before
-		// swapping in a replacement, so the single load below catches the
-		// process that actually needs killing.
-		r.spec.barrier()
-	}
-	pproc := r.proc()
-	if pproc != nil {
-		pproc.Kill()
+	if r.pproc != nil {
+		r.pproc.Kill()
 	}
 	if r.nproc != nil {
 		r.nproc.Kill()
@@ -772,8 +757,8 @@ func (r *Replica) stop() {
 	for _, nd := range r.nodes {
 		nd.Stop()
 	}
-	if pproc != nil {
-		pproc.Wait()
+	if r.pproc != nil {
+		r.pproc.Wait()
 	}
 	if r.nproc != nil {
 		r.nproc.Wait()
@@ -809,29 +794,19 @@ func (r *Replica) Quiescent() bool {
 		return false
 	}
 	if r.spec != nil && r.spec.active() {
-		// An open speculation window or a running repair means execution
-		// state is provisional — never a checkpointable moment.
+		// An open speculation window or a fail-stop means execution state
+		// is provisional — never a checkpointable moment.
 		return false
 	}
 	return true
 }
 
 // Snapshot serializes the program's in-memory state (CRIU substitution).
-func (r *Replica) Snapshot() ([]byte, error) {
-	r.execMu.Lock()
-	inst := r.inst
-	r.execMu.Unlock()
-	return inst.Snapshot()
-}
+func (r *Replica) Snapshot() ([]byte, error) { return r.inst.Snapshot() }
 
 // Restore reinstates a program snapshot (used on a freshly built replica
 // before its main thread runs).
-func (r *Replica) Restore(b []byte) error {
-	r.execMu.Lock()
-	inst := r.inst
-	r.execMu.Unlock()
-	return inst.Restore(b)
-}
+func (r *Replica) Restore(b []byte) error { return r.inst.Restore(b) }
 
 // Checkpoint captures a consistent (state, index) image using the
 // quiescence-gated checkpointer, re-validating that no input raced the
@@ -839,10 +814,7 @@ func (r *Replica) Restore(b []byte) error {
 func (r *Replica) Checkpoint(cp *checkpoint.Checkpointer) (*checkpoint.Checkpoint, *checkpoint.Timings, error) {
 	for attempt := 0; attempt < 10; attempt++ {
 		idxsBefore := r.commitIndexes()
-		r.execMu.Lock()
-		fs := r.fs
-		r.execMu.Unlock()
-		ck, tm, err := cp.Capture(r, fs, r.baseSnap, func() uint64 { return idxsBefore[0] })
+		ck, tm, err := cp.Capture(r, r.fs, r.baseSnap, func() uint64 { return idxsBefore[0] })
 		if err != nil {
 			return nil, tm, err
 		}
@@ -951,13 +923,8 @@ func (r *Replica) LeadsAllGroups() bool {
 // GroupStats returns the cross-group merge counters.
 func (r *Replica) GroupStats() seq.GroupStats { return r.gm.Stats() }
 
-// FS returns the replica's container filesystem (the live one: a
-// speculation rollback swaps in a rebuilt filesystem).
-func (r *Replica) FS() *cfs.FS {
-	r.execMu.Lock()
-	defer r.execMu.Unlock()
-	return r.fs
-}
+// FS returns the replica's container filesystem.
+func (r *Replica) FS() *cfs.FS { return r.fs }
 
 // SpecStats returns the speculation counters (all zero when speculation
 // is disabled).

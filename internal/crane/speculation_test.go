@@ -12,11 +12,13 @@ import (
 	"crane/internal/trace"
 )
 
-// specClusterConfig is detClusterConfig plus speculation; the election
-// timeout is pinned low so the partition tests fail over quickly.
-func specClusterConfig() Config {
+// specClusterConfig is detClusterConfig plus speculation and a WAL, so a
+// fail-stopped replica can be restarted; the election timeout is pinned low
+// so the partition tests fail over quickly.
+func specClusterConfig(t *testing.T) Config {
 	cfg := detClusterConfig()
 	cfg.Speculation = true
+	cfg.WALDir = t.TempDir()
 	cfg.ElectionTimeout = 150 * time.Millisecond
 	return cfg
 }
@@ -27,7 +29,7 @@ func specClusterConfig() Config {
 // Config.Speculation default-off the golden-schedule test elsewhere in
 // this package proves the pre-speculation pipeline is untouched.
 func TestSpeculationHTTPDHitPath(t *testing.T) {
-	c, err := StartCluster(specClusterConfig(), httpd.Program(detHTTPDConfig()))
+	c, err := StartCluster(specClusterConfig(t), httpd.Program(detHTTPDConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestSpeculationHTTPDHitPath(t *testing.T) {
 // drives a canary PUT into it: the stranded primary speculates the burst
 // (its local ProposeBatch still succeeds), executes it, and buffers the
 // response — which can never commit. Returns the stranded primary's id.
-// The caller owns the follow-up (heal for a rollback, or kill).
+// The caller owns the follow-up (healAndRestart, or kill).
 func forceSpecAbort(t *testing.T, c *Cluster, canary string) int {
 	t.Helper()
 	return forceSpecAbortAfter(t, c, canary, func(*Replica) {})
@@ -75,7 +77,7 @@ func forceSpecAbort(t *testing.T, c *Cluster, canary string) int {
 // connect and its PUT: connected runs on the stranded primary in between.
 func forceSpecAbortAfter(t *testing.T, c *Cluster, canary string, connected func(p *Replica)) int {
 	t.Helper()
-	// Committed warm-up traffic, so the eventual replay is non-trivial.
+	// Committed warm-up traffic, so the restart's replay is non-trivial.
 	if _, err := c.DialAndRequest("warm:1", 8080, []byte("GET /index.html HTTP/1.0\r\n\r\n"), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +134,53 @@ func forceSpecAbortAfter(t *testing.T, c *Cluster, canary string, connected func
 	return p.ID()
 }
 
+// healAndRestart heals the stranded primary forceSpecAbort left behind and
+// brings it back. The new primary's commits mismatch its open window, and
+// because the server already consumed the canary the abort is contaminated:
+// the replica must fail-stop with its buffer discarded. RestartReplica then
+// replays its WAL, and all three replicas must converge to bit-identical
+// schedules and outputs with the canary in no output log and no filesystem.
+func healAndRestart(t *testing.T, c *Cluster, old int, canary string) {
+	t.Helper()
+	stranded := c.Replica(old)
+	c.HealReplica(old)
+	waitFor(t, 10*time.Second, "fail-stop of the healed replica", stranded.killed)
+	st := stranded.SpecStats()
+	if st.Rollbacks < 1 || st.LightAborts >= st.Aborts || st.Buffered != 0 {
+		t.Fatalf("expected a contaminated abort with its buffer discarded: %+v", st)
+	}
+	// Every byte forwarded to a client is recorded in the output log first
+	// (emitOutput, flushLocked), so a clean log means no canary byte left
+	// the stranded replica, before the heal or after it.
+	assertNoCanaryIn(t, stranded, canary)
+	if err := c.RestartReplica(old); err != nil {
+		t.Fatal(err)
+	}
+	// One more committed request after the restart, then all three must
+	// agree.
+	if _, err := c.DialAndRequest("post:1", 8080, []byte("GET /page0.php HTTP/1.0\r\n\r\n"), 1); err != nil {
+		t.Fatal(err)
+	}
+	ids := allReplicaIDs(c)
+	assertReplicasConverged(t, c, ids)
+	assertNoCanary(t, c, ids, canary)
+	for _, i := range ids {
+		for _, path := range []string{"www/canary.html", "www//canary.html"} {
+			if c.Replica(i).FS().Exists(path) {
+				t.Fatalf("canary file %q on replica%d", path, i)
+			}
+		}
+	}
+}
+
 // TestSpeculationForcedMismatchRollback partitions a speculating primary
 // mid-burst, lets the survivors elect a new primary and commit entries the
 // stranded replica never speculated, then heals it: the commit-order
-// mismatch must trigger a full checkpoint rollback, after which all three
-// replicas converge to bit-identical schedules and output streams.
+// mismatch must fail-stop the contaminated replica, and after
+// RestartReplica all three replicas converge to bit-identical schedules
+// and output streams.
 func TestSpeculationForcedMismatchRollback(t *testing.T) {
-	c, err := StartCluster(specClusterConfig(), httpd.Program(detHTTPDConfig()))
+	c, err := StartCluster(specClusterConfig(t), httpd.Program(detHTTPDConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,21 +193,7 @@ func TestSpeculationForcedMismatchRollback(t *testing.T) {
 	if !bytes.Contains(resp, []byte("It works!")) {
 		t.Fatalf("new primary response: %q", resp)
 	}
-
-	c.HealReplica(old)
-	waitFor(t, 10*time.Second, "rollback on the healed replica", func() bool {
-		st := c.Replica(old).SpecStats()
-		return st.Aborts >= 1 && st.Rollbacks >= 1 && st.Pending == 0
-	})
-	// One more committed request after repair, then all three must agree.
-	if _, err := c.DialAndRequest("post:1", 8080, []byte("GET /page0.php HTTP/1.0\r\n\r\n"), 1); err != nil {
-		t.Fatal(err)
-	}
-	assertReplicasConverged(t, c, allReplicaIDs(c))
-	st := c.Replica(old).SpecStats()
-	if st.LightAborts == st.Aborts {
-		t.Fatalf("expected a full (not light) abort: %+v", st)
-	}
+	healAndRestart(t, c, old, "MISMATCH-CANARY")
 }
 
 // TestSpeculationLeaderKillDuringWindow kills the stranded primary while
@@ -173,7 +201,7 @@ func TestSpeculationForcedMismatchRollback(t *testing.T) {
 // survivors must fail over and stay bit-identical, and the aborted
 // speculation must never have reached the client.
 func TestSpeculationLeaderKillDuringWindow(t *testing.T) {
-	c, err := StartCluster(specClusterConfig(), httpd.Program(detHTTPDConfig()))
+	c, err := StartCluster(specClusterConfig(t), httpd.Program(detHTTPDConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +226,13 @@ func TestSpeculationLeaderKillDuringWindow(t *testing.T) {
 }
 
 // TestSpeculationAbortDiscardsBufferedEffects is the deep no-leak check
-// for the abort path: after the forced mismatch and rollback, the canary
-// PUT's effects must be gone everywhere — no replica's output log, no
-// replica's filesystem, and (asserted inside forceSpecAbort) no client
-// socket ever carried a byte of it.
+// for the abort path: the canary PUT's response sits in the stranded
+// primary's buffer when the window aborts, and its effects must be gone
+// everywhere — no client socket ever carried a byte of it (asserted inside
+// forceSpecAbort and healAndRestart), and no replica's output log or
+// filesystem holds it once the fail-stopped replica is back.
 func TestSpeculationAbortDiscardsBufferedEffects(t *testing.T) {
-	c, err := StartCluster(specClusterConfig(), httpd.Program(detHTTPDConfig()))
+	c, err := StartCluster(specClusterConfig(t), httpd.Program(detHTTPDConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,218 +243,10 @@ func TestSpeculationAbortDiscardsBufferedEffects(t *testing.T) {
 
 	np := waitNewPrimary(t, c, old)
 	rawRequest(t, c, "nb:1", np.ID(), "GET /index.html HTTP/1.0\r\n\r\n")
-	c.HealReplica(old)
-	waitFor(t, 10*time.Second, "rollback on the healed replica", func() bool {
-		st := c.Replica(old).SpecStats()
-		return st.Rollbacks >= 1 && st.Pending == 0
-	})
-	assertReplicasConverged(t, c, allReplicaIDs(c))
-	assertNoCanary(t, c, allReplicaIDs(c), canary)
-	// The speculative fs.Write must have been rolled back with the rest of
-	// the execution state.
-	for _, path := range []string{"www/canary.html", "www//canary.html"} {
-		if c.Replica(old).FS().Exists(path) {
-			t.Fatalf("canary file %q survived the rollback", path)
-		}
-	}
-}
-
-// TestSpeculationRollbackFromBoundary forces the rollback to restore from
-// an installed checkpoint boundary instead of genesis (boundaryEvery=1
-// makes every quiet moment a capture opportunity) and then asserts that
-// outputs committed AFTER the repair still reach the output log and the
-// clients. This is the regression test for boundary-relative replay
-// suppression: suppression must count only the outputs recorded since the
-// boundary, not every output ever recorded — otherwise the replica
-// silently swallows that many fresh committed responses after the replay.
-func TestSpeculationRollbackFromBoundary(t *testing.T) {
-	c, err := StartCluster(specClusterConfig(), httpd.Program(detHTTPDConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	setSpecTuning(c, 1, 0)
-	waitScheduleStable(t, c)
-	// Committed traffic first, so the boundary state embodies recorded
-	// outputs (the counts stale suppression would swallow).
-	for i := 0; i < 2; i++ {
-		if _, err := c.DialAndRequest(fmt.Sprintf("bwarm:%d", i), 8080,
-			[]byte("GET /index.html HTTP/1.0\r\n\r\n"), 1); err != nil {
-			t.Fatal(err)
-		}
-		waitScheduleStable(t, c)
-	}
-	p, err := c.Primary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "boundary capture on the primary", func() bool {
-		return specBoundaryIndex(p) > 0
-	})
-
-	old := forceSpecAbort(t, c, "BOUNDARY-CANARY")
-	np := waitNewPrimary(t, c, old)
-	resp := rawRequest(t, c, "nb:1", np.ID(), "GET /index.html HTTP/1.0\r\n\r\n")
-	if !bytes.Contains(resp, []byte("It works!")) {
-		t.Fatalf("new primary response: %q", resp)
-	}
-	c.HealReplica(old)
-	waitFor(t, 10*time.Second, "rollback on the healed replica", func() bool {
-		st := c.Replica(old).SpecStats()
-		return st.Rollbacks >= 1 && st.Pending == 0
-	})
-	// The repair must have restored from the boundary, not genesis — that
-	// is the path under test, and the epoch fold marks it.
-	waitFor(t, 10*time.Second, "boundary-restore epoch", func() bool {
-		return c.Replica(old).proc().Sched.Stats().Epoch >= 1
-	})
-	// A fresh committed request after the repair: its output must land in
-	// every replica's output log, including the rolled-back one.
-	if _, err := c.DialAndRequest("post:1", 8080,
-		[]byte("GET /page0.php HTTP/1.0\r\n\r\n"), 1); err != nil {
-		t.Fatal(err)
-	}
-	assertOutputsConverged(t, c, allReplicaIDs(c))
-	assertNoCanary(t, c, allReplicaIDs(c), "BOUNDARY-CANARY")
-}
-
-// TestSpeculationLogCapTripAndRearm pins the replay log's hard bound: a
-// connection held open blocks every quiescent capture, so the log must
-// hit the cap, trip (drop the log, disable feeding — the pipeline keeps
-// serving, just without speculation), and then re-arm through a fresh
-// boundary capture once the connection closes.
-func TestSpeculationLogCapTripAndRearm(t *testing.T) {
-	c, err := StartCluster(specClusterConfig(), httpd.Program(detHTTPDConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	setSpecTuning(c, 4, 8)
-	waitScheduleStable(t, c)
-	p, err := c.Primary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hold a connection open: the cluster is never quiescent, no boundary
-	// capture can trim the log, and the idle bubble stream grows it past
-	// the cap.
-	holder, err := c.Net().Dial(simnet.Addr("holder:1"), c.Addr(p.ID(), 8080))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 15*time.Second, "log cap trip on the primary", func() bool {
-		return p.SpecStats().LogTrips >= 1
-	})
-	st := p.SpecStats()
-	if !st.Disabled {
-		t.Fatalf("feeding not disabled after a cap trip: %+v", st)
-	}
-	// The pipeline must keep serving while speculation is off.
-	resp, err := c.DialAndRequest("capreq:1", 8080,
-		[]byte("GET /index.html HTTP/1.0\r\n\r\n"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(resp, []byte("It works!")) {
-		t.Fatalf("disabled-phase response: %q", resp)
-	}
-	holder.Close()
-	// Quiescent moments now let the disabled-state capture re-arm feeding
-	// with a fresh boundary.
-	waitFor(t, 15*time.Second, "re-arm after a boundary capture", func() bool {
-		return !p.SpecStats().Disabled
-	})
-	winBefore := p.SpecStats().Windows
-	reqN := 0
-	waitFor(t, 15*time.Second, "speculation re-engaged", func() bool {
-		if p.SpecStats().Windows > winBefore {
-			return true
-		}
-		reqN++
-		c.DialAndRequest(fmt.Sprintf("rearm:%d", reqN), 8080,
-			[]byte("GET /index.html HTTP/1.0\r\n\r\n"), 1)
-		return p.SpecStats().Windows > winBefore
-	})
-	waitScheduleStable(t, c)
-	assertReplicasConverged(t, c, allReplicaIDs(c))
+	healAndRestart(t, c, old, canary)
 }
 
 // --- helpers ---
-
-// setSpecTuning adjusts every replica's speculator knobs (zero keeps the
-// default) — tests shrink boundaryEvery to force boundary captures and
-// logCap to force replay-log cap trips.
-func setSpecTuning(c *Cluster, boundaryEvery, logCap int) {
-	for i := 0; i < c.Replicas(); i++ {
-		sp := c.Replica(i).spec
-		sp.mu.Lock()
-		if boundaryEvery > 0 {
-			sp.boundaryEvery = boundaryEvery
-		}
-		if logCap > 0 {
-			sp.logCap = logCap
-		}
-		sp.mu.Unlock()
-	}
-}
-
-// specBoundaryIndex reads the replica's installed rollback boundary index
-// (0 when none).
-func specBoundaryIndex(r *Replica) uint64 {
-	r.spec.mu.Lock()
-	defer r.spec.mu.Unlock()
-	if r.spec.boundary == nil {
-		return 0
-	}
-	return r.spec.boundary.Index
-}
-
-// assertOutputsConverged waits for the listed replicas to go quiescent
-// with stable per-replica ScheduleSums and EQUAL output fingerprints. It
-// is the convergence check for boundary-restore repairs: a replica
-// rebuilt from a checkpoint boundary replays only the post-boundary
-// schedule, so its ScheduleSum intentionally differs (epoch fold) while
-// its externally visible outputs must still match bit for bit.
-func assertOutputsConverged(t *testing.T, c *Cluster, ids []int) {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	last := make(map[int]uint64)
-	stable := 0
-	for time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-		ok := true
-		var refFP uint64
-		for k, i := range ids {
-			r := c.Replica(i)
-			sum := r.proc().Sched.Stats().ScheduleSum
-			fp := r.Outputs().Fingerprint()
-			if r.openConns.Load() != 0 || sum != last[i] {
-				ok = false
-			}
-			last[i] = sum
-			if k == 0 {
-				refFP = fp
-			} else if fp != refFP {
-				ok = false
-			}
-		}
-		if !ok {
-			stable = 0
-			continue
-		}
-		if stable++; stable >= 25 {
-			return
-		}
-	}
-	ref := c.Replica(ids[0])
-	for _, i := range ids[1:] {
-		r := c.Replica(i)
-		if d := trace.Diff(ref.Outputs(), r.Outputs()); d != nil {
-			t.Fatalf("output divergence replica%d vs replica%d: %+v", ids[0], i, d)
-		}
-	}
-	t.Fatalf("outputs never converged (fingerprints unstable or unequal)")
-}
 
 func allReplicaIDs(c *Cluster) []int {
 	ids := make([]int, c.Replicas())
@@ -509,7 +330,7 @@ func assertReplicasConverged(t *testing.T, c *Cluster, ids []int) {
 		var refSum, refFP uint64
 		for k, i := range ids {
 			r := c.Replica(i)
-			sum := r.proc().Sched.Stats().ScheduleSum
+			sum := r.pproc.Sched.Stats().ScheduleSum
 			fp := r.Outputs().Fingerprint()
 			if r.openConns.Load() != 0 || sum != last[i] {
 				ok = false
@@ -539,19 +360,25 @@ func assertReplicasConverged(t *testing.T, c *Cluster, ids []int) {
 	var sums []string
 	for _, i := range ids {
 		sums = append(sums, fmt.Sprintf("replica%d=%#x", i,
-			c.Replica(i).proc().Sched.Stats().ScheduleSum))
+			c.Replica(i).pproc.Sched.Stats().ScheduleSum))
 	}
 	t.Fatalf("replicas never converged: %v", sums)
 }
 
-// assertNoCanary asserts no replica's output log carries the canary bytes.
+// assertNoCanary asserts no listed replica's output log carries the canary
+// bytes.
 func assertNoCanary(t *testing.T, c *Cluster, ids []int, canary string) {
 	t.Helper()
 	for _, i := range ids {
-		for _, ev := range c.Replica(i).Outputs().Events() {
-			if bytes.Contains(ev.Data, []byte(canary)) {
-				t.Fatalf("replica%d logged aborted speculative output: %q", i, ev.Data)
-			}
+		assertNoCanaryIn(t, c.Replica(i), canary)
+	}
+}
+
+func assertNoCanaryIn(t *testing.T, r *Replica, canary string) {
+	t.Helper()
+	for _, ev := range r.Outputs().Events() {
+		if bytes.Contains(ev.Data, []byte(canary)) {
+			t.Fatalf("replica%d logged aborted speculative output: %q", r.ID(), ev.Data)
 		}
 	}
 }

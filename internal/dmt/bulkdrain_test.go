@@ -101,8 +101,7 @@ func TestBulkDrainIdleAdvanceRefuses(t *testing.T) {
 		s := New()
 		p := newAdvanceProbe(5, func(th *Thread) bool { return !th.IsIdle() })
 		s.SetGate(p)
-		s.Start()
-		s.Spawn(nil, "app", func(th *Thread) {
+		s.StartMain("app", func(th *Thread) {
 			var m Mutex
 			th.Lock(&m)
 			th.Unlock(&m)
@@ -115,9 +114,8 @@ func TestBulkDrainIdleAdvanceRefuses(t *testing.T) {
 		s := New()
 		p := newAdvanceProbe(5, func(th *Thread) bool { return th.IsIdle() && th.s.runqLenA.Load() > 1 })
 		s.SetGate(p)
-		s.Start()
 		var stop atomic.Bool
-		s.Spawn(nil, "spinner", func(th *Thread) {
+		s.StartMain("spinner", func(th *Thread) {
 			var m Mutex
 			for !stop.Load() { // always runnable: never leaves the run queue
 				th.Lock(&m)
@@ -137,9 +135,8 @@ func TestBulkDrainIdleAdvanceRefuses(t *testing.T) {
 			return th.IsIdle() && th.s.runqLenA.Load() == 1 && th.s.activeBarriersA.Load() == 1
 		})
 		s.SetGate(p)
-		s.Start()
 		sb := NewSoftBarrier(2, 1<<40)
-		s.Spawn(nil, "arriver", func(th *Thread) { th.SoftBarrierArrive(sb) })
+		s.StartMain("arriver", func(th *Thread) { th.SoftBarrierArrive(sb) })
 		wantIdleAdvanceRefused(t, p.result(t))
 		s.Kill()
 		s.Join()

@@ -80,14 +80,6 @@ type Stats struct {
 	Signals     uint64 // signal/broadcast wake-ups delivered
 	Spawned     uint64 // threads created (excluding the idle thread)
 	ScheduleSum uint64 // FNV-1a hash of the (thread, op) schedule so far
-	// Epoch counts speculation rollbacks that restored from a checkpoint
-	// boundary instead of replaying from genesis. A genesis replay
-	// reproduces the boot schedule bit for bit, so epoch 0 keeps
-	// cross-replica ScheduleSum comparisons exact; a boundary restore
-	// skips the pre-checkpoint schedule, so the epoch is folded into
-	// ScheduleSum — fingerprints then compare post-repair state instead of
-	// accidentally (never) matching a replica that executed from boot.
-	Epoch uint64
 }
 
 // Scheduler is a Parrot-style round-robin DMT scheduler.
@@ -178,10 +170,6 @@ type Scheduler struct {
 	replayPos int
 	replayErr error
 
-	// epochA is the speculation epoch (see Stats.Epoch); set once before
-	// Start on a scheduler rebuilt from a checkpoint boundary.
-	epochA atomic.Uint64
-
 	nextID  int
 	killedA atomic.Bool
 	killCh  chan struct{}
@@ -210,10 +198,6 @@ func New() *Scheduler {
 
 // SetGate installs the CRANE admission gate. Must be called before Start.
 func (s *Scheduler) SetGate(g Gate) { s.gate = g }
-
-// SetEpoch marks the scheduler as executing from a speculation-rollback
-// checkpoint boundary (see Stats.Epoch). Call before Start, on the root.
-func (s *Scheduler) SetEpoch(e uint64) { s.epochA.Store(e) }
 
 // SetFlight installs this lane's flight-recorder journal. Must be called
 // before Start (on each lane scheduler when lanes are configured); nil
@@ -247,9 +231,6 @@ func (s *Scheduler) SetObs(reg *obs.Registry) {
 	})
 	reg.GaugeFunc("dmt_runq_len", "current run-queue length", func() float64 {
 		return float64(s.RunQueueLen())
-	})
-	reg.GaugeFunc("dmt_epoch", "speculation epoch (boundary-restore rebuilds)", func() float64 {
-		return float64(s.epochA.Load())
 	})
 	if len(s.lanes) > 1 {
 		// Per-lane instruments (call SetLanes before SetObs): token-handoff
@@ -419,13 +400,6 @@ func (s *Scheduler) Stats() Stats {
 		agg.ScheduleSum = h
 	} else {
 		agg = s.laneStats()
-	}
-	if e := s.epochA.Load(); e != 0 {
-		// A boundary-restore rebuild skipped the pre-checkpoint schedule:
-		// fold the epoch in so its hash never silently equals a boot-replay
-		// hash (Stats.Epoch doc).
-		agg.Epoch = e
-		agg.ScheduleSum = (agg.ScheduleSum ^ e) * 1099511628211
 	}
 	return agg
 }
@@ -627,7 +601,9 @@ func (s *Scheduler) runqMoveToFrontLocked(i int) {
 // run queue — the parent's lane's queue when parent is non-nil (children
 // inherit their parent's lane), the receiver's otherwise. Spawn is itself
 // a scheduled operation when called from a scheduled thread (parent); the
-// root call (from ordinary Go code, parent nil-turn) appends directly.
+// root call (from ordinary Go code, parent nil) appends directly and is
+// allowed only before Start — afterwards it panics (root threads come from
+// StartMain), unless the scheduler was killed, when Spawn returns nil.
 // fn's panics from Kill are absorbed.
 func (s *Scheduler) Spawn(parent *Thread, name string, fn func(*Thread)) *Thread {
 	if parent != nil {
@@ -642,6 +618,14 @@ func (s *Scheduler) Spawn(parent *Thread, name string, fn func(*Thread)) *Thread
 		t := parent.s.spawn(name, fn, false)
 		parent.PutTurn()
 		return t
+	}
+	s.mu.Lock()
+	started := s.started
+	s.mu.Unlock()
+	if started && !s.killedA.Load() {
+		// A root thread spawned from outside every turn lands after a
+		// timing-dependent number of idle-thread turns.
+		panic(fmt.Sprintf("dmt: Spawn(nil, %q) after Start: spawn root threads from the StartMain thread, or before Start", name))
 	}
 	return s.spawn(name, fn, false)
 }

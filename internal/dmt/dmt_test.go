@@ -3,6 +3,7 @@ package dmt
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -14,21 +15,24 @@ import (
 func runProgram(t *testing.T, bodies []func(*Thread)) Stats {
 	t.Helper()
 	s := New()
-	s.Start()
-	done := make(chan struct{})
-	go func() {
+	main := s.StartMain("main", func(me *Thread) {
+		// One scheduled operation of main spawns every body, so all of them
+		// exist before any takes a turn: a body may block in compute until
+		// its siblings have started.
+		me.GetTurn()
+		me.Admit()
 		threads := make([]*Thread, 0, len(bodies))
 		for i, body := range bodies {
-			th := s.Spawn(nil, fmt.Sprintf("t%d", i), body)
-			threads = append(threads, th)
+			threads = append(threads, s.spawn(fmt.Sprintf("t%d", i), body, false))
 		}
-		// Wait for completion by polling done flags via a joiner thread.
-		joiner := s.Spawn(nil, "joiner", func(me *Thread) {
-			for _, th := range threads {
-				me.Join(th)
-			}
-		})
-		waitDone(s, joiner)
+		me.PutTurn()
+		for _, th := range threads {
+			me.Join(th)
+		}
+	})
+	done := make(chan struct{})
+	go func() {
+		waitDone(s, main)
 		close(done)
 	}()
 	select {
@@ -111,11 +115,10 @@ func TestTryLock(t *testing.T) {
 
 func TestUnlockOfUnlockedPanics(t *testing.T) {
 	s := New()
-	s.Start()
 	defer func() { s.Kill(); s.Join() }()
 	var m Mutex
 	panicked := make(chan bool, 1)
-	s.Spawn(nil, "t", func(th *Thread) {
+	s.StartMain("t", func(th *Thread) {
 		defer func() { panicked <- recover() != nil }()
 		th.Unlock(&m)
 	})
@@ -233,12 +236,11 @@ func TestRWMutexReadersShareWritersExclude(t *testing.T) {
 
 func TestJoinWaitsForExit(t *testing.T) {
 	s := New()
-	s.Start()
 	defer func() { s.Kill(); s.Join() }()
 	var finished atomic.Bool
 	result := make(chan bool, 1)
-	go func() {
-		worker := s.Spawn(nil, "worker", func(th *Thread) {
+	s.StartMain("joiner", func(th *Thread) {
+		worker := s.Spawn(th, "worker", func(th *Thread) {
 			var m Mutex
 			for i := 0; i < 100; i++ {
 				th.Lock(&m)
@@ -246,11 +248,9 @@ func TestJoinWaitsForExit(t *testing.T) {
 			}
 			finished.Store(true)
 		})
-		s.Spawn(nil, "joiner", func(th *Thread) {
-			th.Join(worker)
-			result <- finished.Load()
-		})
-	}()
+		th.Join(worker)
+		result <- finished.Load()
+	})
 	select {
 	case ok := <-result:
 		if !ok {
@@ -263,17 +263,17 @@ func TestJoinWaitsForExit(t *testing.T) {
 
 func TestJoinAlreadyExited(t *testing.T) {
 	s := New()
-	s.Start()
 	defer func() { s.Kill(); s.Join() }()
 	done := make(chan struct{})
-	go func() {
-		w := s.Spawn(nil, "w", func(th *Thread) {})
+	s.StartMain("j", func(th *Thread) {
+		w := s.Spawn(th, "w", func(th *Thread) {})
+		// Wait for w's exit off the scheduler, so the token can reach it.
+		th.BlockingEnter()
 		waitDoneRaw(s, w)
-		s.Spawn(nil, "j", func(th *Thread) {
-			th.Join(w) // must not hang
-			close(done)
-		})
-	}()
+		th.BlockingExit()
+		th.Join(w) // must not hang
+		close(done)
+	})
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -299,13 +299,12 @@ func waitDoneRaw(s *Scheduler, th *Thread) {
 func TestDeterministicSchedule(t *testing.T) {
 	run := func(seed int64) uint64 {
 		s := New()
-		s.Start()
 		rng := rand.New(rand.NewSource(seed))
 		var m Mutex
 		var c Cond
 		shared := 0
 		var threads []*Thread
-		root := s.Spawn(nil, "root", func(root *Thread) {
+		root := s.StartMain("root", func(root *Thread) {
 			for i := 0; i < 4; i++ {
 				jitter := time.Duration(rng.Intn(200)) * time.Microsecond
 				th := s.Spawn(root, fmt.Sprintf("w%d", i), func(th *Thread) {
@@ -408,18 +407,17 @@ func TestSoftBarrierTimesOutDeterministically(t *testing.T) {
 
 func TestKillUnblocksWaiters(t *testing.T) {
 	s := New()
-	s.Start()
 	var m Mutex
 	entered := make(chan struct{})
-	s.Spawn(nil, "holder", func(th *Thread) {
+	s.StartMain("holder", func(th *Thread) {
 		th.Lock(&m)
+		s.Spawn(th, "waiter", func(th *Thread) {
+			th.Lock(&m) // blocks forever until Kill
+		})
 		close(entered)
 		select {} // never unlocks; blocked forever in compute
 	})
 	<-entered
-	s.Spawn(nil, "waiter", func(th *Thread) {
-		th.Lock(&m) // blocks forever until Kill
-	})
 	time.Sleep(5 * time.Millisecond)
 	s.Kill()
 	done := make(chan struct{})
@@ -447,28 +445,51 @@ func TestSpawnAfterKillReturnsNil(t *testing.T) {
 	s.Join()
 }
 
+// TestRootSpawnAfterStartPanics: after Start, a nil-parent Spawn or
+// SpawnLane would land behind a timing-dependent number of idle-thread
+// turns, so both refuse with a message that names StartMain.
+func TestRootSpawnAfterStartPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spawn func(s *Scheduler)
+	}{
+		{"Spawn", func(s *Scheduler) { s.Spawn(nil, "late", func(*Thread) {}) }},
+		{"SpawnLane", func(s *Scheduler) { s.SpawnLane(nil, 1, "late", func(*Thread) {}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			s.SetLanes(2)
+			s.Start()
+			defer func() { s.Kill(); s.Join() }()
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "StartMain") {
+					t.Fatalf("root spawn after Start: panic %q, want one naming StartMain", msg)
+				}
+			}()
+			tc.spawn(s)
+		})
+	}
+}
+
 func TestBlockingEnterExitRoundTrip(t *testing.T) {
 	// Simulates plain Parrot's nondeterministic socket path: a thread
 	// leaves the scheduler for a real blocking call and re-enters via the
 	// reentry queue drained by other token holders (here: the idle thread).
 	s := New()
-	s.Start()
 	defer func() { s.Kill(); s.Join() }()
 	result := make(chan int, 1)
-	go func() {
-		ch := make(chan int, 1)
-		s.Spawn(nil, "io", func(th *Thread) {
-			th.BlockingEnter()
-			v := <-ch // real blocking op, outside the scheduler
-			th.BlockingExit()
-			var m Mutex
-			th.Lock(&m) // scheduled ops still work after reentry
-			th.Unlock(&m)
-			result <- v
-		})
-		time.Sleep(2 * time.Millisecond)
-		ch <- 42
-	}()
+	ch := make(chan int, 1)
+	s.StartMain("io", func(th *Thread) {
+		th.BlockingEnter()
+		v := <-ch // real blocking op, outside the scheduler
+		th.BlockingExit()
+		var m Mutex
+		th.Lock(&m) // scheduled ops still work after reentry
+		th.Unlock(&m)
+		result <- v
+	})
+	time.Sleep(2 * time.Millisecond)
+	ch <- 42
 	select {
 	case v := <-result:
 		if v != 42 {
@@ -488,11 +509,10 @@ func TestQuickScheduleDeterminism(t *testing.T) {
 		no := int(nOps)%30 + 5
 		run := func(jseed int64) (uint64, int) {
 			s := New()
-			s.Start()
 			var m Mutex
 			shared := 0
 			rng := rand.New(rand.NewSource(jseed))
-			root := s.Spawn(nil, "root", func(root *Thread) {
+			root := s.StartMain("root", func(root *Thread) {
 				var ths []*Thread
 				for i := 0; i < nt; i++ {
 					j := time.Duration(rng.Intn(100)) * time.Microsecond

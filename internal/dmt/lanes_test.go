@@ -262,22 +262,22 @@ func TestCrossCondWaitPanics(t *testing.T) {
 func TestCrossJoinPanics(t *testing.T) {
 	s := New()
 	s.SetLanes(2)
-	s.Start()
 	defer func() { s.Kill(); s.Join() }()
-	victim := s.SpawnLane(nil, 1, "victim", func(th *Thread) {
-		for !th.s.killedA.Load() {
-			th.GetTurn()
-			th.Admit()
-			th.PutTurn()
-		}
-	})
 	var msg atomic.Value
-	joiner := s.SpawnLane(nil, 0, "joiner", func(th *Thread) {
+	// The main thread runs in lane 0 and joins a thread of lane 1.
+	joiner := s.StartMain("joiner", func(th *Thread) {
 		defer func() {
 			if r := recover(); r != nil {
 				msg.Store(fmt.Sprint(r))
 			}
 		}()
+		victim := s.SpawnLane(th, 1, "victim", func(th *Thread) {
+			for !th.s.killedA.Load() {
+				th.GetTurn()
+				th.Admit()
+				th.PutTurn()
+			}
+		})
 		th.Join(victim)
 	})
 	waitDone(joiner.s, joiner)

@@ -12,27 +12,26 @@ func recordRun(t *testing.T) (*Schedule, uint64, []string) {
 	t.Helper()
 	s := New()
 	sched := s.StartRecording()
-	s.Start()
 	var m Mutex
 	var traceLog []string
 	done := make(chan struct{})
+	var ths []*Thread
+	root := s.StartMain("root", func(root *Thread) {
+		for i := 0; i < 3; i++ {
+			name := fmt.Sprintf("w%d", i)
+			ths = append(ths, s.Spawn(root, name, func(th *Thread) {
+				for j := 0; j < 10; j++ {
+					th.Lock(&m)
+					traceLog = append(traceLog, fmt.Sprintf("%s:%d", th.Name(), j))
+					th.Unlock(&m)
+				}
+			}))
+		}
+		for _, th := range ths {
+			root.Join(th)
+		}
+	})
 	go func() {
-		var ths []*Thread
-		root := s.Spawn(nil, "root", func(root *Thread) {
-			for i := 0; i < 3; i++ {
-				name := fmt.Sprintf("w%d", i)
-				ths = append(ths, s.Spawn(root, name, func(th *Thread) {
-					for j := 0; j < 10; j++ {
-						th.Lock(&m)
-						traceLog = append(traceLog, fmt.Sprintf("%s:%d", th.Name(), j))
-						th.Unlock(&m)
-					}
-				}))
-			}
-			for _, th := range ths {
-				root.Join(th)
-			}
-		})
 		waitDoneRaw(s, root)
 		close(done)
 	}()
@@ -57,27 +56,26 @@ func TestReplayReproducesSchedule(t *testing.T) {
 
 	s := New()
 	s.SetReplay(sched)
-	s.Start()
 	var m Mutex
 	var traceLog []string
 	done := make(chan struct{})
+	var ths []*Thread
+	root := s.StartMain("root", func(root *Thread) {
+		for i := 0; i < 3; i++ {
+			name := fmt.Sprintf("w%d", i)
+			ths = append(ths, s.Spawn(root, name, func(th *Thread) {
+				for j := 0; j < 10; j++ {
+					th.Lock(&m)
+					traceLog = append(traceLog, fmt.Sprintf("%s:%d", th.Name(), j))
+					th.Unlock(&m)
+				}
+			}))
+		}
+		for _, th := range ths {
+			root.Join(th)
+		}
+	})
 	go func() {
-		var ths []*Thread
-		root := s.Spawn(nil, "root", func(root *Thread) {
-			for i := 0; i < 3; i++ {
-				name := fmt.Sprintf("w%d", i)
-				ths = append(ths, s.Spawn(root, name, func(th *Thread) {
-					for j := 0; j < 10; j++ {
-						th.Lock(&m)
-						traceLog = append(traceLog, fmt.Sprintf("%s:%d", th.Name(), j))
-						th.Unlock(&m)
-					}
-				}))
-			}
-			for _, th := range ths {
-				root.Join(th)
-			}
-		})
 		waitDoneRaw(s, root)
 		close(done)
 	}()
@@ -113,10 +111,9 @@ func TestReplayDivergenceDetected(t *testing.T) {
 
 	s := New()
 	s.SetReplay(sched)
-	s.Start()
 	// A different program: one worker doing RWMutex ops where the script
 	// expects three mutex workers.
-	s.Spawn(nil, "root", func(root *Thread) {
+	s.StartMain("root", func(root *Thread) {
 		var rw RWMutex
 		w := s.Spawn(root, "other", func(th *Thread) {
 			for j := 0; j < 10; j++ {

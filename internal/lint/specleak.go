@@ -9,7 +9,7 @@ import "go/ast"
 // can buffer them until its commits confirm. A direct
 // simnet.Conn.Write, trace.OutputLog.Record, or wal.Log append from that
 // package leaks a possibly-aborted effect to a client, the cross-replica
-// output fingerprint, or the durable log — a leak no rollback can recall.
+// output fingerprint, or the durable log — a leak no abort can recall.
 // Those effects are the sinks of the engine's sink table marked gated.
 //
 // Scope: the crane/internal/crane package. The two legitimate sinks below
@@ -32,7 +32,7 @@ func runSpecLeak(pass *Pass) {
 				return true
 			}
 			if spec := sinkFuncs[funcID(staticCallee(pass.Info, call))]; spec.gated {
-				pass.Report(call.Pos(), "%s bypasses the speculation gate: an open window cannot buffer or roll back this effect; route it through Replica.emitOutput, or annotate why no window can be open here", spec.label)
+				pass.Report(call.Pos(), "%s bypasses the speculation gate: an open window cannot buffer or discard this effect; route it through Replica.emitOutput, or annotate why no window can be open here", spec.label)
 			}
 			return true
 		})

@@ -32,6 +32,6 @@ func LoopNote(j *flight.Journal, n uint64) {
 // RangeNote allocates per ranged element.
 func RangeNote(j *flight.Journal, stamps []uint64) {
 	for _, s := range stamps {
-		j.Note(flight.EvCheckpoint, s, s, 0, "per-element") // want `Journal\.Note inside a determinism hot loop`
+		j.Note(flight.EvGroupCommit, s, 0, s, "per-element") // want `Journal\.Note inside a determinism hot loop`
 	}
 }

@@ -1,7 +1,7 @@
 // Package specleak exercises the speculation-gate analyzer: in gated
 // code, externally visible effects (socket writes, output-log records,
 // WAL appends) must route through the speculator so an open window can
-// buffer them — direct calls are leaks no rollback can recall. The test
+// buffer them — direct calls are leaks no abort can recall. The test
 // loads it as crane/internal/crane, the gated package.
 package specleak
 

@@ -3,8 +3,8 @@
 // CRANE replica executes — scheduler ticks, wait/signal keys, cross-lane
 // merge stamps, Paxos-sequence consumption acts — plus an annotation
 // journal for events that are *about* the run but not themselves
-// replica-deterministic (speculation windows, checkpoint boundary
-// installs, view changes, output records).
+// replica-deterministic (speculation windows, view changes, output
+// records).
 //
 // Comparable events are stored in per-lane rings, each entry carrying the
 // lane's logical clock, its sequence consumption position, and a rolling
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
 // Comparable event kinds: folded into the rolling chain hash. These are
@@ -56,16 +55,14 @@ const (
 
 // Annotation event kinds: recorded in the control journal for forensics
 // but never folded into a chain — their timing is physical (view changes,
-// speculation, checkpoints) so folding them would raise false alarms.
+// speculation) so folding them would raise false alarms.
 const (
-	EvOutput       uint8 = 64 // output recorded: A=conn, B=cumulative count
-	EvSpecOpen     uint8 = 65 // speculation window opened: A=entries fed
-	EvSpecConfirm  uint8 = 66 // window confirmed: A=confirmed entries
-	EvSpecAbort    uint8 = 67 // window aborted: A=entries, B=1 if rollback
-	EvSpecRollback uint8 = 68 // checkpoint rollback: A=new epoch, B=boundary index
-	EvCheckpoint   uint8 = 69 // boundary checkpoint installed: A=log index
-	EvViewChange   uint8 = 70 // consensus view change: A=view, B=primary
-	EvGroupCommit  uint8 = 71 // sharded consensus commit: A=Paxos group, B=per-group slot
+	EvOutput      uint8 = 64 // output recorded: A=conn, B=cumulative count
+	EvSpecOpen    uint8 = 65 // speculation window opened: A=entries fed
+	EvSpecConfirm uint8 = 66 // window confirmed: A=confirmed entries
+	EvSpecAbort   uint8 = 67 // window aborted: A=entries, B=1 if contaminated (the replica fail-stops)
+	EvViewChange  uint8 = 70 // consensus view change: A=view, B=primary
+	EvGroupCommit uint8 = 71 // sharded consensus commit: A=Paxos group, B=per-group slot
 )
 
 // Comparable reports whether kind participates in the chain hash.
@@ -98,10 +95,6 @@ func KindName(kind uint8) string {
 		return "spec_confirm"
 	case EvSpecAbort:
 		return "spec_abort"
-	case EvSpecRollback:
-		return "spec_rollback"
-	case EvCheckpoint:
-		return "checkpoint"
 	case EvViewChange:
 		return "view_change"
 	case EvGroupCommit:
@@ -132,7 +125,7 @@ const (
 
 // Entry is one journaled event.
 type Entry struct {
-	Idx    uint64 // position in this journal's stream since the last epoch reset
+	Idx    uint64 // position in this journal's stream
 	Kind   uint8
 	Lane   int32
 	Clock  uint64 // lane logical clock at emission (informational, not folded)
@@ -162,7 +155,6 @@ type Mark struct {
 // cumulative output count and Chain the incremental output FNV hash.
 type AuditSample struct {
 	Lane  int32
-	Epoch uint32
 	Pos   uint64
 	Chain uint64
 }
@@ -185,9 +177,8 @@ type Journal struct {
 	lane int32
 
 	buf   []Entry
-	head  uint64 // total entries emitted since the last reset
+	head  uint64 // total entries emitted
 	chain uint64
-	epoch uint32
 
 	segEvery uint64
 	segs     []Segment
@@ -416,26 +407,6 @@ func (j *Journal) NewestMark() (Mark, bool) {
 	return j.marks[(j.markhead-1)%markCap], true
 }
 
-// reset re-bases the journal for a new epoch: the rollback path rebuilds
-// execution from the last committed boundary, so the re-recording starts
-// from a fresh chain basis.
-func (j *Journal) reset(epoch uint32) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.head = 0
-	j.chain = fnvOffset
-	j.epoch = epoch
-	j.segs = j.segs[:0]
-	j.seghead = 0
-	j.marks = j.marks[:0]
-	j.markhead = 0
-	j.nextMark = j.auditEvery
-	j.lastPos = 0
-	j.mu.Unlock()
-}
-
 // Recorder aggregates one replica's journals: one comparable journal per
 // execution lane plus a control journal for annotations. A nil recorder
 // is fully inert, so "recorder off" costs one nil check per call site.
@@ -443,7 +414,6 @@ type Recorder struct {
 	name  string
 	lanes []*Journal
 	ctl   *Journal
-	epoch atomic.Uint32
 
 	auditEvery uint64
 
@@ -519,37 +489,12 @@ func (r *Recorder) Control() *Journal {
 	return r.ctl
 }
 
-// Epoch returns the current journal epoch (bumped by rollback).
-func (r *Recorder) Epoch() uint32 {
-	if r == nil {
-		return 0
-	}
-	return r.epoch.Load()
-}
-
 // AuditEvery returns the configured mark interval.
 func (r *Recorder) AuditEvery() uint64 {
 	if r == nil {
 		return 0
 	}
 	return r.auditEvery
-}
-
-// AdvanceEpoch re-bases every lane journal under a new epoch. The
-// speculation rollback path calls this before replaying the committed
-// stream through the rebuilt scheduler: the post-rollback re-recording
-// is internally consistent but not comparable with journals recorded
-// live, so the live audit compares only equal-epoch samples (output
-// fingerprints, which cover only committed outputs, stay epoch-free).
-func (r *Recorder) AdvanceEpoch() uint32 {
-	if r == nil {
-		return 0
-	}
-	e := r.epoch.Add(1)
-	for _, j := range r.lanes {
-		j.reset(e)
-	}
-	return e
 }
 
 // NoteOutput records an output-fingerprint audit mark whenever the
@@ -661,11 +606,10 @@ func (r *Recorder) CollectAudit(cur *AuditCursor) []AuditSample {
 	if cur.lanePos == nil {
 		cur.lanePos = make([]uint64, len(r.lanes))
 	}
-	epoch := r.Epoch()
 	var out []AuditSample
 	for i, j := range r.lanes {
 		for _, m := range j.MarksSince(cur.lanePos[i], maxSamplesPerLane) {
-			out = append(out, AuditSample{Lane: int32(i), Epoch: epoch, Pos: m.Pos, Chain: m.Chain})
+			out = append(out, AuditSample{Lane: int32(i), Pos: m.Pos, Chain: m.Chain})
 			if m.Pos > cur.lanePos[i] {
 				cur.lanePos[i] = m.Pos
 			}
@@ -686,12 +630,12 @@ func (r *Recorder) CollectAudit(cur *AuditCursor) []AuditSample {
 // ParseJournal/crane-inspect.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if r == nil {
-		_, err := fmt.Fprintf(w, "{\"meta\":\"crane-flight-journal\",\"replica\":\"\",\"lanes\":0,\"epoch\":0}\n")
+		_, err := fmt.Fprintf(w, "{\"meta\":\"crane-flight-journal\",\"replica\":\"\",\"lanes\":0}\n")
 		return err
 	}
 	bw := newLineWriter(w)
-	bw.printf("{\"meta\":\"crane-flight-journal\",\"replica\":%q,\"lanes\":%d,\"epoch\":%d,\"audit_every\":%d}\n",
-		r.name, len(r.lanes), r.Epoch(), r.auditEvery)
+	bw.printf("{\"meta\":\"crane-flight-journal\",\"replica\":%q,\"lanes\":%d,\"audit_every\":%d}\n",
+		r.name, len(r.lanes), r.auditEvery)
 	for _, j := range r.lanes {
 		if err := j.writeJSONL(bw); err != nil {
 			return err
@@ -707,24 +651,23 @@ func (j *Journal) writeJSONL(bw *lineWriter) error {
 	j.mu.Lock()
 	entries := j.entriesLocked()
 	head := j.head
-	epoch := j.epoch
 	j.mu.Unlock()
 	for _, s := range j.Segments() {
-		bw.printf("{\"lane\":%d,\"epoch\":%d,\"seg_end\":%d,\"chain\":%d}\n",
-			j.lane, epoch, s.End, s.Chain)
+		bw.printf("{\"lane\":%d,\"seg_end\":%d,\"chain\":%d}\n",
+			j.lane, s.End, s.Chain)
 	}
 	if head > uint64(len(entries)) {
-		bw.printf("{\"lane\":%d,\"epoch\":%d,\"truncated\":true,\"dropped\":%d}\n",
-			j.lane, epoch, head-uint64(len(entries)))
+		bw.printf("{\"lane\":%d,\"truncated\":true,\"dropped\":%d}\n",
+			j.lane, head-uint64(len(entries)))
 	}
 	for i := range entries {
 		e := &entries[i]
 		if e.Detail == "" {
-			bw.printf("{\"lane\":%d,\"epoch\":%d,\"idx\":%d,\"kind\":%q,\"clock\":%d,\"pos\":%d,\"a\":%d,\"b\":%d,\"chain\":%d}\n",
-				e.Lane, epoch, e.Idx, KindName(e.Kind), e.Clock, e.Pos, e.A, e.B, e.Chain)
+			bw.printf("{\"lane\":%d,\"idx\":%d,\"kind\":%q,\"clock\":%d,\"pos\":%d,\"a\":%d,\"b\":%d,\"chain\":%d}\n",
+				e.Lane, e.Idx, KindName(e.Kind), e.Clock, e.Pos, e.A, e.B, e.Chain)
 		} else {
-			bw.printf("{\"lane\":%d,\"epoch\":%d,\"idx\":%d,\"kind\":%q,\"clock\":%d,\"pos\":%d,\"a\":%d,\"b\":%d,\"chain\":%d,\"detail\":%q}\n",
-				e.Lane, epoch, e.Idx, KindName(e.Kind), e.Clock, e.Pos, e.A, e.B, e.Chain, e.Detail)
+			bw.printf("{\"lane\":%d,\"idx\":%d,\"kind\":%q,\"clock\":%d,\"pos\":%d,\"a\":%d,\"b\":%d,\"chain\":%d,\"detail\":%q}\n",
+				e.Lane, e.Idx, KindName(e.Kind), e.Clock, e.Pos, e.A, e.B, e.Chain, e.Detail)
 		}
 	}
 	return bw.err

@@ -118,25 +118,6 @@ func TestMarksMatchAcrossBubbleCoalescing(t *testing.T) {
 	}
 }
 
-func TestEpochResetRebasesChain(t *testing.T) {
-	r := New("r0", 2, Options{Capacity: 64, SegEvery: 16, AuditEvery: 8})
-	emitN(r.Lane(0), 50, 1)
-	before := r.Lane(0).Chain()
-	if e := r.AdvanceEpoch(); e != 1 {
-		t.Fatalf("AdvanceEpoch = %d, want 1", e)
-	}
-	if r.Lane(0).Len() != 0 || r.Lane(1).Len() != 0 {
-		t.Fatal("epoch advance did not reset lane journals")
-	}
-	emitN(r.Lane(0), 50, 1)
-	if r.Lane(0).Chain() != before {
-		t.Fatal("re-recording the same stream after reset should reproduce the chain")
-	}
-	if r.Epoch() != 1 {
-		t.Fatalf("Epoch = %d, want 1", r.Epoch())
-	}
-}
-
 func TestCollectAudit(t *testing.T) {
 	r := New("r0", 1, Options{Capacity: 256, SegEvery: 32, AuditEvery: 8})
 	var cur AuditCursor
@@ -153,7 +134,7 @@ func TestCollectAudit(t *testing.T) {
 		switch s.Lane {
 		case 0:
 			lanes++
-			if s.Epoch != 0 || s.Pos%8 != 0 {
+			if s.Pos%8 != 0 {
 				t.Fatalf("bad lane sample %+v", s)
 			}
 		case OutputLane:
@@ -189,7 +170,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.Lane(0).Emit(EvTick, 1, 2, 3, 4)
 	r.Control().Note(EvViewChange, 1, 2, 3, "x")
 	r.NoteOutput(1, 2)
-	r.AdvanceEpoch()
 	if got := r.CollectAudit(&AuditCursor{}); got != nil {
 		t.Fatalf("nil recorder collected %v", got)
 	}
@@ -310,16 +290,6 @@ func TestFirstDivergenceEvictedFallsBackToSegments(t *testing.T) {
 	}
 	if d.SegEnd == 0 || d.SegEnd > 112 {
 		t.Fatalf("segment bound %d, want first divergent segment boundary (<= 112)", d.SegEnd)
-	}
-}
-
-func TestFirstDivergenceEpochMismatch(t *testing.T) {
-	ra := New("ra", 1, Options{})
-	rb := New("rb", 1, Options{})
-	rb.AdvanceEpoch()
-	d := FirstDivergence(parse(t, ra), parse(t, rb))
-	if d == nil || !strings.Contains(d.Note, "epoch") {
-		t.Fatalf("epoch mismatch not reported: %+v", d)
 	}
 }
 

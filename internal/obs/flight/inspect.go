@@ -17,7 +17,6 @@ import (
 type Dump struct {
 	Replica    string
 	LaneCount  int
-	Epoch      uint32
 	AuditEvery uint64
 	Lanes      map[int32]*LaneDump // keyed by lane; -1 is the control journal
 }
@@ -25,7 +24,6 @@ type Dump struct {
 // LaneDump holds one journal's retained stream.
 type LaneDump struct {
 	Lane     int32
-	Epoch    uint32
 	Dropped  uint64 // entries evicted from the ring before the dump
 	Segments []Segment
 	Entries  []Entry // oldest first; Entries[i].Idx is contiguous
@@ -39,7 +37,6 @@ type jsonlLine struct {
 	AuditEvery uint64 `json:"audit_every"`
 
 	Lane      int32  `json:"lane"`
-	Epoch     uint32 `json:"epoch"`
 	SegEnd    uint64 `json:"seg_end"`
 	Truncated bool   `json:"truncated"`
 	Dropped   uint64 `json:"dropped"`
@@ -74,15 +71,14 @@ func ParseJournal(r io.Reader) (*Dump, error) {
 		case ln.Meta != "":
 			d.Replica = ln.Replica
 			d.LaneCount = ln.LaneCount
-			d.Epoch = ln.Epoch
 			d.AuditEvery = ln.AuditEvery
 		case ln.SegEnd != 0:
-			lane := d.lane(ln.Lane, ln.Epoch)
+			lane := d.lane(ln.Lane)
 			lane.Segments = append(lane.Segments, Segment{End: ln.SegEnd, Chain: ln.Chain})
 		case ln.Truncated:
-			d.lane(ln.Lane, ln.Epoch).Dropped = ln.Dropped
+			d.lane(ln.Lane).Dropped = ln.Dropped
 		case ln.Kind != "":
-			lane := d.lane(ln.Lane, ln.Epoch)
+			lane := d.lane(ln.Lane)
 			lane.Entries = append(lane.Entries, Entry{
 				Idx:    ln.Idx,
 				Kind:   kindByName(ln.Kind),
@@ -102,10 +98,10 @@ func ParseJournal(r io.Reader) (*Dump, error) {
 	return d, nil
 }
 
-func (d *Dump) lane(lane int32, epoch uint32) *LaneDump {
+func (d *Dump) lane(lane int32) *LaneDump {
 	l, ok := d.Lanes[lane]
 	if !ok {
-		l = &LaneDump{Lane: lane, Epoch: epoch}
+		l = &LaneDump{Lane: lane}
 		d.Lanes[lane] = l
 	}
 	return l
@@ -131,11 +127,6 @@ type Divergence struct {
 // the entries are retained the search lands on the exact first
 // divergent entry.
 func FirstDivergence(a, b *Dump) *Divergence {
-	if a.Epoch != b.Epoch {
-		return &Divergence{Lane: -1, Note: fmt.Sprintf(
-			"journal epochs differ (%s epoch %d vs %s epoch %d): a rollback re-based one replica's journal; chains are not comparable",
-			a.Replica, a.Epoch, b.Replica, b.Epoch)}
-	}
 	lanes := make([]int32, 0, len(a.Lanes))
 	for lane := range a.Lanes {
 		if lane >= 0 {

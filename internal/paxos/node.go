@@ -168,8 +168,6 @@ type event struct {
 	msg      *Message
 	batch    [][]byte
 	reply    chan error
-	compact  uint64
-	reply2   chan struct{}
 	done     uint64 // SetDone watermark
 	setDone  bool
 	tick     bool
@@ -307,6 +305,9 @@ func NewNode(cfg Config) (*Node, error) {
 	if err := n.recover(); err != nil {
 		return nil, err
 	}
+	// Until the loop runs, readers see the configured primary, not the zero
+	// values: a rejoining node 0 would otherwise report itself primary.
+	n.publish()
 	return n, nil
 }
 
@@ -450,25 +451,9 @@ func (n *Node) LastElectionMillis() float64 {
 	return n.lastElectionMs
 }
 
-// CompactTo discards in-memory log entries with index <= idx and compacts
-// the WAL below them. Only committed prefixes may be compacted; the caller
-// must hold a checkpoint at idx (the paper associates every checkpoint
-// with a global index precisely so this prefix is recoverable, §5.2).
-// Lagging replicas needing compacted entries must restore from that
-// checkpoint instead of catch-up.
-func (n *Node) CompactTo(idx uint64) {
-	done := make(chan struct{})
-	select {
-	case n.events <- event{compact: idx, reply2: done}:
-	case <-n.done:
-		return
-	}
-	select {
-	case <-done:
-	case <-n.done:
-	}
-}
-
+// handleCompact discards in-memory log entries with index <= idx and
+// compacts the WAL below them (the GC floor, applyGCFloor). Only committed
+// prefixes are compacted.
 func (n *Node) handleCompact(idx uint64) {
 	if idx > n.commitIdx {
 		idx = n.commitIdx
@@ -552,17 +537,6 @@ func (n *Node) applyGCFloor(floor uint64) {
 	n.handleCompact(floor)
 }
 
-// ReplayFrom streams persisted committed entries with index in
-// (from, CommitIndex] to fn, for replica recovery.
-func (n *Node) ReplayFrom(from uint64, fn func(LogEntry) bool) error {
-	if n.cfg.Store == nil {
-		return nil
-	}
-	return n.cfg.Store.Scan(from+1, ^uint64(0), func(r wal.Record) bool {
-		return fn(LogEntry{Index: r.Index, View: r.View, Payload: r.Payload})
-	})
-}
-
 func (n *Node) publish() {
 	n.mu.Lock()
 	n.extView = n.view
@@ -601,9 +575,6 @@ func (n *Node) loop() {
 			switch {
 			case ev.msg != nil:
 				n.handle(*ev.msg)
-			case ev.reply2 != nil:
-				n.handleCompact(ev.compact)
-				close(ev.reply2)
 			case ev.setDone:
 				n.handleDone(ev.done)
 			case ev.campaign:

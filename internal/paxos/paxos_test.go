@@ -427,37 +427,23 @@ func TestDeliverFromSuppressesReplay(t *testing.T) {
 	}
 }
 
-func TestReplayFromReadsWal(t *testing.T) {
-	dir := t.TempDir()
-	l, err := openWal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRejoiningNodeIsNotPrimaryBeforeStart: a node built to rejoin a
+// running cluster (InitialPrimary -1) must not report itself primary before
+// its loop runs — for node 0 the zero-valued published view would say it is,
+// and a client routed there would be admitted by a replica that leads
+// nothing.
+func TestRejoiningNodeIsNotPrimaryBeforeStart(t *testing.T) {
 	hub := NewChanHub(0, 0, 0, 1)
-	n1, err := NewNode(Config{
-		ID: 0, Peers: []int{0}, Transport: hub.Endpoint(0), Store: l,
-		HeartbeatInterval: time.Millisecond,
+	defer hub.Close()
+	n, err := NewNode(Config{
+		ID: 0, Peers: []int{0, 1, 2}, Transport: hub.Endpoint(0),
+		InitialPrimary: -1, HeartbeatInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1.Start()
-	defer n1.Stop()
-	for i := 0; i < 5; i++ {
-		if err := n1.Propose([]byte{byte(i + 100)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "commit", func() bool { return n1.CommitIndex() == 5 })
-	var got []byte
-	if err := n1.ReplayFrom(2, func(e LogEntry) bool {
-		got = append(got, e.Payload[0])
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{102, 103, 104}) {
-		t.Fatalf("ReplayFrom = %v", got)
+	if _, p := n.View(); n.IsPrimary() || p != -1 {
+		t.Fatalf("unstarted rejoining node: IsPrimary=%v primary=%d, want false and -1", n.IsPrimary(), p)
 	}
 }
 

@@ -249,7 +249,7 @@ type Sequence struct {
 	// crucially — partial SEND byte copies, which advance no other counter.
 	// The speculation layer snapshots it when a window opens and compares
 	// after truncation: any change means speculative input reached the
-	// server and the abort must escalate to a full rollback.
+	// server, and the abort fail-stops the replica.
 	specConsumed uint64
 	// progressA mirrors bubbleClocks + consumedCalls: the sequence's
 	// consumption position. Atomic so other lanes' merge polls read it
@@ -403,7 +403,7 @@ func (s *Sequence) ClearSpec(e *Entry, index uint64) {
 // speculation), rolling the enqueue-side counters back so Stats reflect
 // the committed stream only. Partially consumed speculative entries have
 // already leaked input into the server; the caller detects that via
-// SpecConsumed and escalates to a rollback. Returns how many entries were
+// SpecConsumed and fail-stops the replica. Returns how many entries were
 // removed.
 func (s *Sequence) TruncateSpec() int {
 	s.mu.Lock()
@@ -439,31 +439,6 @@ func (s *Sequence) SpecConsumed() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.specConsumed
-}
-
-// Reset wipes the sequence back to its freshly-created state in place —
-// entries, head, every counter, and the consumption position — keeping
-// the installed instruments and hooks. The rollback path resets the lane
-// sequences rather than replacing them so every pointer into them (socket
-// layer, gate, hooks) stays valid; the fresh scheduler then replays the
-// committed stream from consumption position zero.
-func (s *Sequence) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.entries {
-		s.entries[i] = nil
-	}
-	s.entries = s.entries[:0]
-	s.head = 0
-	s.lastDrain = time.Now()
-	s.enqueued = 0
-	s.bubbles = 0
-	s.clientCalls = 0
-	s.bubbleClocks = 0
-	s.consumedCalls = 0
-	s.payloadBytes = 0
-	s.specConsumed = 0
-	s.progressA.Store(0)
 }
 
 // pendingLocked returns the number of pending entries; headLocked the

@@ -113,30 +113,3 @@ func TestTruncateSpecRemovesOnlySpecSuffix(t *testing.T) {
 		t.Fatalf("second TruncateSpec removed %d entries", n)
 	}
 }
-
-// TestResetRestoresFreshState verifies the rollback path's in-place wipe:
-// every counter and the consumption position return to genesis while the
-// Sequence pointer (held by the gate, hooks, and socket layer) stays
-// valid.
-func TestResetRestoresFreshState(t *testing.T) {
-	s := New()
-	s.Enqueue(&Entry{Index: 1, Kind: KindBubble, NClock: 3})
-	s.Enqueue(&Entry{Index: 2, Kind: KindSend, Conn: 1, Data: []byte("abc")})
-	s.TickBubble()
-	s.EnqueueSpec(&Entry{Kind: KindSend, Conn: 1, Data: []byte("zz")})
-	s.ReadInto(1, make([]byte, 1))
-	s.Reset()
-	st := s.Stats()
-	if st != (Stats{}) {
-		t.Fatalf("stats after Reset = %+v", st)
-	}
-	if s.SpecConsumed() != 0 || s.Progress() != 0 || !s.Empty() {
-		t.Fatalf("Reset left state: specConsumed=%d progress=%d empty=%v",
-			s.SpecConsumed(), s.Progress(), s.Empty())
-	}
-	// The sequence is immediately reusable for replay.
-	s.Enqueue(&Entry{Index: 1, Kind: KindSend, Conn: 4, Data: []byte("replay")})
-	if n, _ := s.ReadInto(4, make([]byte, 8)); n != 6 {
-		t.Fatalf("post-Reset ReadInto = %d", n)
-	}
-}
