@@ -152,6 +152,12 @@ func TestDetflowBeatsNondet(t *testing.T) {
 	}
 }
 
+// TestDetflowClockFast pins the live-clock bug: an app clock reading
+// dmt.Scheduler.ClockFast behind an interface method, sent to a client.
+func TestDetflowClockFast(t *testing.T) {
+	runAs(t, "clockfast", "crane/internal/apps/clockfast", lint.DetflowAnalyzer)
+}
+
 func TestAtomicMix(t *testing.T) {
 	linttest.Run(t, testdata(t, "atomicmix"), lint.AtomicMixAnalyzer)
 }
