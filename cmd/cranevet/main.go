@@ -10,9 +10,11 @@
 // Findings print in go-vet format (file:line:col: analyzer: message) by
 // default; -format=sarif emits SARIF 2.1.0 for code-scanning upload. Both
 // formats list findings in the same deterministic (file, line, column,
-// analyzer) order. A
-// non-zero exit status marks the build dirty. Deliberate escapes are
-// annotated in source with "//crane:<analyzer>-ok <reason>".
+// analyzer) order. Exit status 1 means findings, 2 a load or usage error.
+// Deliberate escapes are annotated in source with
+// "//crane:<analyzer>-ok <reason>". -list prints the nine analyzers; what
+// each one catches is pinned per seeded-bug fixture by internal/lint's
+// TestDetectionMatrix.
 //
 // The tool is built only on the standard library's go/ast and go/types
 // (no golang.org/x/tools dependency): packages are type-checked from

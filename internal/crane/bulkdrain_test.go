@@ -102,7 +102,6 @@ func TestBulkDrainMySQLOneLane(t *testing.T) {
 	mcfg := mysqld.DefaultConfig()
 	mcfg.Workers = 8
 	ccfg := integrationConfig(ModeCrane)
-	ccfg.AuditEvery = 8
 	c, err := StartCluster(ccfg, mysqld.Program(mcfg))
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +131,6 @@ func TestBulkDrainApacheTwoLanes(t *testing.T) {
 	hcfg.CacheEnabled = false
 	ccfg := integrationConfig(ModeCrane)
 	ccfg.Lanes = 2
-	ccfg.AuditEvery = 8
 	c, err := StartCluster(ccfg, httpd.Program(hcfg))
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +167,7 @@ func TestBulkDrainSpeculativeBubbleRollsBack(t *testing.T) {
 		t.Fatalf("bulk-drained %d speculative clocks but SpecConsumed moved only %d", drained, spec)
 	}
 
-	np := waitNewPrimary(t, c, old)
-	resp := rawRequest(t, c, "nb:1", np.ID(), "GET /index.html HTTP/1.0\r\n\r\n")
+	resp := requestNewPrimary(t, c, old, "GET /index.html HTTP/1.0\r\n\r\n")
 	if !bytes.Contains(resp, []byte("It works!")) {
 		t.Fatalf("new primary response: %q", resp)
 	}

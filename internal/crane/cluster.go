@@ -14,7 +14,9 @@ import (
 	"crane/internal/trace"
 )
 
-// Config configures a cluster.
+// Config configures a cluster. The divergence flight recorder needs no
+// setting: in DMT modes every replica keeps its per-lane journals and
+// latches an audit mark every 64 consumed positions (flight's default).
 type Config struct {
 	// Mode selects the execution configuration. Un-replicated modes
 	// (ModeNondet, ModeParrotOnly) force Replicas to 1.
@@ -87,14 +89,6 @@ type Config struct {
 	// deployment syncs to SSD). Off by default: simulation clusters favor
 	// speed, and the fsync instruments only move when this is on.
 	WALSync bool
-
-	// AuditEvery sets how many consumed sequence positions elapse between
-	// live-audit marks of the divergence flight recorder — the rolling
-	// journal hashes backups piggyback on AcceptOK replies for the leader
-	// to cross-check (default 64). The recorder itself (per-lane journals
-	// of scheduling decisions, consumption acts and merge stamps, each
-	// ring flight.DefaultCapacity entries) is always on in DMT modes.
-	AuditEvery uint64
 
 	// Speculation lets the primary execute admitted socket calls while
 	// their Accept round is still in flight, holding every externally

@@ -15,14 +15,6 @@ import (
 	"crane/internal/trace"
 )
 
-// flightTestConfig tightens the audit cadence so short test workloads
-// cross several audit marks.
-func flightTestConfig() Config {
-	cfg := testConfig(ModeCrane)
-	cfg.AuditEvery = 8
-	return cfg
-}
-
 // dumpJournal snapshots one replica's flight journal through the same
 // JSONL path /journal serves, then parses it back.
 func dumpJournal(t *testing.T, r *Replica) *flight.Dump {
@@ -108,7 +100,7 @@ func assertNoDivergenceAlarms(t *testing.T, c *Cluster) {
 // every replica agree on their whole comparable prefix, the leader
 // verifies piggybacked audit samples, and no alarm fires.
 func TestFlightCleanRunAuditsAndAgrees(t *testing.T) {
-	c, err := StartCluster(flightTestConfig(), newTestKV(8))
+	c, err := StartCluster(testConfig(ModeCrane), newTestKV(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +150,7 @@ func TestFlightCleanRunAuditsAndAgrees(t *testing.T) {
 // and offline journal comparison localizes the exact first divergent
 // entry.
 func TestFlightSeededDivergence(t *testing.T) {
-	cfg := flightTestConfig()
+	cfg := testConfig(ModeCrane)
 	cfg.Speculation = false
 	c, err := StartCluster(cfg, newTestKV(8))
 	if err != nil {
@@ -260,7 +252,7 @@ func TestFlightSeededDivergence(t *testing.T) {
 // not wedge or false-alarm the audit — the new leader picks up
 // verification of piggybacked samples across the view change.
 func TestFlightAuditSurvivesLeaderKill(t *testing.T) {
-	c, err := StartCluster(flightTestConfig(), newTestKV(8))
+	c, err := StartCluster(testConfig(ModeCrane), newTestKV(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +299,7 @@ func TestFlightAuditSurvivesLeaderKill(t *testing.T) {
 // must surface as a divergence alarm at the leader while the cluster
 // keeps serving — an alarm, not a crash.
 func TestFlightCorruptedJournalAlarmsNotCrashes(t *testing.T) {
-	c, err := StartCluster(flightTestConfig(), newTestKV(8))
+	c, err := StartCluster(testConfig(ModeCrane), newTestKV(8))
 	if err != nil {
 		t.Fatal(err)
 	}

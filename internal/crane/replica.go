@@ -190,7 +190,7 @@ func newReplica(id int, cfg *Config, prog papi.Program, net *simnet.Network) *Re
 	}
 	r.ro = newReplicaObs(r)
 	if cfg.Mode.deterministic() {
-		r.flt = flight.New(r.host, r.lanes, flight.Options{AuditEvery: cfg.AuditEvery})
+		r.flt = flight.New(r.host, r.lanes, flight.Options{})
 		if cfg.Mode.replicated() {
 			r.aud = newAuditor(r)
 		}

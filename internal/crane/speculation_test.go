@@ -188,8 +188,7 @@ func TestSpeculationForcedMismatchRollback(t *testing.T) {
 	waitScheduleStable(t, c)
 	old := forceSpecAbort(t, c, "MISMATCH-CANARY")
 
-	np := waitNewPrimary(t, c, old)
-	resp := rawRequest(t, c, "nb:1", np.ID(), "GET /index.html HTTP/1.0\r\n\r\n")
+	resp := requestNewPrimary(t, c, old, "GET /index.html HTTP/1.0\r\n\r\n")
 	if !bytes.Contains(resp, []byte("It works!")) {
 		t.Fatalf("new primary response: %q", resp)
 	}
@@ -210,8 +209,7 @@ func TestSpeculationLeaderKillDuringWindow(t *testing.T) {
 	old := forceSpecAbort(t, c, "LEADERKILL-CANARY")
 	c.FailReplica(old)
 
-	np := waitNewPrimary(t, c, old)
-	resp := rawRequest(t, c, "nb:1", np.ID(), "GET /index.html HTTP/1.0\r\n\r\n")
+	resp := requestNewPrimary(t, c, old, "GET /index.html HTTP/1.0\r\n\r\n")
 	if !bytes.Contains(resp, []byte("It works!")) {
 		t.Fatalf("new primary response: %q", resp)
 	}
@@ -241,8 +239,7 @@ func TestSpeculationAbortDiscardsBufferedEffects(t *testing.T) {
 	const canary = "SPECLEAK-CANARY"
 	old := forceSpecAbort(t, c, canary)
 
-	np := waitNewPrimary(t, c, old)
-	rawRequest(t, c, "nb:1", np.ID(), "GET /index.html HTTP/1.0\r\n\r\n")
+	requestNewPrimary(t, c, old, "GET /index.html HTTP/1.0\r\n\r\n")
 	healAndRestart(t, c, old, canary)
 }
 
@@ -287,17 +284,34 @@ func waitNewPrimary(t *testing.T, c *Cluster, exclude int) *Replica {
 	return nil
 }
 
-// rawRequest sends one request to a specific replica's proxy (bypassing
-// Cluster.Dial's primary discovery) and reads until close.
-func rawRequest(t *testing.T, c *Cluster, client string, replica int, req string) []byte {
+// requestNewPrimary sends req to the primary elected in place of old,
+// bypassing Cluster.Dial's primary discovery, and reads until close. A
+// replica that has just won an election can lose it to a concurrent view
+// change; its proxy then refuses or closes the connection unanswered, and
+// the client reconnects to whichever replica leads now (proxy.propose),
+// until a response arrives or 10 s have passed.
+func requestNewPrimary(t *testing.T, c *Cluster, old int, req string) []byte {
 	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 1; ; i++ {
+		np := waitNewPrimary(t, c, old)
+		if resp := rawRequest(c, fmt.Sprintf("nb:%d", i), np.ID(), req); len(resp) > 0 || time.Now().After(deadline) {
+			return resp
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// rawRequest sends one request to a specific replica's proxy and reads
+// until close; a refused connection reads as an empty response.
+func rawRequest(c *Cluster, client string, replica int, req string) []byte {
 	conn, err := c.Net().Dial(simnet.Addr(client), c.Addr(replica, 8080))
 	if err != nil {
-		t.Fatal(err)
+		return nil
 	}
 	defer conn.Close()
 	if _, err := conn.Write([]byte(req)); err != nil {
-		t.Fatal(err)
+		return nil
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var out []byte

@@ -310,7 +310,6 @@ func runSysBench(t *testing.T, conns, requests int) (*Cluster, *Replica, loadCou
 	mcfg.Workers = max(8, conns)
 	mcfg.WorkPerQuery = 4000
 	ccfg := integrationConfig(ModeCrane)
-	ccfg.AuditEvery = 8
 	c, err := StartCluster(ccfg, mysqld.Program(mcfg))
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +341,6 @@ func TestTailBubbleApacheTwoLanes(t *testing.T) {
 	hcfg.CacheEnabled = false
 	ccfg := integrationConfig(ModeCrane)
 	ccfg.Lanes = 2
-	ccfg.AuditEvery = 8
 	c, err := StartCluster(ccfg, httpd.Program(hcfg))
 	if err != nil {
 		t.Fatal(err)
@@ -450,21 +448,29 @@ func TestTailBubbleSpeculationRollback(t *testing.T) {
 	waitScheduleStable(t, c)
 	var tails0 uint64
 	old := forceSpecAbortAfter(t, c, "TAILBUBBLE-CANARY", func(p *Replica) {
-		// Let the PUT find the stranded primary idle, no bubble request due for
-		// at least half a W_timeout: its burst is then [SEND, bubble].
+		// Let the PUT find the stranded primary idle, and keep it idle until
+		// the PUT arrives: once the lane sequence is empty and no bubble round
+		// is outstanding, the test claims the gate's round itself, with a
+		// grace that cannot run out. No starvation bubble can then be fed in
+		// ahead of the canary, however long the PUT takes to reach the
+		// submit path; its burst is [SEND, bubble], and that tail round
+		// re-stamps bubbleSince like any round.
 		waitFor(t, 5*time.Second, "an idle window on the stranded primary", func() bool {
-			return p.openConns.Load() == 1 && p.sqs[0].Empty() && !p.bubblePending.Load() &&
-				p.sqs[0].StarvesIn(p.cfg.Wtimeout/2) > 0
+			return p.openConns.Load() == 1 && p.sqs[0].Empty() && p.bubblePending.CompareAndSwap(false, true)
 		})
+		p.bubbleSince.Store(time.Now().Add(time.Hour).UnixNano())
 		tails0 = p.ro.tailBubbles.Value()
 	})
+	// The speculator feeds a burst before its Accept round goes out, so the
+	// canary can be consumed and answered before the submit path has
+	// proposed [SEND, bubble] and counted the tail bubble: wait for the
+	// count. Nothing else on the stranded primary sends.
 	stranded := c.Replica(old)
-	if n := stranded.ro.tailBubbles.Value() - tails0; n == 0 {
-		t.Fatal("the canary's SEND carried no tail bubble into the speculation window")
-	}
+	waitFor(t, 5*time.Second, "the canary's SEND to carry a tail bubble into the speculation window", func() bool {
+		return stranded.ro.tailBubbles.Value() > tails0
+	})
 
-	np := waitNewPrimary(t, c, old)
-	if resp := rawRequest(t, c, "nb:1", np.ID(), "GET /index.html HTTP/1.0\r\n\r\n"); len(resp) == 0 {
+	if resp := requestNewPrimary(t, c, old, "GET /index.html HTTP/1.0\r\n\r\n"); len(resp) == 0 {
 		t.Fatal("new primary served nothing")
 	}
 	healAndRestart(t, c, old, "TAILBUBBLE-CANARY")

@@ -2,320 +2,39 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
-	"strconv"
 	"strings"
 )
 
-// AtomicMixAnalyzer machine-checks the lock-free mirror discipline the PR 5
-// scheduler fast path introduced: a word that is published with sync/atomic
-// must be observed with sync/atomic everywhere, and vice versa. A field
-// that is atomic.Add'ed on the hot path but read with a plain load on the
-// scrape path is a data race the race detector only catches if the exact
-// interleaving fires; statically the mix is visible on every run.
-//
-// The analyzer walks the whole loaded universe (suite-wide, because the
-// publisher and the observer are routinely in different packages), collects
-// every field or package-level variable that is passed by address to a
-// sync/atomic function, then flags:
-//
-//   - plain reads of a word that has atomic writes ("publish without the
-//     observer's acquire"), and
-//   - plain writes to a word that has atomic reads ("observe without the
-//     publisher's release").
-//
-// Constructor-time plain stores are exempt: before the value escapes the
-// constructor there is no concurrent observer, and that is the one idiom
-// (s := &S{}; s.n = 0; return s) that is both safe and ubiquitous. The
-// heuristic is "a function in the same package whose name starts with New,
-// Open, or make"; anything subtler carries a //crane:atomicmix-ok reason.
-//
-// Fields of the modern typed atomics (atomic.Uint64 and friends) cannot be
-// mixed by construction — this analyzer exists for the address-based API,
-// which is what code migrating onto the mirror discipline still uses.
+// AtomicMixAnalyzer keeps atomic words on the typed atomics (atomic.Uint64
+// and friends). A word updated through atomic.AddUint64(&s.n, 1) can also
+// be read plainly elsewhere, a race seen only when the interleaving fires.
+// A typed atomic cannot be read plainly, and go vet's copylocks catches a
+// copy of one, so banning the package-level functions is the discipline.
 var AtomicMixAnalyzer = &Analyzer{
 	Name: "atomicmix",
-	Doc: "flag words accessed both through sync/atomic and with plain " +
-		"loads/stores, and publish/observe pairs missing a counterpart",
-	RunSuite: runAtomicMix,
+	Doc:  "flag address-based sync/atomic calls; atomic words are declared with the typed atomics",
+	Run:  runAtomicMix,
 }
 
-// atomicAccess records how one word is touched across the suite.
-type atomicAccess struct {
-	obj         types.Object
-	name        string
-	atomicLoad  bool
-	atomicStore bool
-	declPos     token.Pos
-	declPass    *Pass
-}
-
-// plainAccess is one non-atomic use of an atomically-accessed word.
-type plainAccess struct {
-	pass    *Pass
-	pos     token.Pos
-	isWrite bool
-}
-
-// atomicFuncKind classifies a sync/atomic package function by name as a
-// bitmask: bit 1 = observes (load), bit 2 = publishes (store). RMW ops
-// (Add/Swap/CompareAndSwap/And/Or) do both.
-func atomicFuncKind(name string) int {
-	switch {
-	case strings.HasPrefix(name, "Load"):
-		return 1
-	case strings.HasPrefix(name, "Store"):
-		return 2
-	case strings.HasPrefix(name, "Add"),
-		strings.HasPrefix(name, "Swap"),
-		strings.HasPrefix(name, "CompareAndSwap"),
-		strings.HasPrefix(name, "And"),
-		strings.HasPrefix(name, "Or"):
-		return 3
-	}
-	return 0
-}
-
-func runAtomicMix(passes []*Pass) {
-	// Pass 1: every word passed by address to sync/atomic.
-	words := map[string]*atomicAccess{}
-	atomicArgs := map[ast.Expr]bool{} // the &x operands of atomic calls, skipped in pass 2
-	for _, pass := range passes {
-		for _, file := range pass.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				pkgID, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				pn, ok := pass.Info.Uses[pkgID].(*types.PkgName)
-				if !ok || pn.Imported().Path() != "sync/atomic" {
-					return true
-				}
-				kind := atomicFuncKind(sel.Sel.Name)
-				if kind == 0 || len(call.Args) == 0 {
-					return true
-				}
-				addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-				if !ok || addr.Op != token.AND {
-					return true
-				}
-				obj := rootObjOf(pass.Info, addr.X)
-				if obj == nil {
-					return true
-				}
-				key := wordKey(pass, obj)
-				if key == "" {
-					return true
-				}
-				w := words[key]
-				if w == nil {
-					w = &atomicAccess{obj: obj, name: wordName(pass, addr.X), declPos: obj.Pos(), declPass: pass}
-					words[key] = w
-				}
-				if kind&1 != 0 {
-					w.atomicLoad = true
-				}
-				if kind&2 != 0 {
-					w.atomicStore = true
-				}
-				atomicArgs[addr.X] = true
-				return true
-			})
-		}
-	}
-	if len(words) == 0 {
-		return
-	}
-
-	// Pass 2: plain accesses of those words.
-	plains := map[string][]plainAccess{}
-	for _, pass := range passes {
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				ctor := isConstructorName(fd.Name.Name)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.AssignStmt:
-						for _, lhs := range n.Lhs {
-							if key, ok := wordUse(pass, lhs, atomicArgs, words); ok {
-								if !ctor {
-									plains[key] = append(plains[key], plainAccess{pass, lhs.Pos(), true})
-								}
-							}
-						}
-					case *ast.IncDecStmt:
-						if key, ok := wordUse(pass, n.X, atomicArgs, words); ok {
-							if !ctor {
-								plains[key] = append(plains[key], plainAccess{pass, n.X.Pos(), true})
-							}
-						}
-					}
-					return true
-				})
-				// Reads: any use of the word that is not an lvalue of an
-				// assignment, not the &x of an atomic call, and not a
-				// plain write found above.
-				collectWordReads(pass, fd, ctor, atomicArgs, words, plains)
-			}
-		}
-	}
-
-	keys := make([]string, 0, len(words))
-	for k := range words {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		w := words[key]
-		for _, p := range plains[key] {
-			switch {
-			case p.isWrite:
-				// Any atomic access at all makes a plain write racy: the
-				// atomic side may run concurrently with this store.
-				p.pass.ReportObj(p.pos, w.obj,
-					"%s is accessed with sync/atomic elsewhere but published here with a plain write (missing release); use the atomic store, or annotate //crane:atomicmix-ok <reason>",
-					w.name)
-			case !p.isWrite && w.atomicStore:
-				p.pass.ReportObj(p.pos, w.obj,
-					"%s is published with sync/atomic but observed here with a plain read (missing acquire); use the atomic load, or annotate //crane:atomicmix-ok <reason>",
-					w.name)
-			}
-		}
-	}
-}
-
-// wordKey identifies a field or package-level var suite-wide; locals are
-// keyed by position (they can legitimately be atomic when their address
-// escapes to a goroutine).
-func wordKey(pass *Pass, obj types.Object) string {
-	if key := objKey(pass.Fset, obj); key != "" {
-		return key
-	}
-	if v, ok := obj.(*types.Var); ok && v.Pos().IsValid() {
-		return "local." + v.Name() + "." + strconv.Itoa(int(v.Pos()))
-	}
-	return ""
-}
-
-// wordName renders the access expression for diagnostics ("s.clock").
-func wordName(pass *Pass, e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return wordName(pass, e.X) + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		return wordName(pass, e.X) + "[...]"
-	}
-	return "word"
-}
-
-// wordUse reports whether e resolves to an atomically-accessed word and is
-// not itself the &x argument of an atomic call.
-func wordUse(pass *Pass, e ast.Expr, atomicArgs map[ast.Expr]bool, words map[string]*atomicAccess) (string, bool) {
-	e = ast.Unparen(e)
-	if atomicArgs[e] {
-		return "", false
-	}
-	obj := rootObjOf(pass.Info, e)
-	if obj == nil {
-		return "", false
-	}
-	key := wordKey(pass, obj)
-	if key == "" {
-		return "", false
-	}
-	if _, tracked := words[key]; !tracked {
-		return "", false
-	}
-	// The base must actually select the word, not merely start from the
-	// same struct: s.clock yes, s.other no — rootObjOf already resolves
-	// to the field object, so tracked means selected.
-	return key, true
-}
-
-// collectWordReads flags reads: identifier/selector uses of tracked words
-// outside write position, address-taking for atomic calls, and ctors.
-func collectWordReads(pass *Pass, fd *ast.FuncDecl, ctor bool, atomicArgs map[ast.Expr]bool, words map[string]*atomicAccess, plains map[string][]plainAccess) {
-	if ctor {
-		return
-	}
-	// Mark expressions that are write targets or atomic args so the read
-	// walk skips them.
-	skip := map[ast.Expr]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				skip[ast.Unparen(lhs)] = true
-			}
-		case *ast.IncDecStmt:
-			skip[ast.Unparen(n.X)] = true
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				// Any address-taking: &s.clock handed to an atomic call is
-				// the atomic access itself; &s.clock handed elsewhere is
-				// indistinguishable from a plain alias, but flagging every
-				// alias is noise — skip all & uses.
-				skip[ast.Unparen(n.X)] = true
-			}
-		}
-		return true
-	})
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		e, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		switch e.(type) {
-		case *ast.Ident, *ast.SelectorExpr:
-		default:
-			return true
-		}
-		if skip[e] || atomicArgs[e] {
-			// Don't descend: the Sel identifier of a skipped selector
-			// still resolves to the field object and would double-report.
-			return false
-		}
-		// Only direct selections of the word count as reads of it.
-		if sel, ok := e.(*ast.SelectorExpr); ok {
-			if s, ok := pass.Info.Selections[sel]; !ok || s.Kind() != types.FieldVal {
+func runAtomicMix(pass *Pass) {
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
 			}
-		}
-		obj := rootObjOf(pass.Info, e)
-		if obj == nil {
+			fn := staticCallee(pass.Info, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
+				return true
+			}
+			// AddUint64 -> Uint64, CompareAndSwapPointer -> Pointer[T].
+			typ := fn.Name()[max(0, strings.LastIndexAny(fn.Name(), "IUP")):]
+			if typ == "Pointer" {
+				typ += "[T]"
+			}
+			pass.Report(call.Pos(), "atomic.%s lets the word be read and written plainly elsewhere; declare it as atomic.%s", fn.Name(), typ)
 			return true
-		}
-		key := wordKey(pass, obj)
-		if key == "" {
-			return true
-		}
-		if _, tracked := words[key]; !tracked {
-			return true
-		}
-		plains[key] = append(plains[key], plainAccess{pass, e.Pos(), false})
-		return false // don't descend into X and double-count
-	})
-}
-
-// isConstructorName reports the constructor exemption heuristic.
-func isConstructorName(name string) bool {
-	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new") ||
-		strings.HasPrefix(name, "Open") || strings.HasPrefix(name, "make") ||
-		strings.HasPrefix(name, "Make")
+		})
+	}
 }

@@ -858,7 +858,7 @@ func flattenParams(sig *types.Signature) []*types.Var {
 // walkBody processes every statement once, in source order, merging taint
 // into fa.env; returns whether anything changed.
 func (fa *fnAnalysis) walkBody(body *ast.BlockStmt, retTaint []wset, sig *types.Signature) bool {
-	w := &stmtWalker{fa: fa, retTaint: retTaint, sig: sig}
+	w := &stmtWalker{fa: fa, retTaint: retTaint, sig: sig, outer: true}
 	w.stmt(body)
 	return w.changed
 }
@@ -868,6 +868,9 @@ type stmtWalker struct {
 	retTaint []wset
 	sig      *types.Signature
 	changed  bool
+	// outer is set for the declared function's own body, unset for the
+	// closures analyzed inline: only its returns leave the function.
+	outer bool
 }
 
 func (w *stmtWalker) merge(obj types.Object, ts wset) {
@@ -974,7 +977,7 @@ func (w *stmtWalker) stmt(s ast.Stmt) {
 		w.expr(s.Call)
 	case *ast.SendStmt:
 		w.expr(s.Chan)
-		w.expr(s.Value)
+		w.escape("a channel send", s.Pos(), w.expr(s.Value))
 	case *ast.IncDecStmt:
 		w.expr(s.X)
 	case *ast.LabeledStmt:
@@ -1041,76 +1044,72 @@ func (w *stmtWalker) callResults(rhs ast.Expr, n int) []wset {
 
 // store merges ts into the object behind an lvalue.
 func (w *stmtWalker) store(lhs ast.Expr, ts wset) {
+	info := w.fa.pkg.Info
+	lhs = ast.Unparen(lhs)
+	if ix, ok := lhs.(*ast.IndexExpr); ok {
+		// Storing into a *map* erases iteration-order taint: map contents
+		// are order-independent however they were inserted.
+		if _, isMap := info.TypeOf(ix.X).Underlying().(*types.Map); isMap {
+			ts = ts.clone()
+			delete(ts, kindMapOrder)
+		}
+	}
 	if len(ts) == 0 {
 		return
 	}
-	switch lhs := ast.Unparen(lhs).(type) {
+	if v, ok := rootObjOf(info, lhs).(*types.Var); ok && objKey(w.fa.pkg.Fset, v) != "" {
+		what := "package variable "
+		if v.IsField() {
+			what = "field "
+		}
+		w.escape("a store to "+what+v.Name(), lhs.Pos(), ts)
+	}
+	switch lhs := lhs.(type) {
 	case *ast.Ident:
 		if lhs.Name == "_" {
 			return
 		}
-		obj := w.fa.pkg.Info.Defs[lhs]
+		obj := info.Defs[lhs]
 		if obj == nil {
-			obj = w.fa.pkg.Info.Uses[lhs]
+			obj = info.Uses[lhs]
 		}
 		w.merge(obj, ts)
 	case *ast.SelectorExpr:
 		// x.f = v: taint the field object (engine-wide for real kinds)
 		// and the base object.
-		if sel, ok := w.fa.pkg.Info.Selections[lhs]; ok && sel.Kind() == types.FieldVal {
+		if sel, ok := info.Selections[lhs]; ok && sel.Kind() == types.FieldVal {
 			w.merge(sel.Obj(), ts)
 		} else {
-			w.merge(w.fa.pkg.Info.Uses[lhs.Sel], ts)
+			w.merge(info.Uses[lhs.Sel], ts)
 		}
-		w.merge(rootObjOf(w.fa.pkg.Info, lhs.X), ts)
-	case *ast.IndexExpr:
-		// Element store taints the container — except that storing into a
-		// *map* erases iteration-order taint: map contents are
-		// order-independent however they were inserted.
-		base := rootObjOf(w.fa.pkg.Info, lhs.X)
-		if tv, ok := w.fa.pkg.Info.Types[lhs.X]; ok {
-			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				ts = ts.clone()
-				delete(ts, kindMapOrder)
-			}
-		}
-		w.merge(base, ts)
-	case *ast.StarExpr:
-		w.merge(rootObjOf(w.fa.pkg.Info, lhs.X), ts)
+		w.merge(rootObjOf(info, lhs.X), ts)
+	case *ast.IndexExpr, *ast.StarExpr:
+		// An element or pointee store taints the container.
+		w.merge(rootObjOf(info, lhs), ts)
 	}
 }
 
 func (w *stmtWalker) ret(s *ast.ReturnStmt) {
-	if len(s.Results) == 0 {
-		// Bare return with named results: fold env of the named result
-		// objects.
-		res := w.sig.Results()
-		for j := 0; j < res.Len(); j++ {
-			if v := res.At(j); v != nil && v.Name() != "" {
-				if ts := w.fa.env[v]; ts != nil {
-					if w.retTaint[j].union(ts) {
-						w.changed = true
-					}
-				}
-			}
+	tss := make([]wset, len(w.retTaint))
+	switch {
+	case len(s.Results) == 0:
+		// Bare return: the named result objects carry the taint.
+		for j := range tss {
+			tss[j] = w.fa.env[w.sig.Results().At(j)]
 		}
-		return
+	case len(s.Results) == 1 && len(tss) > 1:
+		tss = w.callResults(s.Results[0], len(tss))
+	default:
+		for j := 0; j < len(s.Results) && j < len(tss); j++ {
+			tss[j] = w.expr(s.Results[j])
+		}
 	}
-	if len(s.Results) == 1 && len(w.retTaint) > 1 {
-		tss := w.callResults(s.Results[0], len(w.retTaint))
-		for j := range w.retTaint {
-			if w.retTaint[j].union(tss[j]) {
-				w.changed = true
-			}
-		}
-		return
-	}
-	for j, r := range s.Results {
-		if j >= len(w.retTaint) {
-			break
-		}
-		if w.retTaint[j].union(w.expr(r)) {
+	for j, ts := range tss {
+		if w.retTaint[j].union(ts) {
 			w.changed = true
+		}
+		if w.outer {
+			w.escape("a return", s.Pos(), ts)
 		}
 	}
 }
@@ -1167,6 +1166,19 @@ func (w *stmtWalker) selectStmt(s *ast.SelectStmt) {
 		for _, st := range cc.Body {
 			w.stmt(st)
 		}
+	}
+}
+
+// escape reports map-order taint leaving the function it arose in, in a
+// replicated package: the order of a map range is what the replica
+// computes there, so a result, a field, a package variable or a channel
+// carrying it diverges across replicas even before any sink. Sorting
+// strips the taint first (sortStrip).
+func (w *stmtWalker) escape(label string, pos token.Pos, ts wset) {
+	wit, ok := ts[kindMapOrder]
+	body := w.fa.node.body
+	if ok && w.fa.report && replicated(w.fa.pkg.PkgPath) && body.Pos() <= wit.pos && wit.pos < body.End() {
+		w.hitSink(label, pos, wset{kindMapOrder: wit}, nil)
 	}
 }
 
@@ -1595,9 +1607,10 @@ func sourceKindFor(fn *types.Func) string {
 	return ""
 }
 
-// rootObjOf resolves the variable or field at the base of an lvalue
-// expression (shared with the nondet analyzer's rootObject, but
-// Info-parameterized so the engine can use it for any package).
+// rootObjOf resolves the variable or field at the base of an expression:
+// s.mu, &s.mu, *p, s.mus[i] and s.buf[a:b] resolve to mu, mu, p, mus and
+// buf. It is cranevet's one root-object resolver: the engine's stores,
+// lock identities, lane bindings and finding anchors all use it.
 func rootObjOf(info *types.Info, e ast.Expr) types.Object {
 	switch e := e.(type) {
 	case *ast.Ident:

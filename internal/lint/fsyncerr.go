@@ -18,62 +18,35 @@ var FsyncErrAnalyzer = &Analyzer{
 	Run:  runFsyncErr,
 }
 
-// durabilityCall reports whether call is a durability operation returning
-// an error, with a short label for diagnostics.
-func durabilityCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	selection, ok := pass.Info.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal {
-		return "", false
-	}
-	if !returnsError(selection.Obj()) {
-		return "", false
-	}
-	recv := selection.Recv()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	pkg, typ, method := named.Obj().Pkg().Path(), named.Obj().Name(), sel.Sel.Name
-	switch {
-	case pkg == "crane/internal/wal" && typ == "Log":
-		switch method {
-		case "Append", "AppendBatch", "Sync", "TruncateFrom", "CompactBefore", "Close":
-			return "wal.Log." + method, true
-		}
-	case pkg == "os" && typ == "File":
-		switch method {
-		case "Sync":
-			return "os.File.Sync", true
-		case "Close":
-			// Close errors only matter after writes: a failed close on a
-			// read path loses nothing durable.
-			if writesToReceiver(pass, fn, rootObject(pass, sel.X)) {
-				return "os.File.Close (write path)", true
-			}
-		}
-	}
-	return "", false
+// durabilityFuncs are the durability operations whose error must be
+// observed, by function key (see funcID).
+var durabilityFuncs = map[string]bool{
+	"crane/internal/wal.Log.Append":        true,
+	"crane/internal/wal.Log.AppendBatch":   true,
+	"crane/internal/wal.Log.Sync":          true,
+	"crane/internal/wal.Log.TruncateFrom":  true,
+	"crane/internal/wal.Log.CompactBefore": true,
+	"crane/internal/wal.Log.Close":         true,
+	"os.File.Sync":                         true,
+	"os.File.Close":                        true,
 }
 
-func returnsError(obj types.Object) bool {
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok {
-		return false
+// durabilityCall reports whether call is a durability operation, with a
+// short label for diagnostics.
+func durabilityCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr) (string, bool) {
+	callee := staticCallee(pass.Info, call)
+	switch key := funcID(callee); {
+	case !durabilityFuncs[key]:
+		return "", false
+	case key != "os.File.Close":
+		return shortName(callee), true
 	}
-	res := sig.Results()
-	for i := 0; i < res.Len(); i++ {
-		if named, ok := res.At(i).Type().(*types.Named); ok && named.Obj().Name() == "error" {
-			return true
-		}
+	// Close errors only matter after writes: a failed close on a read path
+	// loses nothing durable.
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && writesToReceiver(pass, fn, rootObjOf(pass.Info, sel.X)) {
+		return "os.File.Close (write path)", true
 	}
-	return false
+	return "", false
 }
 
 // writesToReceiver reports whether fn also performs a write-like call
@@ -95,7 +68,7 @@ func writesToReceiver(pass *Pass, fn *ast.FuncDecl, obj types.Object) bool {
 		}
 		switch sel.Sel.Name {
 		case "Write", "WriteString", "WriteAt", "Truncate", "Sync":
-			if rootObject(pass, sel.X) == obj {
+			if rootObjOf(pass.Info, sel.X) == obj {
 				found = true
 			}
 		}

@@ -91,40 +91,6 @@ func laneOf(pass *Pass, e ast.Expr) laneVal {
 	return laneVal{}
 }
 
-// papiMethod reports whether sel is a method call on the named papi type
-// (T, Mutex, Cond, RWMutex), returning the type and method names.
-func papiMethod(pass *Pass, sel *ast.SelectorExpr) (typ, method string, ok bool) {
-	selection, found := pass.Info.Selections[sel]
-	if !found || selection.Kind() != types.MethodVal {
-		return "", "", false
-	}
-	recv := selection.Recv()
-	if ptr, isPtr := recv.(*types.Pointer); isPtr {
-		recv = ptr.Elem()
-	}
-	named, isNamed := recv.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil ||
-		named.Obj().Pkg().Path() != "crane/internal/papi" {
-		return "", "", false
-	}
-	return named.Obj().Name(), sel.Sel.Name, true
-}
-
-// bindTarget resolves the object an expression assigns into (variable or
-// struct field).
-func bindTarget(pass *Pass, e ast.Expr) types.Object {
-	switch e := e.(type) {
-	case *ast.Ident:
-		if obj := pass.Info.Defs[e]; obj != nil {
-			return obj
-		}
-		return pass.Info.Uses[e]
-	case *ast.SelectorExpr:
-		return pass.Info.Uses[e.Sel]
-	}
-	return nil
-}
-
 // laneWalker carries the enclosing-function lane context through a file
 // walk. SpawnLane closure bodies get the spawn's lane; Spawn closure
 // bodies inherit; any other function boundary resets to unknown.
@@ -144,22 +110,14 @@ func (w *laneWalker) resolveContexts(file *ast.File) {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		typ, method, ok := papiMethod(w.pass, sel)
-		if !ok || typ != "T" {
-			return true
-		}
-		switch method {
-		case "SpawnLane":
+		switch funcID(staticCallee(w.pass.Info, call)) {
+		case papiT + "SpawnLane":
 			if len(call.Args) == 3 {
 				if lit, isLit := call.Args[2].(*ast.FuncLit); isLit {
 					w.ctxOf[lit] = laneOf(w.pass, call.Args[0])
 				}
 			}
-		case "Spawn":
+		case papiT + "Spawn":
 			if len(call.Args) == 2 {
 				if lit, isLit := call.Args[1].(*ast.FuncLit); isLit {
 					w.inherit[lit] = true
@@ -201,20 +159,31 @@ func (w *laneWalker) walk(file *ast.File, visit func(n ast.Node, ctx laneVal)) {
 	})
 }
 
-// laneMakers maps papi.T constructors to the bound type they make; the
-// empty lane name means "binds to the creating thread's lane".
+// papiT prefixes the function keys (see funcID) of papi.T's methods.
+const papiT = "crane/internal/papi.T."
+
+// laneMakers maps papi.T constructors to the bound type they make;
+// NewCond binds to the creating thread's lane.
 var laneMakers = map[string]string{
-	"NewMutexLane":   "papi.Mutex",
-	"NewCondLane":    "papi.Cond",
-	"NewRWMutexLane": "papi.RWMutex",
-	"NewCond":        "papi.Cond",
+	papiT + "NewMutexLane":   "papi.Mutex",
+	papiT + "NewCondLane":    "papi.Cond",
+	papiT + "NewRWMutexLane": "papi.RWMutex",
+	papiT + "NewCond":        "papi.Cond",
 }
 
-// laneUseMethods are the scheduled operations on each bound papi type.
-var laneUseMethods = map[string]map[string]bool{
-	"Mutex":   {"Lock": true, "Unlock": true, "TryLock": true},
-	"Cond":    {"Wait": true, "Signal": true, "Broadcast": true},
-	"RWMutex": {"RLock": true, "RUnlock": true, "Lock": true, "Unlock": true},
+// laneUses are the scheduled operations on the bound papi types, by
+// function key.
+var laneUses = map[string]bool{
+	"crane/internal/papi.Mutex.Lock":      true,
+	"crane/internal/papi.Mutex.Unlock":    true,
+	"crane/internal/papi.Mutex.TryLock":   true,
+	"crane/internal/papi.Cond.Wait":       true,
+	"crane/internal/papi.Cond.Signal":     true,
+	"crane/internal/papi.Cond.Broadcast":  true,
+	"crane/internal/papi.RWMutex.RLock":   true,
+	"crane/internal/papi.RWMutex.RUnlock": true,
+	"crane/internal/papi.RWMutex.Lock":    true,
+	"crane/internal/papi.RWMutex.Unlock":  true,
 }
 
 func runLaneConsistency(pass *Pass) {
@@ -234,20 +203,13 @@ func runLaneConsistency(pass *Pass) {
 		if !ok {
 			return
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		typ, method, ok := papiMethod(pass, sel)
-		if !ok || typ != "T" {
-			return
-		}
+		method := funcID(staticCallee(pass.Info, call))
 		kind, isMaker := laneMakers[method]
 		if !isMaker {
 			return
 		}
 		var lane laneVal
-		if method == "NewCond" {
+		if method == papiT+"NewCond" {
 			lane = ctx // binds to the creating thread's lane
 		} else if len(call.Args) == 1 {
 			lane = laneOf(pass, call.Args[0])
@@ -255,7 +217,7 @@ func runLaneConsistency(pass *Pass) {
 		if !lane.known {
 			return
 		}
-		obj := bindTarget(pass, target)
+		obj := rootObjOf(pass.Info, target)
 		if obj == nil {
 			return
 		}
@@ -295,23 +257,15 @@ func runLaneConsistency(pass *Pass) {
 			if !ok {
 				return
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok || !laneUses[funcID(staticCallee(pass.Info, call))] {
 				return
 			}
-			typ, method, ok := papiMethod(pass, sel)
-			if !ok || typ == "T" || !laneUseMethods[typ][method] {
-				return
-			}
-			obj := rootObject(pass, sel.X)
-			if obj == nil {
-				return
-			}
-			b, bound := bindings[obj]
+			b, bound := bindings[rootObjOf(pass.Info, sel.X)]
 			if !bound || !ctx.known || !b.lane.differs(ctx) {
 				return
 			}
-			reportLaneMismatch(pass, call.Pos(), b, method, ctx)
+			reportLaneMismatch(pass, call.Pos(), b, sel.Sel.Name, ctx)
 		})
 	}
 }

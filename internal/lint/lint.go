@@ -11,9 +11,9 @@
 // argues must be system-enforced. The analyzers in this package turn the
 // convention into a build-failing check:
 //
-//   - nondet:    raw goroutines, select, sync, escaping map iteration,
-//     direct net dialing, and the sources of the engine's source table
-//     (time, math/rand, the environment) in replicated packages
+//   - nondet:    raw goroutines, select, sync, direct net dialing, and
+//     the sources of the engine's source table (time, math/rand, the
+//     environment) in replicated packages
 //   - lockorder: a static inter-procedural lock-acquisition graph whose
 //     cycles are potential deadlocks (the repository's only lock-order
 //     check)
@@ -29,15 +29,19 @@
 //     sources (time, rand, env, the live DMT clock, map order, select,
 //     pointer formatting, unseeded hashing) to determinism sinks (seq
 //     wire, DMT schedule, speculation gate, WAL payloads, output log,
-//     client sockets)
-//   - atomicmix: words accessed both through sync/atomic and with plain
-//     loads/stores — the lock-free mirror discipline, checked suite-wide
+//     client sockets); in replicated packages, also map order leaving
+//     the function that ranged over the map
+//   - atomicmix: address-based sync/atomic calls, where the typed
+//     atomics belong
 //   - groncouple: "//crane:pergroup" fields indexed by anything but a
 //     group id
 //
-// engine.go holds what the analyzers share: the one call graph (detflow
-// and lockorder walk it), and the one table of sources and sinks (detflow,
-// nondet and specleak read it).
+// TestDetectionMatrix pins which analyzers fire on each one's seeded-bug
+// fixture. engine.go holds what the analyzers share: the one call graph
+// (detflow and lockorder walk it), the one table of sources and sinks
+// (detflow, nondet and specleak read it), the one name of a called
+// function (funcID of staticCallee, which every analyzer looks up in a
+// table of function keys), and the one root-object resolver (rootObjOf).
 //
 // Suppression: a finding may be deliberately accepted with a
 // "//crane:<analyzer>-ok <reason>" comment on the flagged line, the line
@@ -65,19 +69,14 @@ import (
 	"strings"
 )
 
-// Analyzer is one named check. Exactly one of Run, RunSuite, and
-// RunEngine is set: Run analyzes a single package; RunSuite analyzes the
-// whole loaded universe at once (needed for atomic-mix analysis);
-// RunEngine additionally receives the shared interprocedural engine (see
-// engine.go), built once per RunAnalyzers invocation however many
-// analyzers ride it.
+// Analyzer is one named check. Exactly one of Run and RunEngine is set:
+// Run analyzes a single package; RunEngine receives the shared
+// interprocedural engine (see engine.go), built once per RunAnalyzers
+// invocation however many analyzers ride it.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
-	// RunSuite receives every loaded package; diagnostics are reported
-	// through any one of the passes (they share a collector).
-	RunSuite func([]*Pass)
 	// RunEngine receives the shared interprocedural engine plus the
 	// per-package passes, in the same order as the loaded packages.
 	RunEngine func(*Engine, []*Pass)
@@ -341,12 +340,9 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				diags:      &diags,
 			}
 		}
-		switch {
-		case a.RunEngine != nil:
+		if a.RunEngine != nil {
 			a.RunEngine(engine(), passes)
-		case a.RunSuite != nil:
-			a.RunSuite(passes)
-		default:
+		} else {
 			for _, p := range passes {
 				a.Run(p)
 			}

@@ -29,8 +29,9 @@ func runAs(t *testing.T, name, importPath string, analyzers ...*lint.Analyzer) {
 	linttest.RunDirs(t, []string{testdata(t, name)}, []string{importPath}, analyzers...)
 }
 
+// TestNondet runs detflow too: the fixture's map-order lines are its.
 func TestNondet(t *testing.T) {
-	runAs(t, "nondet", "crane/internal/apps/nondet", lint.NondetAnalyzer)
+	runAs(t, "nondet", "crane/internal/apps/nondet", lint.NondetAnalyzer, lint.DetflowAnalyzer)
 }
 
 // TestNondetSkipsUnreplicated verifies the replication scoping: the same

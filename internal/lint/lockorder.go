@@ -37,34 +37,32 @@ const (
 	lockRelease
 )
 
-// classifyLockCall reports whether sel is an acquire/release on a tracked
+// lockCalls are the acquire and release methods of the tracked lock
+// types, by function key (see funcID).
+var lockCalls = map[string]lockKind{
+	"sync.Mutex.Lock":                     lockAcquire,
+	"sync.Mutex.Unlock":                   lockRelease,
+	"sync.RWMutex.Lock":                   lockAcquire,
+	"sync.RWMutex.RLock":                  lockAcquire,
+	"sync.RWMutex.Unlock":                 lockRelease,
+	"sync.RWMutex.RUnlock":                lockRelease,
+	"crane/internal/papi.Mutex.Lock":      lockAcquire,
+	"crane/internal/papi.Mutex.Unlock":    lockRelease,
+	"crane/internal/papi.RWMutex.Lock":    lockAcquire,
+	"crane/internal/papi.RWMutex.RLock":   lockAcquire,
+	"crane/internal/papi.RWMutex.Unlock":  lockRelease,
+	"crane/internal/papi.RWMutex.RUnlock": lockRelease,
+}
+
+// classifyLockCall reports whether call is an acquire/release on a tracked
 // lock type and returns the lock's identity object.
-func classifyLockCall(pass *Pass, sel *ast.SelectorExpr) (lockKind, types.Object) {
-	selection, ok := pass.Info.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal {
+func classifyLockCall(pass *Pass, call *ast.CallExpr) (lockKind, types.Object) {
+	kind := lockCalls[funcID(staticCallee(pass.Info, call))]
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if kind == lockNone || !ok {
 		return lockNone, nil
 	}
-	recv := selection.Recv()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return lockNone, nil
-	}
-	pkg, typ := named.Obj().Pkg().Path(), named.Obj().Name()
-	isLockType := (pkg == "sync" && (typ == "Mutex" || typ == "RWMutex")) ||
-		(pkg == "crane/internal/papi" && (typ == "Mutex" || typ == "RWMutex"))
-	if !isLockType {
-		return lockNone, nil
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		return lockAcquire, rootObject(pass, sel.X)
-	case "Unlock", "RUnlock":
-		return lockRelease, rootObject(pass, sel.X)
-	}
-	return lockNone, nil
+	return kind, rootObjOf(pass.Info, sel.X)
 }
 
 // lockEdge records "from held while acquiring to" with a witness position.
@@ -89,12 +87,12 @@ type lockGraph struct {
 
 // classify wraps classifyLockCall, recording the receiver's owning type
 // name for readable cycle reports.
-func (g *lockGraph) classify(pass *Pass, sel *ast.SelectorExpr) (lockKind, types.Object) {
-	kind, lock := classifyLockCall(pass, sel)
+func (g *lockGraph) classify(pass *Pass, call *ast.CallExpr) (lockKind, types.Object) {
+	kind, lock := classifyLockCall(pass, call)
 	if lock == nil || g.owner[lock] != "" {
 		return kind, lock
 	}
-	if inner, ok := sel.X.(*ast.SelectorExpr); ok {
+	if inner, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr).X.(*ast.SelectorExpr); ok {
 		if tv, ok := pass.Info.Types[inner.X]; ok {
 			t := tv.Type
 			if ptr, ok := t.(*types.Pointer); ok {
@@ -167,30 +165,26 @@ func (g *lockGraph) scan(node *fnNode, edges bool) bool {
 		case *ast.DeferStmt:
 			// A deferred Unlock keeps the lock held for the rest of the
 			// function; other deferred calls are walked normally.
-			if sel, ok := n.Call.Fun.(*ast.SelectorExpr); ok {
-				if kind, _ := g.classify(pass, sel); kind == lockRelease {
-					return false
-				}
+			if kind, _ := g.classify(pass, n.Call); kind == lockRelease {
+				return false
 			}
 		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				switch kind, lock := g.classify(pass, sel); {
-				case kind == lockNone:
-				case lock == nil:
-					return true
-				case kind == lockAcquire:
-					take(lock, n.Pos(), "")
-					held = append(held, lock)
-					return true
-				default:
-					for i := len(held) - 1; i >= 0; i-- {
-						if held[i] == lock {
-							held = append(held[:i], held[i+1:]...)
-							break
-						}
+			switch kind, lock := g.classify(pass, n); {
+			case kind == lockNone:
+			case lock == nil:
+				return true
+			case kind == lockAcquire:
+				take(lock, n.Pos(), "")
+				held = append(held, lock)
+				return true
+			default:
+				for i := len(held) - 1; i >= 0; i-- {
+					if held[i] == lock {
+						held = append(held[:i], held[i+1:]...)
+						break
 					}
-					return true
 				}
+				return true
 			}
 			for _, callee := range g.eng.callees(g.eng.pkgs[node.pkgIx], n) {
 				for l := range g.acquired[callee] {

@@ -11,9 +11,10 @@ import (
 // packages. Every construct it reports is one the LD_PRELOAD interposition
 // of the original system would have captured and that therefore MUST be
 // routed through internal/papi here: raw goroutines, select, sync
-// primitives, escaping map iteration, direct net use, and the package
-// functions and packages of the engine's source table (physical time, the
-// environment, math/rand, hash/maphash).
+// primitives, direct net use, and the package functions and packages of
+// the engine's source table (physical time, the environment, math/rand,
+// hash/maphash). Map iteration order is detflow's: it follows the order
+// out of the loop and through sorts.
 var NondetAnalyzer = &Analyzer{
 	Name: "nondet",
 	Doc: "flag nondeterminism that bypasses the papi interposition layer " +
@@ -21,14 +22,16 @@ var NondetAnalyzer = &Analyzer{
 	Run: runNondet,
 }
 
-// syncEquivalent names the papi replacement for each raw sync type.
+// syncEquivalent names the papi replacement for each raw sync type. A
+// method of one is looked up by its function key (see funcID) less the
+// method name.
 var syncEquivalent = map[string]string{
-	"Mutex":     "papi.Mutex via T.NewMutex",
-	"RWMutex":   "papi.RWMutex via T.NewRWMutex",
-	"Cond":      "papi.Cond via T.NewCond",
-	"WaitGroup": "papi.T.Spawn + T.Join",
-	"Once":      "a papi.Mutex-guarded flag",
-	"Map":       "a papi.Mutex-guarded map",
+	"sync.Mutex":     "papi.Mutex via T.NewMutex",
+	"sync.RWMutex":   "papi.RWMutex via T.NewRWMutex",
+	"sync.Cond":      "papi.Cond via T.NewCond",
+	"sync.WaitGroup": "papi.T.Spawn + T.Join",
+	"sync.Once":      "a papi.Mutex-guarded flag",
+	"sync.Map":       "a papi.Mutex-guarded map",
 }
 
 func runNondet(pass *Pass) {
@@ -53,196 +56,44 @@ func runNondet(pass *Pass) {
 				pass.Report(n.Pos(), "select resolves nondeterministically; replicated code must synchronize through papi.Cond/Mutex")
 			case *ast.SelectorExpr:
 				nondetSelector(pass, n)
-			case *ast.RangeStmt:
-				nondetMapRange(pass, file, n)
+			case *ast.CallExpr:
+				nondetSyncCall(pass, n)
 			}
 			return true
 		})
 	}
 }
 
-// nondetSelector flags uses of sync types, sync-type method calls, and
-// the package functions of the engine's source table (time.Now,
-// os.Getenv, ...).
+// nondetSelector flags uses of sync types and the package functions of
+// the engine's source table (time.Now, os.Getenv, ...).
 func nondetSelector(pass *Pass, sel *ast.SelectorExpr) {
-	// Package-qualified references: sync.Mutex, time.Now, os.Getenv.
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if pkg, ok := pass.Info.Uses[id].(*types.PkgName); ok {
-			name := pkg.Imported().Path() + "." + sel.Sel.Name
-			if eq, ok := syncEquivalent[sel.Sel.Name]; ok && pkg.Imported().Path() == "sync" {
-				pass.Report(sel.Pos(), "raw %s bypasses the DMT scheduler; use %s", name, eq)
-			}
-			if src, ok := sourceFuncs[name]; ok {
-				pass.Report(sel.Pos(), "%s reads %s, which diverges across replicas; use %s", name, src.reads, src.papi)
-			}
-			return
-		}
-	}
-	// Method calls on values of sync types (m.Lock() where m is a
-	// sync.Mutex field): attach the finding to the root field/var so one
-	// annotation on its declaration covers every call site.
-	selection, ok := pass.Info.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal {
-		return
-	}
-	recv := selection.Recv()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return
-	}
-	if _, tracked := syncEquivalent[named.Obj().Name()]; !tracked {
-		return
-	}
-	pass.ReportObj(sel.Pos(), rootObject(pass, sel.X),
-		"call on raw sync.%s is invisible to the DMT scheduler; use %s",
-		named.Obj().Name(), syncEquivalent[named.Obj().Name()])
-}
-
-// rootObject resolves the field or variable at the base of a selector
-// chain (s.stateMu -> the stateMu field object).
-func rootObject(pass *Pass, e ast.Expr) types.Object {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return pass.Info.Uses[e]
-	case *ast.SelectorExpr:
-		return pass.Info.Uses[e.Sel]
-	case *ast.ParenExpr:
-		return rootObject(pass, e.X)
-	case *ast.UnaryExpr:
-		return rootObject(pass, e.X)
-	}
-	return nil
-}
-
-// nondetMapRange flags ranges over maps whose nondeterministic iteration
-// order can escape the loop (writes to outer state, output calls, sends,
-// returns). The sorted-keys idiom — the body only appends keys to one
-// outer slice that is sorted right after the loop — is recognized and
-// allowed.
-func nondetMapRange(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
-	tv, ok := pass.Info.Types[rng.X]
+	id, ok := sel.X.(*ast.Ident)
 	if !ok {
 		return
 	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return
-	}
-	if sortedKeysIdiom(pass, file, rng) {
-		return
-	}
-	escapes := false
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if escapes {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if obj := rootObject(pass, lhs); obj != nil && declaredOutside(pass, obj, rng) {
-					escapes = true
-				}
-			}
-		case *ast.SendStmt:
-			escapes = true
-		case *ast.ReturnStmt:
-			escapes = true
-		case *ast.CallExpr:
-			if outputCall(n) {
-				escapes = true
-			}
-		}
-		return true
-	})
-	if escapes {
-		pass.Report(rng.Pos(), "map iteration order is nondeterministic and escapes this loop; iterate over sorted keys")
-	}
-}
-
-func declaredOutside(pass *Pass, obj types.Object, rng *ast.RangeStmt) bool {
-	pos := obj.Pos()
-	return pos.IsValid() && (pos < rng.Pos() || pos > rng.End())
-}
-
-// outputCall reports calls that plausibly externalize data (socket sends,
-// buffer/file writes, formatted output).
-func outputCall(call *ast.CallExpr) bool {
-	var name string
-	switch fn := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		name = fn.Sel.Name
-	case *ast.Ident:
-		name = fn.Name
-	default:
-		return false
-	}
-	switch name {
-	case "Send", "Write", "WriteString", "WriteByte", "WriteRune",
-		"Fprintf", "Fprint", "Fprintln", "Printf", "Print", "Println",
-		"Encode", "Append", "AppendBatch":
-		return true
-	}
-	return false
-}
-
-// sortedKeysIdiom recognizes
-//
-//	for k := range m { keys = append(keys, k) }
-//	sort.Strings(keys)              // or sort.Slice/slices.Sort*
-//
-// where the append target is sorted by a statement following the loop in
-// the same block.
-func sortedKeysIdiom(pass *Pass, file *ast.File, rng *ast.RangeStmt) bool {
-	if len(rng.Body.List) != 1 {
-		return false
-	}
-	assign, ok := rng.Body.List[0].(*ast.AssignStmt)
-	if !ok || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 {
-		return false
-	}
-	call, ok := assign.Rhs[0].(*ast.CallExpr)
+	pkg, ok := pass.Info.Uses[id].(*types.PkgName)
 	if !ok {
-		return false
+		return
 	}
-	if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
-		return false
+	name := pkg.Imported().Path() + "." + sel.Sel.Name
+	if eq, ok := syncEquivalent[name]; ok {
+		pass.Report(sel.Pos(), "raw %s bypasses the DMT scheduler; use %s", name, eq)
 	}
-	target := rootObject(pass, assign.Lhs[0])
-	if target == nil {
-		return false
+	if src, ok := sourceFuncs[name]; ok {
+		pass.Report(sel.Pos(), "%s reads %s, which diverges across replicas; use %s", name, src.reads, src.papi)
 	}
-	// Look for a later sort call over the same object anywhere in the
-	// enclosing function.
-	sorted := false
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < rng.End() || sorted {
-			return !sorted
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkg, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if pn, ok := pass.Info.Uses[pkg].(*types.PkgName); !ok ||
-			(pn.Imported().Path() != "sort" && pn.Imported().Path() != "slices") {
-			return true
-		}
-		if !strings.HasPrefix(sel.Sel.Name, "Sort") && !strings.HasPrefix(sel.Sel.Name, "Strings") &&
-			!strings.HasPrefix(sel.Sel.Name, "Slice") && !strings.HasPrefix(sel.Sel.Name, "Ints") {
-			return true
-		}
-		for _, arg := range call.Args {
-			if rootObject(pass, arg) == target {
-				sorted = true
-			}
-		}
-		return true
-	})
-	return sorted
+}
+
+// nondetSyncCall flags method calls on values of sync types (m.Lock()
+// where m is a sync.Mutex field), attaching the finding to the root
+// field or variable so one annotation on its declaration covers every
+// call site.
+func nondetSyncCall(pass *Pass, call *ast.CallExpr) {
+	key := funcID(staticCallee(pass.Info, call))
+	typ := key[:max(0, strings.LastIndex(key, "."))]
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if eq, tracked := syncEquivalent[typ]; tracked && ok {
+		pass.ReportObj(sel.Pos(), rootObjOf(pass.Info, sel.X),
+			"call on raw %s is invisible to the DMT scheduler; use %s", typ, eq)
+	}
 }

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // ObsRegAnalyzer enforces the nil-registry-safe instrumentation pattern of
 // internal/obs: instruments are created once at setup (Registry.Counter /
@@ -31,55 +28,18 @@ func flightHot(pass *Pass) bool {
 	return path == "crane/internal/dmt" || path == "crane/internal/seq"
 }
 
-// journalNote reports whether call invokes flight.Journal.Note.
-func journalNote(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Note" {
-		return false
-	}
-	selection, ok := pass.Info.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal {
-		return false
-	}
-	recv := selection.Recv()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil ||
-		named.Obj().Pkg().Path() != "crane/internal/obs/flight" {
-		return false
-	}
-	return named.Obj().Name() == "Journal"
-}
+// journalNote is the allocating flight-journal annotation, by function
+// key (see funcID).
+const journalNote = "crane/internal/obs/flight.Journal.Note"
 
-// registryCreation reports whether call registers a new instrument on
-// *obs.Registry.
-func registryCreation(pass *Pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	selection, ok := pass.Info.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal {
-		return "", false
-	}
-	recv := selection.Recv()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "crane/internal/obs" {
-		return "", false
-	}
-	if named.Obj().Name() != "Registry" {
-		return "", false
-	}
-	switch sel.Sel.Name {
-	case "Counter", "Gauge", "GaugeFunc", "Histogram", "ValueHistogram":
-		return "Registry." + sel.Sel.Name, true
-	}
-	return "", false
+// registryCreations are the *obs.Registry methods that register a new
+// instrument, by function key.
+var registryCreations = map[string]bool{
+	"crane/internal/obs.Registry.Counter":        true,
+	"crane/internal/obs.Registry.Gauge":          true,
+	"crane/internal/obs.Registry.GaugeFunc":      true,
+	"crane/internal/obs.Registry.Histogram":      true,
+	"crane/internal/obs.Registry.ValueHistogram": true,
 }
 
 func runObsReg(pass *Pass) {
@@ -97,7 +57,9 @@ func runObsReg(pass *Pass) {
 			if !ok {
 				return true
 			}
-			if hot && journalNote(pass, call) {
+			callee := staticCallee(pass.Info, call)
+			key := funcID(callee)
+			if hot && key == journalNote {
 				for _, anc := range stack[:len(stack)-1] {
 					switch anc.(type) {
 					case *ast.ForStmt, *ast.RangeStmt:
@@ -108,10 +70,10 @@ func runObsReg(pass *Pass) {
 				}
 				return true
 			}
-			label, ok := registryCreation(pass, call)
-			if !ok {
+			if !registryCreations[key] {
 				return true
 			}
+			label := "Registry." + callee.Name()
 			// Chained create-and-observe: the creation is the receiver of
 			// an immediately invoked method (parent chain is
 			// SelectorExpr -> CallExpr).

@@ -1,53 +1,48 @@
-// Package atomicmix exercises the atomicmix analyzer: words accessed
-// both through sync/atomic and with plain loads/stores break the
-// lock-free mirror discipline.
+// Package atomicmix exercises the atomicmix analyzer: every call to an
+// address-based sync/atomic function is flagged with its typed
+// replacement; the typed atomics themselves stay silent.
 package atomicmix
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
-// stats is the mirror-discipline struct under test.
+// stats is a mirror struct under test.
 type stats struct {
 	clock uint64
-	ticks uint64
-	clean uint64
-
-	//crane:atomicmix-ok snapshot read at quiescent point, writers parked
-	lazy uint64
+	ticks int32
+	head  unsafe.Pointer
+	typed atomic.Uint64
 }
 
-// Bump publishes clock atomically on the hot path.
-func (s *stats) Bump() { atomic.AddUint64(&s.clock, 1) }
+// Bump publishes clock through the address-based API.
+func (s *stats) Bump() {
+	atomic.AddUint64(&s.clock, 1) // want `atomic\.AddUint64 lets the word be read and written plainly elsewhere; declare it as atomic\.Uint64`
+}
 
-// ReadClock observes clock with a plain load: missing acquire.
+// ReadClock observes clock through the address-based API.
 func (s *stats) ReadClock() uint64 {
-	return s.clock // want `s\.clock is published with sync/atomic but observed here with a plain read \(missing acquire\)`
+	return atomic.LoadUint64(&s.clock) // want `atomic\.LoadUint64 .*declare it as atomic\.Uint64`
 }
 
-// SetTicks publishes ticks atomically.
-func (s *stats) SetTicks(v uint64) { atomic.StoreUint64(&s.ticks, v) }
-
-// ResetTicks writes ticks plainly: missing release.
-func (s *stats) ResetTicks() {
-	s.ticks = 0 // want `s\.ticks is accessed with sync/atomic elsewhere but published here with a plain write \(missing release\)`
+// Claim is a compare-and-swap on a signed word.
+func (s *stats) Claim() bool {
+	return atomic.CompareAndSwapInt32(&s.ticks, 0, 1) // want `atomic\.CompareAndSwapInt32 .*declare it as atomic\.Int32`
 }
 
-// Clean keeps every access atomic: silent.
-func (s *stats) Clean() uint64 { return atomic.LoadUint64(&s.clean) }
-
-// AddClean stays atomic too.
-func (s *stats) AddClean() { atomic.AddUint64(&s.clean, 1) }
-
-// Lazy reads the annotated field plainly; the field-declaration
-// suppression covers every use.
-func (s *stats) Lazy() uint64 {
-	atomic.StoreUint64(&s.lazy, 1)
-	return s.lazy
+// Publish swaps a raw pointer.
+func (s *stats) Publish(p unsafe.Pointer) {
+	atomic.StorePointer(&s.head, p) // want `atomic\.StorePointer .*declare it as atomic\.Pointer\[T\]`
 }
 
-// newStats is constructor-exempt: plain stores before the value escapes
-// have no concurrent observer.
-func newStats() *stats {
-	s := &stats{}
-	s.clock = 0
-	return s
+// Typed uses the typed atomic: silent.
+func (s *stats) Typed() uint64 {
+	s.typed.Add(1)
+	return s.typed.Load()
+}
+
+// Quiescent is a deliberate, annotated escape.
+func (s *stats) Quiescent() uint64 {
+	return atomic.LoadUint64(&s.clock) //crane:atomicmix-ok fixture: the annotation covers the line
 }

@@ -72,13 +72,14 @@ func DialOut() error {
 }
 
 // EmitTable iterates a map and writes entries to output in iteration
-// order: the order escapes, diverging across replicas.
+// order: the order escapes, diverging across replicas. detflow, which
+// owns map order, reports where it leaves the function.
 func EmitTable(m map[string]int) string {
 	out := ""
-	for k, v := range m { // want `map iteration order is nondeterministic and escapes this loop`
+	for k, v := range m {
 		out += fmt.Sprintf("%s=%d\n", k, v)
 	}
-	return out
+	return out // want `nondeterministic value \(map iteration order at [^)]+\) reaches a return via nondet\.EmitTable`
 }
 
 // SortedTable uses the sorted-keys idiom: allowed.

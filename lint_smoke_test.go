@@ -1,9 +1,11 @@
 // Tier-1 smoke test for the cranevet suite: the repository must stay
 // clean under its own analyzers. A new raw `go`, sync primitive, time
-// read, dropped durability error, laundered nondeterministic value
-// (detflow), or atomic/plain access mix (atomicmix) anywhere in the tree
-// fails `go test ./...` the same way it fails the dedicated CI step, so
-// the papi discipline cannot regress between lint runs.
+// read, dropped durability error, laundered nondeterministic value or
+// escaping map order (detflow), or address-based sync/atomic call
+// (atomicmix) anywhere in the tree fails `go test ./...` the same way it
+// fails the dedicated CI step, so the papi discipline cannot regress
+// between lint runs. What each analyzer catches is pinned by
+// internal/lint's TestDetectionMatrix.
 package crane_test
 
 import (
