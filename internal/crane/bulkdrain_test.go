@@ -159,7 +159,11 @@ func TestBulkDrainSpeculativeBubbleRollsBack(t *testing.T) {
 	// Partitioned, nothing commits on the stranded primary: every bubble its
 	// gate drains from here on is a speculative one.
 	stranded := c.Replica(old)
-	bulk0, spec0 := stranded.ro.bulkClocks.Value(), stranded.sqs[0].SpecConsumed()
+	// gate.drainBubble moves SpecConsumed (inside seq.DrainBubble) before
+	// bulkClocks, so the baseline reads them in that order: a drain landing
+	// between the reads then counts in neither delta or in SpecConsumed's only.
+	spec0 := stranded.sqs[0].SpecConsumed()
+	bulk0 := stranded.ro.bulkClocks.Value()
 	waitFor(t, 5*time.Second, "a bulk-drained speculative bubble", func() bool {
 		return stranded.ro.bulkClocks.Value() > bulk0
 	})
@@ -210,18 +214,17 @@ func rearmServer(closeFirst bool) papi.Program {
 // next (recv's ReadInto) looked at a sequence whose emptiness was physical
 // timing: where the following SEND had arrived it was consumed at that
 // clock, where it had not the thread ticked a wait and consumed it later.
+// The wrappers now read only what the gate filed, so the race has no place
+// left to happen; the choreography stays to keep it that way.
 //
-// The choreography pins that moment. W_timeout is 10 s, so no starvation
-// round ever runs — which does not mean no bubble: a tail bubble rides the
-// burst of a SEND that finds the pipeline idle whatever W_timeout is, as the
-// first SEND here does. The hooks therefore drop every committed bubble, alike
-// on all replicas, and key on the previous client call, so the only bubble in
-// play is the one they fabricate and every operation is admitted against a
-// client entry or that bubble.
-// From the first recv on, the idle thread and the server thread alternate
-// turns, and the server thread's recv on the second connection is the
-// operation whose gate pops the entry under test. Two replicas deliver that
-// entry glued to the SEND behind it; one backup delivers the SEND 5 ms late.
+// W_timeout is 10 s, so no starvation round ever runs — which does not mean no
+// bubble: a tail bubble rides the burst of a SEND that finds the pipeline idle
+// whatever W_timeout is, as the first SEND here does. The hooks therefore drop
+// every committed bubble, alike on all replicas, and key on the previous
+// client call, so the only bubbles in play are the ones they fabricate and
+// every operation is admitted against a client entry or one of those. Two
+// replicas deliver the entry under test glued to the SEND behind it; one
+// backup delivers the SEND 5 ms late.
 func TestGateRearmAfterGatePop(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -229,8 +232,8 @@ func TestGateRearmAfterGatePop(t *testing.T) {
 		consumed   uint64 // client calls every replica has consumed at the end
 	}{
 		// Client writes "xzz" on conn 1; the server reads "x", answers and
-		// closes. The idle thread's turn discards the "zz" remainder, the
-		// recv on conn 2 discards the CLOSE the proxy proposes for conn 1.
+		// closes, which discards the filed "zz" remainder. The CLOSE the
+		// proxy proposes for conn 1 is filed and dropped.
 		{"closed-conn close", true, 5},
 		// No close. The hooks put a 2-clock bubble (the same on every
 		// replica) between the two SENDs: the idle thread ticks one clock,
@@ -262,6 +265,10 @@ func TestGateRearmAfterGatePop(t *testing.T) {
 					}
 					defer func() { prev = e.Kind }()
 					switch {
+					case tc.closeFirst && e.Kind == seq.KindSend && prev == seq.KindConnect:
+						// The gate files "xzz" whole, so the server's answer
+						// and close need clocks of their own: glue them on.
+						return []*seq.Entry{e, {Kind: seq.KindBubble, NClock: 8, Index: e.Index}}
 					case tc.closeFirst && r == slow:
 						if prev == seq.KindClose {
 							time.Sleep(5 * time.Millisecond)

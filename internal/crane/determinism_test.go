@@ -75,9 +75,11 @@ func runDetHTTPDWorkload(t *testing.T) (sums []uint64, fps []uint64) {
 	waitScheduleStable(t, cluster)
 	for i := 0; i < 6; i++ {
 		req := []byte(fmt.Sprintf("GET /page%d.php HTTP/1.0\r\n\r\n", i%2))
+		released := holdBubbleRound(t, cluster)
 		if _, err := cluster.DialAndRequest(fmt.Sprintf("det:%d", i), 8080, req, 1); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
+		released()
 		waitScheduleStable(t, cluster)
 	}
 	if err := cluster.WaitOutputs(6, 20*time.Second); err != nil {
@@ -164,6 +166,34 @@ func waitBubbleFreeWindow(t *testing.T, cluster *Cluster, deadline time.Time) {
 		time.Sleep(200 * time.Microsecond)
 	}
 	t.Fatal("no bubble-free submission window observed")
+}
+
+// holdBubbleRound closes the window waitBubbleFreeWindow only narrows. Once
+// the primary's sequence is empty and no bubble round is outstanding, it
+// claims the primary's round itself, with a grace that cannot run out, so no
+// starvation bubble can commit between the next request's CONNECT and its
+// SEND; it gives the round back as soon as the primary has committed both.
+// (A SEND that finds the pipeline idle still carries its own tail bubble,
+// which commits behind it.) The returned func waits for the release.
+func holdBubbleRound(t *testing.T, cluster *Cluster) (released func()) {
+	t.Helper()
+	p := currentPrimary(t, cluster)
+	var calls uint64
+	waitFor(t, 5*time.Second, "an idle primary whose bubble round the test can hold", func() bool {
+		calls = p.sqs[0].Stats().ClientCalls
+		return p.sqs[0].Empty() && p.bubblePending.CompareAndSwap(false, true)
+	})
+	p.bubbleSince.Store(time.Now().Add(time.Hour).UnixNano())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline) &&
+			p.sqs[0].Stats().ClientCalls < calls+2; {
+			time.Sleep(50 * time.Microsecond)
+		}
+		p.bubblePending.Store(false)
+	}()
+	return func() { <-done }
 }
 
 // TestHTTPDScheduleGolden locks the scheduler hot path to the rotation

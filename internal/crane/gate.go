@@ -36,20 +36,26 @@ func (k recvKey) DMTWaitKey() uint64 { return 2<<62 | k.conn }
 //  2. If the head is a time bubble, consume logical clocks from it: one per
 //     operation while any application thread is runnable, all that remain
 //     at once when the caller is the idle thread of a parked lane.
-//  3. If the head is a client socket call, signal the thread blocked on
-//     the matching socket operation, if any.
+//  3. If the head is a client socket call, file it (see inbound) when a
+//     thread waits on its socket, or when the call has gone unclaimed for a
+//     whole rotation (overdue): a CONNECT into its port's backlog, a SEND or
+//     CLOSE into its connection's receive buffer, and wake the threads
+//     blocked on that socket. A call for a connection the server already
+//     closed is dropped. Otherwise the operation is admitted against the
+//     head without consuming it, as in the paper.
 //
-// Invariant: the gate never returns with an empty sequence after it popped
-// an entry itself (an exhausted bubble, a discarded call of a closed
-// connection) — it waits for the next entry first. Whether that entry has
-// arrived yet is physical timing, and the socket wrapper that runs next
-// (ReadInto, Head) must not branch on it: one replica would consume the
-// entry at this clock and another tick a wait first.
+// Because the idle thread files a head nobody claims one rotation later
+// whether or not anyone waits for it, no call can wedge the lane: a SEND for a
+// connection that is still in the backlog does not keep the workers, all
+// blocked in recv on other connections, from the SENDs behind it. Who waits,
+// and the rotation, are properties of the deterministic schedule, so every
+// replica files each call at the same logical time. And because the wrappers
+// read only what is filed, none of them ever branches on whether the next
+// entry has arrived yet, which is physical timing.
 //
-// With bubbling disabled (the paper's §7.2 "plan II"), step 1 and the
-// invariant are skipped: socket calls are admitted at whatever logical time
-// they happen to arrive, which is exactly the nondeterminism that makes
-// replicas diverge.
+// With bubbling disabled (the paper's §7.2 "plan II"), step 1 is skipped:
+// socket calls are admitted at whatever logical time they happen to arrive,
+// which is exactly the nondeterminism that makes replicas diverge.
 type gate struct {
 	r        *Replica
 	bubbling bool
@@ -65,10 +71,13 @@ type gate struct {
 	// application op (a point of the deterministic lane schedule) and
 	// every consumption after it is serialized by the lane token.
 	booted []atomic.Bool
+	// seen[L] is lane L's consumption position plus one when its idle thread
+	// last passed over a head call (see overdue); only that thread touches it.
+	seen []uint64
 }
 
 func newGate(r *Replica, bubbling bool) *gate {
-	g := &gate{r: r, bubbling: bubbling}
+	g := &gate{r: r, bubbling: bubbling, seen: make([]uint64, r.lanes)}
 	if r.lanes > 1 {
 		g.booted = make([]atomic.Bool, r.lanes)
 	}
@@ -96,32 +105,57 @@ func (g *gate) CheckAdmit(t *dmt.Thread) {
 	}
 	h, ok := sq.Head()
 	if !ok {
-		return
+		return // plan II: nothing to admit against
 	}
-	switch h.Kind {
-	case seq.KindBubble:
-		// On a parked lane the next NClock operations are idle ticks
-		// nothing can interleave with, so the idle thread takes them in one
-		// turn: drain the bubble and move the clock as far as those ticks
-		// would have (this operation's own PutTurn supplies the last of
-		// them). Anyone else ticks once.
+	if h.Kind == seq.KindBubble {
+		// On a parked lane the next NClock operations are idle ticks nothing
+		// can interleave with, so the idle thread takes them in one turn:
+		// drain the bubble and move the clock as far as those ticks would
+		// have (this operation's own PutTurn supplies the last of them).
+		// Anyone else ticks once.
 		if !t.IdleAdvance(func() uint64 { return g.drainBubble(sq) }) {
 			sq.TickBubble()
 		}
-		g.awaitInput(t, sq)
-	case seq.KindConnect:
-		t.SignalKey(acceptKey{h.Port})
-	case seq.KindSend, seq.KindClose:
-		if g.r.connClosed(h.Conn) {
-			// The server already closed this connection; its remaining
-			// client calls can never be consumed by a recv. Discard so
-			// the head does not wedge the sequence.
-			sq.PopIfConn(h.Conn)
-			g.awaitInput(t, sq)
-			return
-		}
-		t.SignalKey(recvKey{h.Conn})
+		return
 	}
+	key := callKey(&h)
+	if !t.HasWaiter(key) && !g.overdue(t, lane, sq) {
+		// Nobody waits for the head call yet: the operation is admitted
+		// against it without consuming it (Fig. 10), as every operation was
+		// while the call's reader had not come for it.
+		return
+	}
+	// Not ok only when a speculation abort truncated the head meanwhile.
+	if e, ok := sq.PopCall(); ok && g.r.inbound[lane].file(g.r, e) {
+		t.BroadcastKey(key)
+	}
+}
+
+// overdue reports whether the head call has gone unclaimed for a whole
+// rotation: the caller is the idle thread, which every rotation reaches, and it
+// met the same head at its previous turn (nothing was consumed since). A reader
+// that comes within a rotation claims its call itself, so while the pipeline
+// flows calls are filed on demand, and the operations in between are admitted
+// against the head, as in the paper. A call no reader comes for is filed one
+// rotation late instead of never.
+func (g *gate) overdue(t *dmt.Thread, lane int, sq *seq.Sequence) bool {
+	if !t.IsIdle() {
+		return false
+	}
+	pos := sq.Progress() + 1 // 0 means "no head seen yet"
+	if g.seen[lane] == pos {
+		return true
+	}
+	g.seen[lane] = pos
+	return false
+}
+
+// callKey is the wait key of the socket operation a client call satisfies.
+func callKey(e *seq.Entry) dmt.Keyer {
+	if e.Kind == seq.KindConnect {
+		return acceptKey{e.Port}
+	}
+	return recvKey{e.Conn}
 }
 
 // drainBubble consumes every remaining clock of sq's head bubble and returns

@@ -262,10 +262,11 @@ func TestGateTimerStoppedOnExit(t *testing.T) {
 		name string
 		end  func(h *gateHarness)
 	}{
-		// An unaccepted CONNECT ends the wait and keeps the sequence
-		// non-empty, so nobody waits again.
+		// A bubble ends the wait. The server keeps operating, so the bubble
+		// is ticked a clock at a time, never runs out, and nobody waits
+		// again.
 		{"wake", func(h *gateHarness) {
-			h.inject(&seq.Entry{Index: 1, Kind: seq.KindConnect, Conn: 9, Port: 1})
+			h.inject(&seq.Entry{Index: 1, Kind: seq.KindBubble, NClock: 1 << 40})
 		}},
 		{"kill", func(h *gateHarness) {
 			h.proc.Kill()
@@ -279,6 +280,10 @@ func TestGateTimerStoppedOnExit(t *testing.T) {
 			h.proc.Start(papi.FuncInstance{Main: func(tt papi.T) {
 				m := tt.NewMutex()
 				m.Lock(tt) // blocks in the gate: the sequence is empty
+				for {
+					m.Unlock(tt)
+					m.Lock(tt)
+				}
 			}})
 			waitFor(t, 5*time.Second, "the gate to arm its deadline", func() bool {
 				return hrtimer.Pending() == base+1

@@ -231,3 +231,62 @@ func TestCraneMongooseLanes(t *testing.T) {
 		}
 	}
 }
+
+// TestOvercommitServesEveryConnection: more concurrent connections than the
+// server has workers. The acceptor takes connections as their CONNECTs
+// commit, and a connection waiting for a worker has its SEND committed ahead
+// of the SENDs the busy workers wait for. The gate files each SEND into its
+// connection's buffer on its turn, so that SEND cannot hold the others up:
+// every request is answered, and every replica produces the same
+// per-connection outputs.
+func TestOvercommitServesEveryConnection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster workload in -short mode")
+	}
+	hcfg := httpd.DefaultConfig()
+	hcfg.Workers = 2
+	hcfg.PHPChunks = 3
+	hcfg.PHPChunkWork = 30
+	hcfg.CacheEnabled = false
+	ccfg := integrationConfig(ModeCrane)
+	ccfg.Lanes = 1
+	c, err := StartCluster(ccfg, httpd.Program(hcfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	const conns = 8
+	errs := make(chan error, conns)
+	for i := 0; i < conns; i++ {
+		go func(i int) {
+			status, _, err := clients.Curl(c.Dial, fmt.Sprintf("over%d:1", i), 8080,
+				"GET", fmt.Sprintf("/page%d.php", i), nil)
+			if err == nil && status != 200 {
+				err = fmt.Errorf("GET status %d", status)
+			}
+			errs <- err
+		}(i)
+	}
+	deadline := time.After(5 * time.Second)
+	for i := 0; i < conns; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("request: %v", err)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d connections unanswered after 5s with %d workers", conns-i, conns, hcfg.Workers)
+		}
+	}
+	waitLanesSettled(t, c, conns)
+	want := perConnOutputs(c.Replica(0).Outputs())
+	if len(want) != conns {
+		t.Fatalf("replica 0 answered %d connections, want %d", len(want), conns)
+	}
+	for i := 1; i < c.Replicas(); i++ {
+		if got := perConnOutputs(c.Replica(i).Outputs()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("replica %d per-connection outputs diverge from replica 0", i)
+		}
+	}
+}

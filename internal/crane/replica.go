@@ -3,7 +3,6 @@ package crane
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -99,10 +98,13 @@ type Replica struct {
 	// sqs holds one Paxos sequence per execution lane. Committed entries
 	// are routed by the connection's class (laneForConn) and bubbles are
 	// cloned into every lane, keeping each lane's clock bubble-paced.
-	sqs   []*seq.Sequence
-	lanes int
-	px    *proxy
-	pump  *pumpSockets
+	sqs []*seq.Sequence
+	// inbound[L] is what lane L's consumer filed off sqs[L] for the socket
+	// wrappers: listener backlogs and receive buffers.
+	inbound []*inbound
+	lanes   int
+	px      *proxy
+	pump    *pumpSockets
 
 	// pproc is the DMT process (nil in non-DMT modes), nproc the
 	// nondeterministic one; both are set once in start.
@@ -117,12 +119,12 @@ type Replica struct {
 	baseSnap *cfs.Snapshot
 	out      *trace.OutputLog
 
+	// openConns counts connections from the filing of their CONNECT until
+	// the server closes them or reads them to EOF.
 	openConns  atomic.Int64
 	killedFlag atomic.Bool
 	// stopped closes when stop's teardown is complete.
-	stopped     chan struct{}
-	closedMu    sync.Mutex
-	closedConns map[uint64]bool
+	stopped chan struct{}
 
 	bubblePending atomic.Bool
 	bubbleSince   atomic.Int64 // unix nanos of the outstanding request
@@ -167,15 +169,14 @@ type Replica struct {
 // newReplica wires a replica; start() launches it.
 func newReplica(id int, cfg *Config, prog papi.Program, net *simnet.Network) *Replica {
 	r := &Replica{
-		id:          id,
-		host:        fmt.Sprintf("replica%d", id),
-		cfg:         cfg,
-		prog:        prog,
-		net:         net,
-		mode:        cfg.Mode,
-		out:         trace.NewOutputLog(fmt.Sprintf("replica%d", id)),
-		closedConns: make(map[uint64]bool),
-		stopped:     make(chan struct{}),
+		id:      id,
+		host:    fmt.Sprintf("replica%d", id),
+		cfg:     cfg,
+		prog:    prog,
+		net:     net,
+		mode:    cfg.Mode,
+		out:     trace.NewOutputLog(fmt.Sprintf("replica%d", id)),
+		stopped: make(chan struct{}),
 	}
 	r.lanes = 1
 	if cfg.Mode.deterministic() {
@@ -185,8 +186,10 @@ func newReplica(id int, cfg *Config, prog papi.Program, net *simnet.Network) *Re
 	r.entArenas = make([][]seq.Entry, r.groups)
 	r.gm = seq.NewGroups(r.groups, r.afterMerge)
 	r.sqs = make([]*seq.Sequence, r.lanes)
+	r.inbound = make([]*inbound, r.lanes)
 	for i := range r.sqs {
 		r.sqs[i] = seq.New()
+		r.inbound[i] = newInbound()
 	}
 	r.ro = newReplicaObs(r)
 	if cfg.Mode.deterministic() {
@@ -716,19 +719,6 @@ func (r *Replica) proxyCloseConn(conn uint64) {
 	if r.px != nil {
 		r.px.closeConn(conn)
 	}
-}
-
-func (r *Replica) markConnClosed(conn uint64) {
-	r.closedMu.Lock()
-	r.closedConns[conn] = true
-	r.closedMu.Unlock()
-	r.ro.dropConnReq(conn)
-}
-
-func (r *Replica) connClosed(conn uint64) bool {
-	r.closedMu.Lock()
-	defer r.closedMu.Unlock()
-	return r.closedConns[conn]
 }
 
 func (r *Replica) killed() bool { return r.killedFlag.Load() }

@@ -13,6 +13,92 @@ import (
 // ErrKilled is returned from socket calls on a torn-down replica.
 var ErrKilled = errors.New("crane: replica killed")
 
+// inbound is one lane's filed input. The consumer of the lane's sequence —
+// the gate (see gate.CheckAdmit for when), the pump in paxos-only mode — pops
+// committed client calls off the head and files them here: a CONNECT into its
+// port's backlog, a SEND or CLOSE into its connection's receive buffer. The
+// socket wrappers wait on what is filed, never on the sequence head, so a
+// call for a connection no worker serves yet cannot hold up the calls behind
+// it ("Early Scheduling in Parallel SMR": bind a command to its consumer at
+// ordering time). Guarded by the lane token (the pump's mutex in paxos-only
+// mode).
+type inbound struct {
+	backlog map[int][]uint64      // port → filed connections not yet accepted, in sequence order
+	conns   map[uint64]*connInbox // filed connections the server has neither closed nor read to EOF
+}
+
+// connInbox is one connection's receive buffer.
+type connInbox struct {
+	data [][]byte // filed SEND payloads not yet read; the first may be partly read
+	eof  bool     // the client's CLOSE is filed
+}
+
+func newInbound() *inbound {
+	return &inbound{backlog: make(map[int][]uint64), conns: make(map[uint64]*connInbox)}
+}
+
+// file takes e, a client call just popped off the lane's sequence. It reports
+// false when the call was dropped because the server already closed its
+// connection: nothing would ever read it.
+func (in *inbound) file(r *Replica, e *seq.Entry) bool {
+	if e.Kind == seq.KindConnect {
+		in.backlog[e.Port] = append(in.backlog[e.Port], e.Conn)
+		in.conns[e.Conn] = &connInbox{}
+		r.openConns.Add(1) // open from filing on: a checkpoint must not lose it
+		return true
+	}
+	box := in.conns[e.Conn]
+	if box == nil {
+		return false
+	}
+	if e.Kind == seq.KindClose {
+		box.eof = true
+	} else if len(e.Data) > 0 {
+		box.data = append(box.data, e.Data)
+	}
+	return true
+}
+
+// accept takes the oldest filed connection on port.
+func (in *inbound) accept(port int) (uint64, bool) {
+	q := in.backlog[port]
+	if len(q) == 0 {
+		return 0, false
+	}
+	in.backlog[port] = q[1:]
+	if len(q) == 1 {
+		delete(in.backlog, port)
+	}
+	return q[0], true
+}
+
+// recv copies filed bytes of conn into b. eof is true, with n == 0, once the
+// client's CLOSE is filed and every byte before it read; the connection's
+// buffer is then gone.
+func (in *inbound) recv(conn uint64, b []byte) (n int, eof bool) {
+	box := in.conns[conn]
+	if box == nil {
+		return 0, true
+	}
+	for n < len(b) && len(box.data) > 0 {
+		c := copy(b[n:], box.data[0])
+		n += c
+		if box.data[0] = box.data[0][c:]; len(box.data[0]) == 0 {
+			box.data[0] = nil
+			box.data = box.data[1:]
+		}
+	}
+	if n == 0 && box.eof {
+		delete(in.conns, conn)
+		return 0, true
+	}
+	return n, false
+}
+
+// close drops whatever is filed for conn; later calls for it are dropped
+// when they are filed.
+func (in *inbound) close(conn uint64) { delete(in.conns, conn) }
+
 // --- deterministic sockets (full CRANE / plan II): paper Fig. 10/11 ---
 
 // dmtSockets is the papi.SocketLayer for DMT-scheduled replicas: accept,
@@ -30,44 +116,40 @@ type dmtListener struct {
 	port int
 }
 
-// Poll reports readiness without consuming: it blocks until the sequence
-// head is a CONNECT for this port. The hint is ignored — readiness is a
-// deterministic property of the sequence, not of physical time.
+// Poll reports readiness without consuming: it blocks until a CONNECT for
+// this port is filed. The hint is ignored — readiness is a deterministic
+// property of the sequence, not of physical time.
 func (l *dmtListener) Poll(t papi.T, hint time.Duration) bool {
 	th, ok := papi.DMTThreadOf(t)
 	if !ok {
 		return false
 	}
-	// Each lane's acceptor polls its own lane's sequence: CONNECTs are
+	// Each lane's acceptor waits on its own lane's backlog: CONNECTs are
 	// routed to lanes by the program's conflict map, so lane L only ever
-	// sees (and accepts) its own connections.
-	sq := l.r.sqs[th.LaneID()]
+	// files (and accepts) its own connections.
+	in := l.r.inbound[th.LaneID()]
 	th.GetTurn()
 	th.Admit()
-	for {
-		if h, ok := sq.Head(); ok && h.Kind == seq.KindConnect && h.Port == l.port {
-			th.PutTurn()
-			return true
-		}
+	for len(in.backlog[l.port]) == 0 {
 		th.WaitOn(acceptKey{l.port})
 	}
+	th.PutTurn()
+	return true
 }
 
-// Accept consumes a CONNECT entry at a deterministic logical time.
+// Accept takes the oldest filed connection at a deterministic logical time.
 func (l *dmtListener) Accept(t papi.T) (papi.Conn, error) {
 	th, ok := papi.DMTThreadOf(t)
 	if !ok {
 		return nil, errors.New("crane: accept from non-DMT thread")
 	}
-	sq := l.r.sqs[th.LaneID()]
+	in := l.r.inbound[th.LaneID()]
 	th.GetTurn()
 	th.Admit()
 	for {
-		if h, ok := sq.Head(); ok && h.Kind == seq.KindConnect && h.Port == l.port {
-			connID, _, _ := sq.PopConnect()
-			l.r.openConns.Add(1)
+		if connID, ok := in.accept(l.port); ok {
 			th.PutTurn()
-			return &dmtConn{r: l.r, id: connID, sq: sq}, nil
+			return &dmtConn{r: l.r, id: connID, in: in}, nil
 		}
 		th.WaitOn(acceptKey{l.port})
 	}
@@ -79,8 +161,8 @@ func (l *dmtListener) Close() error { return nil }
 type dmtConn struct {
 	r      *Replica
 	id     uint64
-	sq     *seq.Sequence // the connection's lane sequence
-	eof    bool          // all client data consumed (guarded by the token)
+	in     *inbound // the connection's lane's filed input
+	eof    bool     // all client data consumed (guarded by the token)
 	closed bool
 }
 
@@ -88,8 +170,8 @@ type dmtConn struct {
 func (c *dmtConn) ID() uint64 { return c.id }
 
 // Recv implements the recv() wrapper of Fig. 11: block on the connection
-// key until the matching client send() reaches the sequence head, then
-// dequeue by actual bytes received.
+// key until the gate has filed a matching client send(), then read filed
+// bytes up to len(buf).
 func (c *dmtConn) Recv(t papi.T, buf []byte) (int, error) {
 	th, ok := papi.DMTThreadOf(t)
 	if !ok {
@@ -102,7 +184,7 @@ func (c *dmtConn) Recv(t papi.T, buf []byte) (int, error) {
 		return 0, io.EOF
 	}
 	for {
-		n, eof := c.sq.ReadInto(c.id, buf)
+		n, eof := c.in.recv(c.id, buf)
 		if eof {
 			c.eof = true
 			c.r.openConns.Add(-1)
@@ -131,8 +213,8 @@ func (c *dmtConn) Send(t papi.T, data []byte) (int, error) {
 	return len(data), nil
 }
 
-// Close releases the server side; any not-yet-consumed client calls for
-// this connection will be discarded by the gate.
+// Close releases the server side; client calls for this connection filed
+// from here on are dropped.
 func (c *dmtConn) Close(t papi.T) error {
 	th, ok := papi.DMTThreadOf(t)
 	if !ok {
@@ -145,7 +227,8 @@ func (c *dmtConn) Close(t papi.T) error {
 		if !c.eof {
 			c.r.openConns.Add(-1)
 		}
-		c.r.markConnClosed(c.id)
+		c.in.close(c.id)
+		c.r.ro.dropConnReq(c.id)
 	}
 	th.PutTurn()
 	c.r.proxyCloseConn(c.id)
@@ -157,16 +240,19 @@ func (c *dmtConn) Close(t papi.T) error {
 
 // pumpSockets delivers sequence entries to plain-goroutine servers in
 // consensus order, using ordinary condition variables: input ordering
-// without execution determinism.
+// without execution determinism. Whoever holds mu files every committed call
+// (fileAll) before looking for its own, so, as under the gate, a call no
+// thread is waiting for cannot hold up the ones behind it.
 type pumpSockets struct {
 	r    *Replica
 	sq   *seq.Sequence // the one sequence: paxos-only mode runs a single lane
+	in   *inbound      // guarded by mu
 	mu   sync.Mutex
 	cond *sync.Cond
 }
 
 func newPumpSockets(r *Replica) *pumpSockets {
-	p := &pumpSockets{r: r, sq: r.sqs[0]}
+	p := &pumpSockets{r: r, sq: r.sqs[0], in: r.inbound[0]}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -179,19 +265,11 @@ func (p *pumpSockets) Listen(t papi.T, port int) (papi.Listener, error) {
 	return &pumpListener{p: p, port: port}, nil
 }
 
-// discardClosed drains head entries addressed to server-closed
-// connections. Caller holds p.mu.
-func (p *pumpSockets) discardClosed() {
-	for {
-		h, ok := p.sq.Head()
-		if !ok {
-			return
-		}
-		if (h.Kind == seq.KindSend || h.Kind == seq.KindClose) && p.r.connClosed(h.Conn) {
-			p.sq.PopIfConn(h.Conn)
-			continue
-		}
-		return
+// fileAll files every committed call. Paxos-only mode proposes no bubbles,
+// so the head is always a client call. Caller holds p.mu.
+func (p *pumpSockets) fileAll() {
+	for e, ok := p.sq.PopCall(); ok; e, ok = p.sq.PopCall() {
+		p.in.file(p.r, e)
 	}
 }
 
@@ -204,9 +282,8 @@ func (l *pumpListener) Poll(t papi.T, hint time.Duration) bool {
 	deadline := time.Now().Add(hint)
 	for {
 		l.p.mu.Lock()
-		l.p.discardClosed()
-		h, ok := l.p.sq.Head()
-		ready := ok && h.Kind == seq.KindConnect && h.Port == l.port
+		l.p.fileAll()
+		ready := len(l.p.in.backlog[l.port]) > 0
 		l.p.mu.Unlock()
 		if ready || l.p.r.killed() {
 			return ready
@@ -225,10 +302,8 @@ func (l *pumpListener) Accept(t papi.T) (papi.Conn, error) {
 		if l.p.r.killed() {
 			return nil, ErrKilled
 		}
-		l.p.discardClosed()
-		if h, ok := l.p.sq.Head(); ok && h.Kind == seq.KindConnect && h.Port == l.port {
-			connID, _, _ := l.p.sq.PopConnect()
-			l.p.r.openConns.Add(1)
+		l.p.fileAll()
+		if connID, ok := l.p.in.accept(l.port); ok {
 			l.p.cond.Broadcast()
 			return &pumpConn{p: l.p, id: connID}, nil
 		}
@@ -266,7 +341,8 @@ func (c *pumpConn) Recv(t papi.T, buf []byte) (int, error) {
 		if c.p.r.killed() {
 			return 0, ErrKilled
 		}
-		n, eof := c.p.sq.ReadInto(c.id, buf)
+		c.p.fileAll()
+		n, eof := c.p.in.recv(c.id, buf)
 		if eof {
 			c.eof = true
 			c.p.r.openConns.Add(-1)
@@ -277,7 +353,6 @@ func (c *pumpConn) Recv(t papi.T, buf []byte) (int, error) {
 			c.p.cond.Broadcast()
 			return n, nil
 		}
-		c.p.discardClosed()
 		c.p.waitWithKick()
 	}
 }
@@ -294,7 +369,8 @@ func (c *pumpConn) Close(t papi.T) error {
 		if !c.eof {
 			c.p.r.openConns.Add(-1)
 		}
-		c.p.r.markConnClosed(c.id)
+		c.p.in.close(c.id)
+		c.p.r.ro.dropConnReq(c.id)
 		c.p.cond.Broadcast()
 	}
 	c.p.mu.Unlock()

@@ -1114,6 +1114,9 @@ func (s *Scheduler) idleLoop(t *Thread) {
 			// Sleep, not time.After: the latter allocates a timer and a
 			// channel per rotation, which at this frequency becomes a
 			// timer-heap and GC storm that starves everything else.
+			// A runtime sleep, not an hrtimer: a timerfd nap here moved no
+			// benchmark metric and made the lanes tests hang more often
+			// (13 of 60 runs, before the gate filed the head).
 			time.Sleep(sleep)
 		} else {
 			// Busy rotation (application threads runnable, or entries
@@ -1123,6 +1126,7 @@ func (s *Scheduler) idleLoop(t *Thread) {
 			// goroutines.
 			busySpins++
 			if busySpins%64 == 0 {
+				// A runtime sleep for the same reason as the idle nap.
 				time.Sleep(10 * time.Microsecond)
 			} else {
 				runtime.Gosched()

@@ -312,7 +312,8 @@ func (s *Scheduler) crossDo(t *Thread, f func()) {
 		}
 		// Brief yields catch the common case (another lane mid-operation);
 		// the timed sleep bounds spin cost while a slow lane's clock
-		// catches up (bubble-paced in gated mode).
+		// catches up (bubble-paced in gated mode). A runtime sleep, like the
+		// idle thread's nap (see idleLoop).
 		spins++
 		if spins < 32 && spinnable {
 			runtime.Gosched()

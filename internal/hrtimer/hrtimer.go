@@ -1,23 +1,32 @@
-// Package hrtimer provides one-shot deadlines that fire on time in a quiet
-// process.
+// Package hrtimer provides one-shot deadlines that fire on time whether the
+// process is idle or busy.
 //
 // A Go runtime timer is only as precise as the thread that happens to be
-// watching it. While some P is busy, timers are checked on every scheduling
-// round; once every P is idle, the last thread parks in epoll_wait with the
-// next timer's delay as its timeout — and epoll_wait's timeout is whole
-// milliseconds, rounded up. A 100 µs runtime timer in an otherwise idle
-// process therefore fires after ~1.1 ms.
+// watching it, and the runtime has two regimes:
 //
-// On Linux this package keeps its deadlines in a timerfd that one goroutine
-// reads through the runtime's own netpoller: the kernel's hrtimer makes the
-// descriptor readable, which ends epoll_wait at once, so an idle process is
-// woken on time without anybody spinning. Elsewhere — and on Linux when no
-// timerfd can be had — the same service runs over a runtime timer, with the
-// runtime's resolution.
+//   - Idle: once every P is idle, the last thread parks in epoll_wait with the
+//     next timer's delay as its timeout, and epoll_wait's timeout is whole
+//     milliseconds, rounded up. A 100 µs runtime timer in an otherwise idle
+//     process therefore fires after ~1.1 ms.
+//   - Busy: while some P has work, every scheduling round checks the runtime
+//     timers, so they fire within microseconds. The netpoller, however, is
+//     polled only when a P runs out of goroutines: with a few goroutines
+//     spinning on runtime.Gosched (the DMT's busy rotation), a descriptor that
+//     became readable is noticed ~10 ms late.
 //
-// There is one service per process (one descriptor, one goroutine, a min-heap
-// of pending deadlines), started by the first Reset and never stopped: idle,
-// it is a goroutine parked in the netpoller.
+// Each regime is on time for one of the two clocks, so the service arms both.
+// On Linux its deadlines are kept in a timerfd that one goroutine reads through
+// the runtime's own netpoller: the kernel's hrtimer makes the descriptor
+// readable, which ends epoll_wait at once, so an idle process is woken on time
+// without anybody spinning. Beside it a runtime timer, the backstop, is armed
+// for the same deadline; in a busy process it is the one that fires on time.
+// Whichever fires first expires the heap, and the other finds nothing due.
+// Elsewhere — and on Linux when no timerfd can be had — the source is a
+// runtime timer too, with the runtime's resolution when idle.
+//
+// There is one service per process (one descriptor, one goroutine, one
+// backstop timer, a min-heap of pending deadlines), started by the first Reset
+// and never stopped: idle, it is a goroutine parked in the netpoller.
 package hrtimer
 
 import (
@@ -113,13 +122,22 @@ type service struct {
 	mu    sync.Mutex
 	heap  timerHeap
 	src   source
-	armed time.Time // the deadline src is armed for; zero when disarmed
+	armed time.Time // the deadline src and backstop are armed for; zero when disarmed
+	// backstop is the runtime timer armed beside src: the one that fires on
+	// time while the process is busy (see the package doc).
+	backstop *time.Timer
 }
 
 // run starts the service goroutine on src. It never exits: the service lives
 // as long as the process, as the runtime's timers do.
 func (s *service) run(src source) {
 	s.src = src
+	s.backstop = time.AfterFunc(time.Hour, func() {
+		s.mu.Lock()
+		s.expire()
+		s.mu.Unlock()
+	})
+	s.backstop.Stop()
 	go func() {
 		for {
 			err := src.wait()
@@ -151,9 +169,10 @@ func (s *service) disarm(t *Timer) bool {
 }
 
 // expire fires every deadline that has passed, earliest first, and re-arms
-// the source for the next one. Called with s.mu held.
+// the source and the backstop for the next one. Called with s.mu held, from
+// whichever of the two woke first.
 func (s *service) expire() {
-	s.armed = time.Time{} // the source has fired (or was replaced)
+	s.armed = time.Time{} // a clock has fired (or the source was replaced)
 	now := time.Now()
 	for len(s.heap) > 0 && !s.heap[0].when.After(now) {
 		t := heap.Pop(&s.heap).(*Timer)
@@ -165,20 +184,23 @@ func (s *service) expire() {
 	s.rearm()
 }
 
-// rearm points the source at the earliest pending deadline, touching it only
-// when that deadline changed. Called with s.mu held.
+// rearm points the source and the backstop at the earliest pending deadline,
+// touching them only when that deadline changed. Called with s.mu held.
 func (s *service) rearm() {
 	if len(s.heap) == 0 {
 		if !s.armed.IsZero() {
 			s.src.disarm()
+			s.backstop.Stop()
 			s.armed = time.Time{}
 		}
 		return
 	}
 	if next := s.heap[0].when; !next.Equal(s.armed) {
-		// A deadline already past still has to go through the source: only
-		// the service goroutine fires.
-		s.src.arm(max(time.Until(next), time.Nanosecond))
+		// A deadline already past still has to go through a clock: only
+		// expire fires, and never under a Reset or Stop.
+		d := max(time.Until(next), time.Nanosecond)
+		s.src.arm(d)
+		s.backstop.Reset(d)
 		s.armed = next
 	}
 }

@@ -3,6 +3,7 @@ package hrtimer
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -82,6 +83,45 @@ func TestHRTimerOnTime(t *testing.T) {
 	}
 	if p50 >= 300*time.Microsecond {
 		t.Errorf("p50 lateness %v, want under 300µs (runtime timer beside it: %v)", p50, ctl)
+	}
+}
+
+// TestHRTimerOnTimeWhileSpinning: with goroutines spinning on
+// runtime.Gosched, as the DMT's busy rotation does, the netpoller is polled
+// only when a P runs dry, and a timerfd alone is noticed ~10 ms late. The
+// runtime-timer backstop is checked on every scheduling round and keeps a
+// 50 µs deadline on time.
+func TestHRTimerOnTimeWhileSpinning(t *testing.T) {
+	const shots, d = 200, 50 * time.Microsecond
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+	tm := New()
+	defer tm.Stop()
+	late := make([]time.Duration, shots)
+	for i := range late {
+		tm.Reset(d)
+		due := <-tm.C
+		late[i] = time.Since(due)
+	}
+	p50 := median(late)
+	t.Logf("lateness of a %v deadline beside 3 spinning goroutines, p50 of %d shots: %v", d, shots, p50)
+	if p50 >= 500*time.Microsecond {
+		t.Errorf("p50 lateness %v while spinning, want under 500µs", p50)
 	}
 }
 

@@ -595,16 +595,16 @@ func TestChanTransportStatsCountsDrops(t *testing.T) {
 		t.Fatalf("Stats after loss = %+v, want Sent=10 LossDropped=10", st)
 	}
 
-	// Overflow: a destination endpoint with a tiny inbox and no pump
-	// goroutine, so the third message overflows deterministically.
-	hub2 := NewChanHub(0, 0, 0, 3)
-	src2 := hub2.Endpoint(0)
+	// Overflow: with an hour of latency nothing is delivered during the
+	// test, so the delivery queue holds every send and the three beyond its
+	// bound are dropped.
+	hub2 := NewChanHub(time.Hour, 0, 0, 3)
+	src2, dst2 := hub2.Endpoint(0), hub2.Endpoint(1)
 	defer src2.Close()
-	dst2 := &ChanTransport{hub: hub2, id: 1, inbox: make(chan Message, 2), stop: make(chan struct{})}
-	hub2.mu.Lock()
-	hub2.eps[1] = dst2
-	hub2.mu.Unlock()
-	for i := 0; i < 5; i++ {
+	defer dst2.Close()
+	dst2.SetHandler(func(Message) { t.Error("a message an hour out was delivered") })
+	const sends = inboxBound + 3
+	for i := 0; i < sends; i++ {
 		if err := src2.Send(1, Message{Type: MsgHeartbeat, Index: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -613,8 +613,8 @@ func TestChanTransportStatsCountsDrops(t *testing.T) {
 	if st2.InboxDropped != 3 {
 		t.Fatalf("InboxDropped = %d, want 3", st2.InboxDropped)
 	}
-	if got := src2.Stats(); got.Sent != 5 || got.LossDropped != 0 {
-		t.Fatalf("sender stats = %+v, want Sent=5 LossDropped=0", got)
+	if got := src2.Stats(); got.Sent != sends || got.LossDropped != 0 {
+		t.Fatalf("sender stats = %+v, want Sent=%d LossDropped=0", got, sends)
 	}
 }
 

@@ -4,12 +4,13 @@
 // (The original uses Boost shared memory guarded by lockf; here both sides
 // are in-process and a mutex suffices — the contract is identical.)
 //
-// The proxy appends entries in global consensus order; the DMT gate and the
-// socket wrappers consume them: bubbles are decremented one logical clock
-// per synchronization operation, CONNECT entries are consumed by accept(),
-// SEND entries are consumed — possibly partially, by byte count — by
-// recv(), and CLOSE entries make the next recv() on that connection return
-// EOF (Fig. 10/11).
+// The proxy appends entries in global consensus order and the DMT gate
+// consumes them at synchronization operations: a bubble is decremented one
+// logical clock per operation, and a client call is popped whole (PopCall) and
+// filed for the socket wrappers — a CONNECT into its port's backlog for accept(), a SEND
+// or CLOSE into its connection's receive buffer for recv() (Fig. 10/11).
+// ReadInto is the head-only reader those wrappers used before: it consumes
+// SEND bytes only while the head belongs to the reader's connection.
 package seq
 
 import (
@@ -529,25 +530,36 @@ func (s *Sequence) consumeBubble(limit uint64) (n uint64, ok bool) {
 	return n, true
 }
 
-// PopConnect consumes a head CONNECT entry, returning its connection id and
-// port. Used by the accept() wrapper.
-func (s *Sequence) PopConnect() (connID uint64, port int, ok bool) {
+// PopCall consumes the head entry when it is a client call (CONNECT, SEND or
+// CLOSE) and returns it; ok is false when the sequence is empty or the head is
+// a bubble. This is how CRANE's gate files a committed call for the socket
+// wrappers: the whole entry counts as consumed at once — the consumption
+// position, the journal, the queue-wait and consumption hooks and, for a
+// speculative entry, SpecConsumed all move here, not when the server reads.
+func (s *Sequence) PopCall() (e *Entry, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pendingLocked() == 0 || s.headLocked().Kind != KindConnect {
-		return 0, 0, false
+	if s.pendingLocked() == 0 || s.headLocked().Kind == KindBubble {
+		return nil, false
 	}
-	e := s.headLocked()
-	s.popLocked()
-	s.consumedCalls++
-	s.progressA.Add(1)
+	e = s.headLocked()
 	if e.Spec {
 		s.specConsumed++
 	}
+	s.popLocked()
+	s.consumedCalls++
+	s.progressA.Add(1)
 	if s.flight != nil {
-		s.flightEmit(flight.EvConnect, e.Conn)
+		s.flightEmit(callEvent[e.Kind], e.Conn)
 	}
-	return e.Conn, e.Port, true
+	return e, true
+}
+
+// callEvent is the journal event of each client-call kind.
+var callEvent = [...]uint8{
+	KindConnect: flight.EvConnect,
+	KindSend:    flight.EvSend,
+	KindClose:   flight.EvClose,
 }
 
 // ReadData consumes up to max bytes from head SEND entries belonging to
@@ -609,35 +621,6 @@ func (s *Sequence) ReadInto(conn uint64, b []byte) (n int, eof bool) {
 		}
 	}
 	return n, false
-}
-
-// PopIfConn discards a head SEND/CLOSE entry belonging to conn. Used to
-// drain calls addressed to a connection the server has already closed,
-// which no recv() will ever consume.
-func (s *Sequence) PopIfConn(conn uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pendingLocked() == 0 {
-		return false
-	}
-	e := s.headLocked()
-	if (e.Kind != KindSend && e.Kind != KindClose) || e.Conn != conn {
-		return false
-	}
-	if e.Spec {
-		s.specConsumed++
-	}
-	s.popLocked()
-	s.consumedCalls++
-	s.progressA.Add(1)
-	if s.flight != nil {
-		if e.Kind == KindClose {
-			s.flightEmit(flight.EvClose, conn)
-		} else {
-			s.flightEmit(flight.EvSend, conn)
-		}
-	}
-	return true
 }
 
 // Progress returns the sequence's consumption position: total bubble

@@ -56,23 +56,30 @@ func TestEnqueueHeadOrder(t *testing.T) {
 	}
 }
 
-func TestPopConnect(t *testing.T) {
+func TestPopCall(t *testing.T) {
 	s := New()
 	s.Enqueue(&Entry{Index: 1, Kind: KindConnect, Conn: 42, Port: 8080})
-	conn, port, ok := s.PopConnect()
-	if !ok || conn != 42 || port != 8080 {
-		t.Fatalf("PopConnect = %d, %d, %v", conn, port, ok)
+	s.Enqueue(&Entry{Index: 2, Kind: KindSend, Conn: 42, Data: []byte("abc")})
+	s.Enqueue(&Entry{Index: 3, Kind: KindClose, Conn: 42})
+	for _, want := range []Kind{KindConnect, KindSend, KindClose} {
+		e, ok := s.PopCall()
+		if !ok || e.Kind != want || e.Conn != 42 {
+			t.Fatalf("PopCall = %+v, %v, want the %v of conn 42", e, ok, want)
+		}
 	}
-	if _, _, ok := s.PopConnect(); ok {
-		t.Fatal("PopConnect on empty succeeded")
+	if _, ok := s.PopCall(); ok {
+		t.Fatal("PopCall on empty succeeded")
 	}
-	// PopConnect must not consume a non-connect head.
-	s.Enqueue(&Entry{Index: 2, Kind: KindSend, Conn: 42})
-	if _, _, ok := s.PopConnect(); ok {
-		t.Fatal("PopConnect consumed a SEND")
+	if st := s.Stats(); st.Consumed != 3 || s.Progress() != 3 {
+		t.Fatalf("after three pops: Consumed %d, Progress %d, want 3 and 3", st.Consumed, s.Progress())
+	}
+	// PopCall must not consume a bubble.
+	s.Enqueue(&Entry{Index: 4, Kind: KindBubble, NClock: 2})
+	if _, ok := s.PopCall(); ok {
+		t.Fatal("PopCall consumed a bubble")
 	}
 	if s.Len() != 1 {
-		t.Fatal("PopConnect disturbed the queue")
+		t.Fatal("PopCall disturbed the queue")
 	}
 }
 
@@ -185,7 +192,7 @@ func TestStarvesIn(t *testing.T) {
 	if got := s.StarvesIn(d); got != d {
 		t.Fatalf("StarvesIn = %v with an entry pending, want all of %v", got, d)
 	}
-	s.PopConnect()
+	s.PopCall()
 	prev := s.StarvesIn(d)
 	if prev <= 0 || prev > d {
 		t.Fatalf("StarvesIn = %v right after the drain, want in (0, %v]", prev, d)
@@ -206,7 +213,7 @@ func TestStarvesIn(t *testing.T) {
 	}
 	// An enqueue and its consumption restart the count.
 	s.Enqueue(&Entry{Index: 2, Kind: KindConnect})
-	s.PopConnect()
+	s.PopCall()
 	if got := s.StarvesIn(d); got < d/2 || got > d {
 		t.Fatalf("StarvesIn = %v after enqueue + consume, want nearly %v again", got, d)
 	}

@@ -35,8 +35,8 @@ func TestEnqueueSpecAndClear(t *testing.T) {
 }
 
 // TestSpecConsumedCountsEveryPath verifies that each consumption act
-// against a speculative entry — bubble tick, connect pop, full read,
-// close-EOF, and drain pop — bumps the contamination counter the abort
+// against a speculative entry — bubble tick, full read, close-EOF, and the
+// gate's filing pop of any client call — bumps the contamination counter the abort
 // path keys its light-vs-rollback decision on.
 func TestSpecConsumedCountsEveryPath(t *testing.T) {
 	s := New()
@@ -47,8 +47,8 @@ func TestSpecConsumedCountsEveryPath(t *testing.T) {
 	}
 	s.TickBubble() // exhausts the bubble
 	s.EnqueueSpec(&Entry{Kind: KindConnect, Conn: 3, Port: 80})
-	if _, _, ok := s.PopConnect(); !ok {
-		t.Fatal("PopConnect failed")
+	if _, ok := s.PopCall(); !ok {
+		t.Fatal("PopCall of the CONNECT failed")
 	}
 	s.EnqueueSpec(&Entry{Kind: KindSend, Conn: 3, Data: []byte("ab")})
 	if n, _ := s.ReadInto(3, make([]byte, 4)); n != 2 {
@@ -59,11 +59,11 @@ func TestSpecConsumedCountsEveryPath(t *testing.T) {
 		t.Fatal("close entry did not EOF")
 	}
 	s.EnqueueSpec(&Entry{Kind: KindSend, Conn: 9, Data: []byte("x")})
-	if !s.PopIfConn(9) {
-		t.Fatal("PopIfConn failed")
+	if _, ok := s.PopCall(); !ok {
+		t.Fatal("PopCall of the SEND failed")
 	}
 	if got := s.SpecConsumed(); got != 6 {
-		t.Fatalf("SpecConsumed = %d, want 6 (2 ticks + connect + send + close + drain)", got)
+		t.Fatalf("SpecConsumed = %d, want 6 (2 ticks + connect + send + close + filed send)", got)
 	}
 }
 
