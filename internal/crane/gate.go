@@ -100,34 +100,43 @@ func (g *gate) CheckAdmit(t *dmt.Thread) {
 		}
 		g.booted[lane].Store(true)
 	}
-	if !g.awaitInput(t, sq) {
-		return // killed: the wrapper's next scheduler call unwinds
-	}
-	h, ok := sq.Head()
-	if !ok {
-		return // plan II: nothing to admit against
-	}
-	if h.Kind == seq.KindBubble {
-		// On a parked lane the next NClock operations are idle ticks nothing
-		// can interleave with, so the idle thread takes them in one turn:
-		// drain the bubble and move the clock as far as those ticks would
-		// have (this operation's own PutTurn supplies the last of them).
-		// Anyone else ticks once.
-		if !t.IdleAdvance(func() uint64 { return g.drainBubble(sq) }) {
-			sq.TickBubble()
+	for {
+		if !g.awaitInput(t, sq) {
+			return // killed: the wrapper's next scheduler call unwinds
+		}
+		h, ok := sq.Head()
+		if !ok {
+			return // plan II: nothing to admit against
+		}
+		if h.Kind == seq.KindBubble {
+			// On a parked lane the next NClock operations are idle ticks
+			// nothing can interleave with, so the idle thread takes them in
+			// one turn: drain the bubble and move the clock as far as those
+			// ticks would have (this operation's own PutTurn supplies the
+			// last of them). Anyone else ticks once.
+			if !t.IdleAdvance(func() uint64 { return g.drainBubble(sq) }) {
+				sq.TickBubble()
+			}
+			return
+		}
+		if !t.HasWaiter(callKey(&h)) && !g.overdue(t, lane, sq) {
+			// Nobody waits for the head call yet: the operation is admitted
+			// against it without consuming it (Fig. 10), as every operation
+			// was while the call's reader had not come for it.
+			return
+		}
+		e, ok := sq.PopCall(&h)
+		if !ok {
+			// A speculation abort replaced the head since Head: decide again
+			// on the entry that is there now, the one every other replica
+			// meets at this operation. The consumption position has not
+			// moved, so overdue answers as it did.
+			continue
+		}
+		if g.r.inbound[lane].file(g.r, e) {
+			t.BroadcastKey(callKey(e))
 		}
 		return
-	}
-	key := callKey(&h)
-	if !t.HasWaiter(key) && !g.overdue(t, lane, sq) {
-		// Nobody waits for the head call yet: the operation is admitted
-		// against it without consuming it (Fig. 10), as every operation was
-		// while the call's reader had not come for it.
-		return
-	}
-	// Not ok only when a speculation abort truncated the head meanwhile.
-	if e, ok := sq.PopCall(); ok && g.r.inbound[lane].file(g.r, e) {
-		t.BroadcastKey(key)
 	}
 }
 

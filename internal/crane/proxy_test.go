@@ -163,7 +163,7 @@ func TestEntryPortRouting(t *testing.T) {
 	if h.Port != 80 {
 		t.Fatalf("head port = %d", h.Port)
 	}
-	s.PopCall()
+	s.PopCall(nil)
 	h, _ = s.Head()
 	if h.Port != 443 {
 		t.Fatalf("second port = %d", h.Port)

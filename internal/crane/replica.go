@@ -557,9 +557,15 @@ func (r *Replica) maybeRequestBubble() time.Duration {
 	// lanes need bubbles to tick their clocks even while other lanes have
 	// steady client input. Until then the caller sleeps for what is left of
 	// W_timeout on the lane nearest starvation, not for a fresh one: the
-	// count started at the drain.
+	// count started at the drain. While another lane works, a parked lane's
+	// starvation does not count (see spareParked); if that leaves nothing
+	// starved, the caller looks again within a W_timeout.
 	left := r.cfg.Wtimeout
-	for _, lsq := range r.sqs {
+	spare := r.spareParked()
+	for i, lsq := range r.sqs {
+		if spare && r.pproc.Sched.LaneSched(i).Parked() {
+			continue
+		}
 		left = min(left, lsq.StarvesIn(r.cfg.Wtimeout))
 	}
 	if left > 0 {
@@ -615,6 +621,29 @@ func (r *Replica) maybeRequestBubble() time.Duration {
 	}
 	r.ro.bubbleReqs.Inc()
 	return bubbleGrace
+}
+
+// spareParked reports whether a parked lane's starvation is no reason for a
+// bubble round: some lane is working and no cross-lane operation waits for its
+// merge turn. A parked lane runs only its idle thread, which reads no clock,
+// and a merge wait is the one thing that needs its consumption position to
+// move; the working lane asks for itself once its own sequence starves.
+// Counting the parked lane would run a round every W_timeout plus one commit
+// for as long as any lane is busy. When every lane is parked, each lane's starvation counts as before (a
+// parked cluster keeps its idle cadence: ROADMAP item 8). Parked is physical
+// timing, like every bubble request; the committed bubbles are what replicas
+// agree on.
+func (r *Replica) spareParked() bool {
+	if r.lanes == 1 || r.pproc == nil {
+		return false
+	}
+	d := r.pproc.Sched
+	for i := 0; i < r.lanes; i++ {
+		if !d.LaneSched(i).Parked() {
+			return !d.CrossPending()
+		}
+	}
+	return false
 }
 
 // bubbleRound opens a bubble round and mints its bubbles: one for every group

@@ -266,9 +266,10 @@ func (p *pumpSockets) Listen(t papi.T, port int) (papi.Listener, error) {
 }
 
 // fileAll files every committed call. Paxos-only mode proposes no bubbles,
-// so the head is always a client call. Caller holds p.mu.
+// so the head is always a client call, and it does not speculate, so nothing
+// replaces the head under the pump (PopCall's want is nil). Caller holds p.mu.
 func (p *pumpSockets) fileAll() {
-	for e, ok := p.sq.PopCall(); ok; e, ok = p.sq.PopCall() {
+	for e, ok := p.sq.PopCall(nil); ok; e, ok = p.sq.PopCall(nil) {
 		p.in.file(p.r, e)
 	}
 }

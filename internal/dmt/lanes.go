@@ -209,6 +209,28 @@ func (s *Scheduler) parkedLane() bool {
 		s.activeBarriersA.Load() == 0
 }
 
+// Parked reports parkedLane for this lane's scheduler (see LaneSched). Read
+// outside a turn it is a physical-time observation, fit for pacing decisions
+// that never reach the schedule.
+func (s *Scheduler) Parked() bool { return s.parkedLane() }
+
+// CrossPending reports whether a cross-lane operation is registered and
+// waiting for its merge turn (always false single-lane).
+func (s *Scheduler) CrossPending() bool {
+	x := s.root().cross
+	if x == nil {
+		return false
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, h := range x.has {
+		if h {
+			return true
+		}
+	}
+	return false
+}
+
 // IdleAdvance lets the idle thread of a parked lane stand in for a run of its
 // own consecutive operations. When the caller is that thread it calls turns,
 // which does whatever those operations would have done and returns how many

@@ -20,9 +20,10 @@
 // readable, which ends epoll_wait at once, so an idle process is woken on time
 // without anybody spinning. Beside it a runtime timer, the backstop, is armed
 // for the same deadline; in a busy process it is the one that fires on time.
-// Whichever fires first expires the heap, and the other finds nothing due.
-// Elsewhere — and on Linux when no timerfd can be had — the source is a
-// runtime timer too, with the runtime's resolution when idle.
+// Whichever fires first expires the heap and re-arms both for the next
+// deadline; the other then finds nothing due. Elsewhere — and on Linux when no
+// timerfd can be had — the source is a runtime timer, alone, with the
+// runtime's resolution when idle.
 //
 // There is one service per process (one descriptor, one goroutine, one
 // backstop timer, a min-heap of pending deadlines), started by the first Reset
@@ -123,8 +124,9 @@ type service struct {
 	heap  timerHeap
 	src   source
 	armed time.Time // the deadline src and backstop are armed for; zero when disarmed
-	// backstop is the runtime timer armed beside src: the one that fires on
-	// time while the process is busy (see the package doc).
+	// backstop is the runtime timer armed beside a timerfd source: the one
+	// that fires on time while the process is busy (see the package doc).
+	// Nil when the source is a runtime timer itself.
 	backstop *time.Timer
 }
 
@@ -132,21 +134,27 @@ type service struct {
 // as long as the process, as the runtime's timers do.
 func (s *service) run(src source) {
 	s.src = src
-	s.backstop = time.AfterFunc(time.Hour, func() {
-		s.mu.Lock()
-		s.expire()
-		s.mu.Unlock()
-	})
-	s.backstop.Stop()
+	if _, rt := src.(*runtimeSource); !rt {
+		s.backstop = time.AfterFunc(time.Hour, func() {
+			s.mu.Lock()
+			s.expire()
+			s.mu.Unlock()
+		})
+		s.backstop.Stop()
+	}
 	go func() {
 		for {
 			err := src.wait()
 			s.mu.Lock()
 			if err != nil {
 				// The descriptor could not be polled after all; carry on at
-				// runtime resolution rather than lose deadlines.
+				// runtime resolution rather than lose deadlines. The new
+				// source is unarmed, and a runtime timer needs no backstop.
 				src = newRuntimeSource()
 				s.src = src
+				s.backstop.Stop()
+				s.backstop = nil
+				s.armed = time.Time{}
 			}
 			s.expire()
 			s.mu.Unlock()
@@ -170,10 +178,14 @@ func (s *service) disarm(t *Timer) bool {
 
 // expire fires every deadline that has passed, earliest first, and re-arms
 // the source and the backstop for the next one. Called with s.mu held, from
-// whichever of the two woke first.
+// whichever of the two woke first; the other one comes in after that re-arm,
+// finds nothing due and the clocks armed for the next deadline already (as
+// does an early or stale return of wait), and leaves them alone.
 func (s *service) expire() {
-	s.armed = time.Time{} // a clock has fired (or the source was replaced)
 	now := time.Now()
+	if !now.Before(s.armed) {
+		s.armed = time.Time{} // the deadline the clocks were armed for has passed
+	}
 	for len(s.heap) > 0 && !s.heap[0].when.After(now) {
 		t := heap.Pop(&s.heap).(*Timer)
 		select {
@@ -190,7 +202,9 @@ func (s *service) rearm() {
 	if len(s.heap) == 0 {
 		if !s.armed.IsZero() {
 			s.src.disarm()
-			s.backstop.Stop()
+			if s.backstop != nil {
+				s.backstop.Stop()
+			}
 			s.armed = time.Time{}
 		}
 		return
@@ -200,7 +214,9 @@ func (s *service) rearm() {
 		// expire fires, and never under a Reset or Stop.
 		d := max(time.Until(next), time.Nanosecond)
 		s.src.arm(d)
-		s.backstop.Reset(d)
+		if s.backstop != nil {
+			s.backstop.Reset(d)
+		}
 		s.armed = next
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -221,14 +222,22 @@ func TestHRTimerResetEarlierAndLater(t *testing.T) {
 }
 
 // TestHRTimerFireOrder: 1000 timers armed in shuffled order deliver on one
-// shared channel in deadline order.
+// shared channel in deadline order. Every Reset empties the channel of the
+// timer it arms, here the shared one, so the arming must end before the first
+// deadline: it is 250 ms out, which the loop of Resets stays far below even
+// under the race detector on a loaded machine.
 func TestHRTimerFireOrder(t *testing.T) {
 	eachService(t, func(t *testing.T, s *service) {
 		const n = 1000
+		const first = 250 * time.Millisecond
 		c := make(chan time.Time, n)
 		rng := rand.New(rand.NewSource(1))
+		start := time.Now()
 		for _, i := range rng.Perm(n) {
-			s.newTimer(c).Reset(5*time.Millisecond + time.Duration(i)*30*time.Microsecond)
+			s.newTimer(c).Reset(first + time.Duration(i)*30*time.Microsecond - time.Since(start))
+		}
+		if took := time.Since(start); took >= first {
+			t.Fatalf("arming took %v, past the first deadline: a Reset may have emptied a fire", took)
 		}
 		var prev time.Time
 		for i := 0; i < n; i++ {
@@ -342,10 +351,49 @@ func TestHRTimerFallsBackWhenSourceFails(t *testing.T) {
 	mustFire(t, tm, 5*time.Second)
 	s.mu.Lock()
 	_, ok := s.src.(*runtimeSource)
+	backstop := s.backstop
 	s.mu.Unlock()
 	if !ok {
 		t.Error("service still on the failed source")
 	}
+	if backstop != nil {
+		t.Error("a runtime-timer source kept a runtime-timer backstop")
+	}
 	tm.Reset(time.Millisecond)
 	mustFire(t, tm, 5*time.Second)
+}
+
+// countingSource counts how often the service arms it.
+type countingSource struct {
+	runtimeSource
+	arms atomic.Int32
+}
+
+func (c *countingSource) arm(d time.Duration) { c.arms.Add(1); c.runtimeSource.arm(d) }
+
+// TestHRTimerArmsOncePerDeadline: beside a source that is not a runtime timer
+// a backstop is armed for the same deadline. The clock that fires second
+// finds both armed for the next deadline already and leaves them alone, so
+// each deadline arms the source at most once (less when one expiry finds two
+// deadlines due).
+func TestHRTimerArmsOncePerDeadline(t *testing.T) {
+	src := &countingSource{runtimeSource: *newRuntimeSource()}
+	s := &service{}
+	s.start.Do(func() { s.run(src) })
+	if s.backstop == nil {
+		t.Fatal("no backstop beside a source that is not a runtime timer")
+	}
+	const deadlines = 20
+	tms := make([]*Timer, deadlines)
+	for i := range tms {
+		tms[i] = s.timer()
+		tms[i].Reset(time.Duration(i+1) * 2 * time.Millisecond)
+	}
+	for _, tm := range tms {
+		mustFire(t, tm, 5*time.Second)
+	}
+	time.Sleep(2 * time.Millisecond) // the clock that fired second comes in
+	if n := src.arms.Load(); n > deadlines {
+		t.Errorf("the source was armed %d times for %d deadlines", n, deadlines)
+	}
 }

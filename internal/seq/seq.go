@@ -9,8 +9,11 @@
 // logical clock per operation, and a client call is popped whole (PopCall) and
 // filed for the socket wrappers — a CONNECT into its port's backlog for accept(), a SEND
 // or CLOSE into its connection's receive buffer for recv() (Fig. 10/11).
-// ReadInto is the head-only reader those wrappers used before: it consumes
-// SEND bytes only while the head belongs to the reader's connection.
+// ReadInto (and ReadData) consume SEND bytes straight off the head while it
+// belongs to the reader's connection; no product path reads that way. They stay
+// because the benchmark's sequence driver measures enqueue-and-consume with
+// ReadInto, and go together with their partial-consumption bookkeeping once it
+// measures PopCall instead (ROADMAP item 3).
 package seq
 
 import (
@@ -536,13 +539,23 @@ func (s *Sequence) consumeBubble(limit uint64) (n uint64, ok bool) {
 // wrappers: the whole entry counts as consumed at once — the consumption
 // position, the journal, the queue-wait and consumption hooks and, for a
 // speculative entry, SpecConsumed all move here, not when the server reads.
-func (s *Sequence) PopCall() (e *Entry, ok bool) {
+//
+// A non-nil want is a copy of the head the caller decided on (Head): the head
+// is consumed only while it is still that call — the same kind, connection and
+// request — and ok is false otherwise. Between the two, a speculation abort
+// can truncate the head and enqueue a committed replacement without the
+// caller's lane token; a speculative head promoted in place (ClearSpec) is
+// still the same call.
+func (s *Sequence) PopCall(want *Entry) (e *Entry, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pendingLocked() == 0 || s.headLocked().Kind == KindBubble {
 		return nil, false
 	}
 	e = s.headLocked()
+	if want != nil && (e.Kind != want.Kind || e.Conn != want.Conn || e.Req != want.Req) {
+		return nil, false
+	}
 	if e.Spec {
 		s.specConsumed++
 	}

@@ -62,12 +62,12 @@ func TestPopCall(t *testing.T) {
 	s.Enqueue(&Entry{Index: 2, Kind: KindSend, Conn: 42, Data: []byte("abc")})
 	s.Enqueue(&Entry{Index: 3, Kind: KindClose, Conn: 42})
 	for _, want := range []Kind{KindConnect, KindSend, KindClose} {
-		e, ok := s.PopCall()
+		e, ok := s.PopCall(nil)
 		if !ok || e.Kind != want || e.Conn != 42 {
 			t.Fatalf("PopCall = %+v, %v, want the %v of conn 42", e, ok, want)
 		}
 	}
-	if _, ok := s.PopCall(); ok {
+	if _, ok := s.PopCall(nil); ok {
 		t.Fatal("PopCall on empty succeeded")
 	}
 	if st := s.Stats(); st.Consumed != 3 || s.Progress() != 3 {
@@ -75,11 +75,43 @@ func TestPopCall(t *testing.T) {
 	}
 	// PopCall must not consume a bubble.
 	s.Enqueue(&Entry{Index: 4, Kind: KindBubble, NClock: 2})
-	if _, ok := s.PopCall(); ok {
+	if _, ok := s.PopCall(nil); ok {
 		t.Fatal("PopCall consumed a bubble")
 	}
 	if s.Len() != 1 {
 		t.Fatal("PopCall disturbed the queue")
+	}
+}
+
+// TestPopCallWantsTheHeadItWasGiven: a speculation abort that truncates the
+// head and enqueues a committed replacement between Head and PopCall leaves
+// the replacement in place; a head promoted in place is still popped.
+func TestPopCallWantsTheHeadItWasGiven(t *testing.T) {
+	s := New()
+	s.EnqueueSpec(&Entry{Kind: KindSend, Conn: 5, Req: 7, Data: []byte("spec")})
+	h, _ := s.Head()
+	if s.TruncateSpec() != 1 {
+		t.Fatal("TruncateSpec removed nothing")
+	}
+	s.Enqueue(&Entry{Index: 1, Kind: KindSend, Conn: 9, Req: 8, Data: []byte("committed")})
+	if e, ok := s.PopCall(&h); ok {
+		t.Fatalf("PopCall(conn 5) popped %+v", e)
+	}
+	if s.Len() != 1 || s.Progress() != 0 || s.SpecConsumed() != 0 {
+		t.Fatalf("a refused PopCall moved the sequence: Len %d, Progress %d, SpecConsumed %d",
+			s.Len(), s.Progress(), s.SpecConsumed())
+	}
+	h, _ = s.Head()
+	if e, ok := s.PopCall(&h); !ok || e.Conn != 9 {
+		t.Fatalf("PopCall of the replacement = %+v, %v", e, ok)
+	}
+
+	spec := &Entry{Kind: KindConnect, Conn: 6, Port: 80, Req: 9}
+	s.EnqueueSpec(spec)
+	h, _ = s.Head()
+	s.ClearSpec(spec, 2)
+	if e, ok := s.PopCall(&h); !ok || e != spec || s.SpecConsumed() != 0 {
+		t.Fatalf("PopCall of the promoted head = %+v, %v (SpecConsumed %d)", e, ok, s.SpecConsumed())
 	}
 }
 
@@ -192,7 +224,7 @@ func TestStarvesIn(t *testing.T) {
 	if got := s.StarvesIn(d); got != d {
 		t.Fatalf("StarvesIn = %v with an entry pending, want all of %v", got, d)
 	}
-	s.PopCall()
+	s.PopCall(nil)
 	prev := s.StarvesIn(d)
 	if prev <= 0 || prev > d {
 		t.Fatalf("StarvesIn = %v right after the drain, want in (0, %v]", prev, d)
@@ -213,7 +245,7 @@ func TestStarvesIn(t *testing.T) {
 	}
 	// An enqueue and its consumption restart the count.
 	s.Enqueue(&Entry{Index: 2, Kind: KindConnect})
-	s.PopCall()
+	s.PopCall(nil)
 	if got := s.StarvesIn(d); got < d/2 || got > d {
 		t.Fatalf("StarvesIn = %v after enqueue + consume, want nearly %v again", got, d)
 	}

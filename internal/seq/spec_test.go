@@ -47,7 +47,7 @@ func TestSpecConsumedCountsEveryPath(t *testing.T) {
 	}
 	s.TickBubble() // exhausts the bubble
 	s.EnqueueSpec(&Entry{Kind: KindConnect, Conn: 3, Port: 80})
-	if _, ok := s.PopCall(); !ok {
+	if _, ok := s.PopCall(nil); !ok {
 		t.Fatal("PopCall of the CONNECT failed")
 	}
 	s.EnqueueSpec(&Entry{Kind: KindSend, Conn: 3, Data: []byte("ab")})
@@ -59,7 +59,7 @@ func TestSpecConsumedCountsEveryPath(t *testing.T) {
 		t.Fatal("close entry did not EOF")
 	}
 	s.EnqueueSpec(&Entry{Kind: KindSend, Conn: 9, Data: []byte("x")})
-	if _, ok := s.PopCall(); !ok {
+	if _, ok := s.PopCall(nil); !ok {
 		t.Fatal("PopCall of the SEND failed")
 	}
 	if got := s.SpecConsumed(); got != 6 {
