@@ -152,8 +152,10 @@ func (s *service) run(src source) {
 				// source is unarmed, and a runtime timer needs no backstop.
 				src = newRuntimeSource()
 				s.src = src
-				s.backstop.Stop()
-				s.backstop = nil
+				if s.backstop != nil {
+					s.backstop.Stop()
+					s.backstop = nil
+				}
 				s.armed = time.Time{}
 			}
 			s.expire()
