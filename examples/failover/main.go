@@ -17,9 +17,9 @@ import (
 	"sync"
 	"time"
 
+	"crane/internal/apps/clients"
 	"crane/internal/cfs"
 	"crane/internal/checkpoint"
-	"crane/internal/client"
 	"crane/internal/crane"
 	"crane/internal/papi"
 	"crane/internal/simnet"
@@ -152,7 +152,7 @@ func main() {
 	fmt.Println("writing 5 keys to the primary")
 	for i := 0; i < 5; i++ {
 		req := fmt.Sprintf("SET key%d value%d\n", i, i)
-		if _, err := cluster.DialAndRequest(fmt.Sprintf("writer%d:1", i), 9100, []byte(req), 3); err != nil {
+		if _, err := clients.Request(cluster.Dial, fmt.Sprintf("writer%d:1", i), 9100, []byte(req), clients.UntilLine); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -184,18 +184,13 @@ func main() {
 	fmt.Printf("replica%d elected primary after %v (election phase %.2fms)\n",
 		p.ID(), time.Since(start).Round(time.Millisecond), p.GroupNode(0).LastElectionMillis())
 
-	// Clients do not get to ask the cluster who the primary is: the
-	// failover-aware client library discovers it by probing replicas.
-	cl, err := client.New(client.Config{
-		Net:   cluster.Net(),
-		Hosts: []string{"replica0", "replica1", "replica2"},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The clients keep the dialer they wrote with: cluster.Dial follows
+	// the leader to the new primary, and clients.Request reconnects when a
+	// replica closes the connection unanswered (a backup, or a primary that
+	// lost its view before it admitted the request).
 	for i := 0; i < 5; i++ {
 		req := fmt.Sprintf("GET key%d\n", i)
-		resp, err := cl.Request(9100, []byte(req), client.UntilLine())
+		resp, err := clients.Request(cluster.Dial, fmt.Sprintf("reader%d:1", i), 9100, []byte(req), clients.UntilLine)
 		if err != nil {
 			log.Fatal(err)
 		}

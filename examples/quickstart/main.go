@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"crane/internal/apps/clients"
 	"crane/internal/cfs"
 	"crane/internal/crane"
 	"crane/internal/papi"
@@ -142,13 +143,13 @@ func main() {
 
 	fmt.Println("three-replica CRANE cluster up; sending 10 INCs and a GET")
 	for i := 0; i < 10; i++ {
-		resp, err := cluster.DialAndRequest(fmt.Sprintf("client%d:1", i), 9000, []byte("INC\n"), 3)
+		resp, err := clients.Request(cluster.Dial, fmt.Sprintf("client%d:1", i), 9000, []byte("INC\n"), clients.UntilLine)
 		if err != nil {
 			log.Fatalf("INC: %v", err)
 		}
 		fmt.Printf("  INC -> %s", resp)
 	}
-	resp, err := cluster.DialAndRequest("reader:1", 9000, []byte("GET\n"), 3)
+	resp, err := clients.Request(cluster.Dial, "reader:1", 9000, []byte("GET\n"), clients.UntilLine)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,9 @@
 // SysBench-style SQL load. Each speaks the matching server's wire protocol
 // over raw simulated sockets and reports response-time statistics
 // ("we measured each workload's response time as it has direct impact on
-// users ... ran 1K requests ... picked the median value").
+// users ... ran 1K requests ... picked the median value"). The drivers
+// make one attempt per request, so a refused connection counts as an
+// error; Request is the client that retries across a leader change.
 //
 // The drivers run on the client side of the wire — outside the replicated
 // state machine — so their concurrency and measurement clocks are exempt
@@ -117,51 +119,83 @@ func runWorkers(concurrency int, worker func(w int)) {
 	wg.Wait()
 }
 
-// readHTTPResponse reads status line, headers, and a Content-Length body.
-func readHTTPResponse(c *simnet.Conn) (status int, body []byte, err error) {
-	c.SetReadDeadline(now().Add(30 * time.Second))
-	var acc []byte
+// exchange is one attempt of a request: it writes req on c and reads
+// until done(reply) holds, the server closes, or the deadline passes. A
+// close after some reply bytes ends the reply; a close before any returns
+// io.EOF.
+func exchange(c *simnet.Conn, req []byte, done func([]byte) bool, deadline time.Time) ([]byte, error) {
+	if _, err := c.Write(req); err != nil {
+		return nil, err
+	}
+	c.SetReadDeadline(deadline)
+	var reply []byte
 	buf := make([]byte, 4096)
-	headerEnd := -1
-	for headerEnd < 0 {
-		n, rerr := c.Read(buf)
-		acc = append(acc, buf[:n]...)
-		headerEnd = bytes.Index(acc, []byte("\r\n\r\n"))
-		if rerr != nil {
-			if headerEnd < 0 {
-				return 0, nil, rerr
+	for {
+		n, err := c.Read(buf)
+		reply = append(reply, buf[:n]...)
+		if done(reply) {
+			return reply, nil
+		}
+		if err == io.EOF && len(reply) > 0 {
+			return reply, nil
+		}
+		if err != nil {
+			return reply, err
+		}
+	}
+}
+
+// UntilLine is a completion check for Request: the reply holds a full line.
+func UntilLine(reply []byte) bool { return bytes.IndexByte(reply, '\n') >= 0 }
+
+// requestTimeout bounds one Request, every retry included.
+const requestTimeout = 10 * time.Second
+
+// Request sends req over a connection from d and returns the reply read
+// until done(reply) holds or the server closes. It is the client's one
+// reconnect policy across a leader change (§2: clients send requests to
+// the primary). A dial that fails, or a connection closed with no reply
+// byte — a backup's proxy, or a primary deposed before it admitted the
+// request (proxy.propose) — is retried on a fresh connection after 1 ms,
+// then 2 ms, until 10 s have passed. The first attempt dials as client;
+// retry k dials as client+".r<k>". A partial reply is returned as it is,
+// never re-sent: the server may have executed the request already.
+func Request(d Dialer, client string, port int, req []byte, done func([]byte) bool) ([]byte, error) {
+	deadline := now().Add(requestTimeout)
+	name := client
+	for attempt := 1; ; attempt++ {
+		c, err := d(name, port)
+		if err == nil {
+			var reply []byte
+			reply, err = exchange(c, req, done, deadline)
+			c.Close()
+			if len(reply) > 0 {
+				return reply, err
 			}
-			break
 		}
+		if now().After(deadline) {
+			return nil, fmt.Errorf("clients: %s: no reply in %v: %w", client, requestTimeout, err)
+		}
+		time.Sleep(time.Duration(min(attempt, 2)) * time.Millisecond)
+		name = fmt.Sprintf("%s.r%d", client, attempt)
 	}
-	head := string(acc[:headerEnd])
-	rest := acc[headerEnd+4:]
-	lines := strings.Split(head, "\r\n")
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) < 2 {
-		return 0, nil, errors.New("clients: bad status line")
-	}
-	status, err = strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, nil, fmt.Errorf("clients: bad status: %w", err)
-	}
-	want := 0
-	for _, ln := range lines[1:] {
+}
+
+// httpDone completes an HTTP response once its header and Content-Length
+// bytes of body have arrived.
+func httpDone(reply []byte) bool {
+	head, body, ok := bytes.Cut(reply, []byte("\r\n\r\n"))
+	return ok && len(body) >= contentLength(head)
+}
+
+func contentLength(head []byte) int {
+	for _, ln := range strings.Split(string(head), "\r\n")[1:] {
 		if v, ok := strings.CutPrefix(strings.ToLower(ln), "content-length:"); ok {
-			want, _ = strconv.Atoi(strings.TrimSpace(v))
+			n, _ := strconv.Atoi(strings.TrimSpace(v))
+			return n
 		}
 	}
-	for len(rest) < want {
-		n, rerr := c.Read(buf)
-		rest = append(rest, buf[:n]...)
-		if rerr != nil {
-			break
-		}
-	}
-	if len(rest) > want {
-		rest = rest[:want]
-	}
-	return status, rest, nil
+	return 0
 }
 
 // Curl performs one HTTP request over a fresh connection (the paper's curl
@@ -179,10 +213,24 @@ func Curl(d Dialer, client string, port int, method, path string, body []byte) (
 	}
 	req.WriteString("\r\n")
 	req.Write(body)
-	if _, err := c.Write(req.Bytes()); err != nil {
+	reply, err := exchange(c, req.Bytes(), httpDone, now().Add(30*time.Second))
+	if err != nil {
 		return 0, nil, err
 	}
-	return readHTTPResponse(c)
+	head, rest, ok := bytes.Cut(reply, []byte("\r\n\r\n"))
+	if !ok {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	statusLine, _, _ := strings.Cut(string(head), "\r\n")
+	parts := strings.SplitN(statusLine, " ", 3)
+	if len(parts) < 2 {
+		return 0, nil, errors.New("clients: bad status line")
+	}
+	status, err := strconv.Atoi(parts[1])
+	if err != nil {
+		return 0, nil, fmt.Errorf("clients: bad status: %w", err)
+	}
+	return status, rest[:min(len(rest), contentLength(head))], nil
 }
 
 // ApacheBench issues `total` HTTP GETs of path with the given concurrency,
@@ -207,32 +255,20 @@ func ApacheBench(d Dialer, port int, path string, concurrency, total int) Summar
 	return summarize(col.latencies, col.errs, now().Sub(start))
 }
 
-// lineRequest sends one text line and reads until stop appears (or EOF).
+// lineRequest sends one text line over one connection and reads until
+// stop appears or the server closes. It does not retry: the §7 drivers
+// count a refused connection as an error.
 func lineRequest(d Dialer, client string, port int, line, stop string) (string, error) {
 	c, err := d(client, port)
 	if err != nil {
 		return "", err
 	}
 	defer c.Close()
-	if _, err := c.Write([]byte(line + "\n")); err != nil {
-		return "", err
-	}
-	c.SetReadDeadline(now().Add(60 * time.Second))
-	var acc []byte
-	buf := make([]byte, 4096)
-	for {
-		n, rerr := c.Read(buf)
-		acc = append(acc, buf[:n]...)
-		if stop != "" && bytes.Contains(acc, []byte(stop)) {
-			return string(acc), nil
-		}
-		if rerr != nil {
-			if rerr == io.EOF && len(acc) > 0 {
-				return string(acc), nil
-			}
-			return string(acc), rerr
-		}
-	}
+	until := []byte(stop)
+	reply, err := exchange(c, []byte(line+"\n"), func(b []byte) bool {
+		return bytes.Contains(b, until)
+	}, now().Add(60*time.Second))
+	return string(reply), err
 }
 
 // ClamdScan asks the daemon to scan path, returning the report. Like
@@ -290,21 +326,12 @@ func SysBenchPrepare(d Dialer, client string, port int, rows int) error {
 	}
 	defer c.Close()
 	send := func(stmt, want string) error {
-		if _, err := c.Write([]byte(stmt + "\n")); err != nil {
-			return err
+		reply, err := exchange(c, []byte(stmt+"\n"), UntilLine, now().Add(60*time.Second))
+		if err != nil {
+			return fmt.Errorf("clients: sysbench prepare %q: %w", stmt, err)
 		}
-		c.SetReadDeadline(now().Add(60 * time.Second))
-		var acc []byte
-		buf := make([]byte, 512)
-		for !bytes.Contains(acc, []byte("\n")) {
-			n, rerr := c.Read(buf)
-			acc = append(acc, buf[:n]...)
-			if rerr != nil {
-				return fmt.Errorf("clients: sysbench prepare read: %w", rerr)
-			}
-		}
-		if !strings.HasPrefix(string(acc), want) {
-			return fmt.Errorf("clients: %q -> %q", stmt, bytes.TrimSpace(acc))
+		if !strings.HasPrefix(string(reply), want) {
+			return fmt.Errorf("clients: %q -> %q", stmt, bytes.TrimSpace(reply))
 		}
 		return nil
 	}

@@ -1,6 +1,7 @@
 package clients
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -178,5 +179,142 @@ func TestDialerErrorsPropagate(t *testing.T) {
 	}
 	if err := SysBenchPrepare(bad, "c:1", 3306, 1); err == nil {
 		t.Fatal("dial error swallowed in SysBenchPrepare")
+	}
+}
+
+// scriptedServer answers its i-th connection with serve(i, c) and reports
+// each connection's client address on the returned channel.
+func scriptedServer(t *testing.T, serve func(i int, c *simnet.Conn)) (Dialer, <-chan simnet.Addr) {
+	t.Helper()
+	net := simnet.New(simnet.Options{})
+	l, err := net.Listen("srv:9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	// Room for every connection a test makes, so Accept never waits on it.
+	remotes := make(chan simnet.Addr, 16)
+	go func() {
+		for i := 0; ; i++ {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			remotes <- c.RemoteAddr()
+			go serve(i, c)
+		}
+	}()
+	dial := func(client string, port int) (*simnet.Conn, error) {
+		return net.Dial(simnet.Addr(client), "srv:9")
+	}
+	return dial, remotes
+}
+
+// readLine reads one request line from the client.
+func readLine(c *simnet.Conn) {
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var acc []byte
+	buf := make([]byte, 64)
+	for !UntilLine(acc) {
+		n, err := c.Read(buf)
+		acc = append(acc, buf[:n]...)
+		if err != nil {
+			return
+		}
+	}
+}
+
+// TestRequestRetriesRefusal: a connection closed with no reply byte (a
+// backup's proxy) is retried on a fresh one, under a fresh client name.
+func TestRequestRetriesRefusal(t *testing.T) {
+	dial, remotes := scriptedServer(t, func(i int, c *simnet.Conn) {
+		defer c.Close()
+		if i > 0 {
+			readLine(c)
+			c.Write([]byte("OK\n"))
+		}
+	})
+	resp, err := Request(dial, "c:1", 9, []byte("SET a 1\n"), UntilLine)
+	if err != nil || string(resp) != "OK\n" {
+		t.Fatalf("Request = %q, %v", resp, err)
+	}
+	if first, second := <-remotes, <-remotes; first != "c:1" || second == first {
+		t.Fatalf("attempts dialed as %q then %q", first, second)
+	}
+}
+
+// TestRequestFirstAttemptExactName: a request that is served at once
+// dials as the client name it was given, nothing appended.
+func TestRequestFirstAttemptExactName(t *testing.T) {
+	dial, remotes := scriptedServer(t, func(i int, c *simnet.Conn) {
+		defer c.Close()
+		readLine(c)
+		c.Write([]byte("OK\n"))
+	})
+	if _, err := Request(dial, "exact:7", 9, []byte("GET a\n"), UntilLine); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-remotes; got != "exact:7" {
+		t.Fatalf("dialed as %q", got)
+	}
+}
+
+// TestRequestReturnsPartialReply: once a reply byte has arrived the
+// server may have executed the request, so a close before done holds
+// returns what arrived and never re-sends.
+func TestRequestReturnsPartialReply(t *testing.T) {
+	dial, _ := scriptedServer(t, func(i int, c *simnet.Conn) {
+		defer c.Close()
+		readLine(c)
+		c.Write([]byte("PART"))
+	})
+	dials := 0
+	counted := func(client string, port int) (*simnet.Conn, error) {
+		dials++
+		return dial(client, port)
+	}
+	resp, err := Request(counted, "c:1", 9, []byte("SET a 1\n"), UntilLine)
+	if err != nil || string(resp) != "PART" {
+		t.Fatalf("Request = %q, %v", resp, err)
+	}
+	if dials != 1 {
+		t.Fatalf("request sent on %d connections", dials)
+	}
+}
+
+// TestRequestGivesUpWhenDialsFail: a Dialer that always fails is retried
+// until Request's deadline, and then Request returns the dial error.
+func TestRequestGivesUpWhenDialsFail(t *testing.T) {
+	t.Parallel()
+	dials := 0
+	bad := func(client string, port int) (*simnet.Conn, error) {
+		dials++
+		return nil, simnet.ErrRefused
+	}
+	start := time.Now()
+	_, err := Request(bad, "c:1", 9, []byte("x\n"), UntilLine)
+	if !errors.Is(err, simnet.ErrRefused) {
+		t.Fatalf("err = %v, want the dial error", err)
+	}
+	if took := time.Since(start); took < requestTimeout || took > requestTimeout+2*time.Second {
+		t.Fatalf("gave up after %v, deadline %v", took, requestTimeout)
+	}
+	if dials < 2 {
+		t.Fatalf("%d dials: a failed dial was not retried", dials)
+	}
+}
+
+// TestDriversCountRefusalAsError: only Request retries; the §7 drivers
+// make one attempt per request, so a refused connection is an error.
+func TestDriversCountRefusalAsError(t *testing.T) {
+	dial, _ := scriptedServer(t, func(i int, c *simnet.Conn) { c.Close() })
+	if sum := ClamBench(dial, 9, "x", 2, 4); sum.Errors != 4 {
+		t.Fatalf("ClamBench against a refusing server: %+v", sum)
+	}
+}
+
+func TestUntilLine(t *testing.T) {
+	if !UntilLine([]byte("x\n")) || UntilLine([]byte("x")) || UntilLine(nil) {
+		t.Fatal("UntilLine broken")
 	}
 }

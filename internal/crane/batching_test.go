@@ -2,10 +2,12 @@ package crane
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"crane/internal/apps/clients"
 	"crane/internal/paxos"
 	"crane/internal/seq"
 )
@@ -117,23 +119,23 @@ func TestProxyBurstsPreserveBubbleSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	const clients = 4
+	const writers = 4
 	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for w := 0; w < clients; w++ {
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				key := []byte{byte('a' + w)}
-				resp, err := c.DialAndRequest("bc:"+string(key), 7000,
-					[]byte("SET "+string(key)+" v\n"), 3)
+				resp, err := clients.Request(c.Dial, "bc:"+string(key), 7000,
+					[]byte("SET "+string(key)+" v\n"), clients.UntilLine)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if string(resp) != "OK" {
-					errs <- err
+				if string(resp) != "OK\n" {
+					errs <- fmt.Errorf("SET %s = %q", key, resp)
 					return
 				}
 			}

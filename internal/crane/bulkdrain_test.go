@@ -171,9 +171,9 @@ func TestBulkDrainSpeculativeBubbleRollsBack(t *testing.T) {
 		t.Fatalf("bulk-drained %d speculative clocks but SpecConsumed moved only %d", drained, spec)
 	}
 
-	resp := requestNewPrimary(t, c, old, "GET /index.html HTTP/1.0\r\n\r\n")
+	resp, err := clients.Request(newPrimary(t, c, old), "nb:1", 8080, []byte(indexGET), untilClose)
 	if !bytes.Contains(resp, []byte("It works!")) {
-		t.Fatalf("new primary response: %q", resp)
+		t.Fatalf("new primary response: %q, %v", resp, err)
 	}
 	healAndRestart(t, c, old, "BULKDRAIN-CANARY")
 }

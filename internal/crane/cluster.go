@@ -3,7 +3,6 @@ package crane
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"crane/internal/checkpoint"
@@ -228,7 +227,11 @@ func (c *Cluster) Addr(i, port int) simnet.Addr {
 }
 
 // Dial connects a client to the current primary's proxy (or directly to
-// the server in un-replicated modes), retrying across leader changes.
+// the server in un-replicated modes). It is the cluster's one
+// primary-following clients.Dialer: a dial that fails is retried on
+// whichever replica leads, for up to 5 s. A connection the proxy accepts
+// and then closes unanswered (it lost its view) is the caller's to retry;
+// clients.Request does.
 func (c *Cluster) Dial(client string, port int) (*simnet.Conn, error) {
 	var lastErr error
 	deadline := time.Now().Add(5 * time.Second)
@@ -289,19 +292,43 @@ func (c *Cluster) WaitOutputs(k int, timeout time.Duration) error {
 }
 
 // WaitQuiescent blocks until every live replica has drained its sequence
-// and closed all connections, or the timeout elapses.
+// and closed all connections, or the timeout elapses. Drained is not
+// enough on its own: a backup that has not yet learned the last commits
+// has nothing queued either. So at the first instant every live replica
+// is drained, the wait takes the highest commit index any of them holds
+// in each group (the primary's), and it returns at a later drained
+// instant before which every live replica had delivered through it.
 func (c *Cluster) WaitQuiescent(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
+	var level []uint64
 	for time.Now().Before(deadline) {
-		ok := true
+		// Indexes are read before the drain check when they are compared
+		// with level, so that drained means their entries were consumed,
+		// and after it when they set level, so that it covers everything
+		// the drained primary consumed.
+		leveled := level != nil
 		for _, r := range c.replicas {
-			if !r.killed() && !r.Quiescent() {
-				ok = false
-				break
+			for g, idx := range r.commitIndexes() {
+				leveled = leveled && (r.killed() || idx >= level[g])
 			}
 		}
-		if ok {
+		drained := true
+		for _, r := range c.replicas {
+			drained = drained && (r.killed() || r.Quiescent())
+		}
+		switch {
+		case drained && leveled:
 			return nil
+		case drained && level == nil:
+			level = make([]uint64, c.cfg.Groups)
+			for _, r := range c.replicas {
+				if r.killed() {
+					continue
+				}
+				for g, idx := range r.commitIndexes() {
+					level[g] = max(level[g], idx)
+				}
+			}
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -454,44 +481,4 @@ func (c *Cluster) Stop() {
 	if c.hub != nil {
 		c.hub.Close()
 	}
-}
-
-// DialAndRequest is a convenience for request/response clients: dial the
-// primary, write req, read until the response reaches want bytes or the
-// server closes, then close. It retries once across a leader change.
-func (c *Cluster) DialAndRequest(client string, port int, req []byte, want int) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < 8; attempt++ {
-		conn, err := c.Dial(client, port)
-		if err != nil {
-			return nil, err
-		}
-		//crane:specleak-ok client-harness write: this is the test client's request to the server, not a server output
-		if _, err := conn.Write(req); err != nil {
-			conn.Close()
-			lastErr = err
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		resp := make([]byte, 0, want)
-		buf := make([]byte, 4096)
-		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		for len(resp) < want {
-			n, err := conn.Read(buf)
-			resp = append(resp, buf[:n]...)
-			if err != nil {
-				if err == io.EOF {
-					break
-				}
-				lastErr = err
-				break
-			}
-		}
-		conn.Close()
-		if len(resp) > 0 {
-			return resp, nil
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return nil, fmt.Errorf("crane: request failed: %w", lastErr)
 }

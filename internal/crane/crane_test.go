@@ -1,16 +1,15 @@
 package crane
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"crane/internal/apps/clients"
 	"crane/internal/cfs"
 	"crane/internal/checkpoint"
 	"crane/internal/papi"
@@ -142,27 +141,18 @@ func (k *testKV) serve(t papi.T, c papi.Conn, sm papi.Mutex) {
 	}
 }
 
-// kvRequest runs one request/response line over a fresh connection.
+// kvRequest runs one request/response line through clients.Request.
 func kvRequest(t *testing.T, c *Cluster, client, line string) string {
 	t.Helper()
-	conn, err := c.Dial(client, 7000)
+	resp, err := clients.Request(c.Dial, client, 7000, []byte(line+"\n"), clients.UntilLine)
 	if err != nil {
-		t.Fatalf("dial: %v", err)
+		t.Fatalf("%s: %v", line, err)
 	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte(line + "\n")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	r := bufio.NewReader(readerOf(conn))
-	resp, err := r.ReadString('\n')
-	if err != nil && err != io.EOF {
-		t.Fatalf("read: %v", err)
-	}
-	return strings.TrimSpace(resp)
+	return strings.TrimSpace(string(resp))
 }
 
-func readerOf(c *simnet.Conn) io.Reader { return c }
+// firstByte completes a request at its first reply byte.
+func firstByte(reply []byte) bool { return len(reply) > 0 }
 
 func testConfig(mode Mode) Config {
 	return Config{
@@ -215,18 +205,18 @@ func TestKVConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	const clients = 6
+	const writers = 6
 	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
+	errs := make(chan error, writers)
+	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
 				key := fmt.Sprintf("k%d", i)
 				val := fmt.Sprintf("v%d-%d", i, j)
-				resp, err := c.DialAndRequest(fmt.Sprintf("c%d:%d", i, j), 7000,
-					[]byte("SET "+key+" "+val+"\n"), 3)
+				resp, err := clients.Request(c.Dial, fmt.Sprintf("c%d:%d", i, j), 7000,
+					[]byte("SET "+key+" "+val+"\n"), clients.UntilLine)
 				if err != nil {
 					errs <- err
 					return
@@ -244,7 +234,7 @@ func TestKVConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every key readable afterwards.
-	for i := 0; i < clients; i++ {
+	for i := 0; i < writers; i++ {
 		got := kvRequest(t, c, fmt.Sprintf("v%d:99", i), fmt.Sprintf("GET k%d", i))
 		if !strings.HasPrefix(got, "VALUE ") {
 			t.Fatalf("GET k%d = %q", i, got)
@@ -266,8 +256,8 @@ func TestPlanIConsistency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c.DialAndRequest(fmt.Sprintf("pc%d:1", i), 7000,
-				[]byte(fmt.Sprintf("SET key%d val%d\n", i%3, i)), 3)
+			clients.Request(c.Dial, fmt.Sprintf("pc%d:1", i), 7000,
+				[]byte(fmt.Sprintf("SET key%d val%d\n", i%3, i)), clients.UntilLine)
 		}(i)
 	}
 	wg.Wait()
@@ -326,17 +316,7 @@ func TestFailoverServesFromBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A new primary emerges and serves the replicated state.
-	deadline := time.Now().Add(10 * time.Second)
-	var got string
-	for time.Now().Before(deadline) {
-		resp, err := c.DialAndRequest("f:2", 7000, []byte("GET survivor\n"), 3)
-		if err == nil && strings.HasPrefix(string(resp), "VALUE") {
-			got = strings.TrimSpace(string(resp))
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got != "VALUE yes" {
+	if got := kvRequest(t, c, "f:2", "GET survivor"); got != "VALUE yes" {
 		t.Fatalf("post-failover GET = %q", got)
 	}
 	p, err := c.Primary()
@@ -345,6 +325,84 @@ func TestFailoverServesFromBackup(t *testing.T) {
 	}
 	if p.ID() == oldID {
 		t.Fatal("failed replica still primary")
+	}
+}
+
+// TestRequestSurvivesFailover: a client that knows the replicas'
+// addresses but not which one leads finds the primary, before and after
+// a failover, by clients.Request's retry alone. Its Dialer starts at the
+// replica that served it last and takes the next one on each retry; the
+// failed primary refuses the dial and a backup's proxy closes unanswered.
+func TestRequestSurvivesFailover(t *testing.T) {
+	c, err := StartCluster(testConfig(ModeCrane), newTestKV(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	at, dials := 0, 0
+	roundRobin := func(client string, port int) (*simnet.Conn, error) {
+		i := at % c.Replicas()
+		at++
+		dials++
+		return c.Net().Dial(simnet.Addr(client), c.Addr(i, port))
+	}
+	request := func(client, line string) string {
+		resp, err := clients.Request(roundRobin, client, 7000, []byte(line+"\n"), clients.UntilLine)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		at-- // back to the replica that answered
+		return strings.TrimSpace(string(resp))
+	}
+	if got := request("rr:1", "SET key before"); got != "OK" {
+		t.Fatalf("SET = %q", got)
+	}
+	if err := c.WaitQuiescent(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	oldID, err := c.FailPrimary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at%c.Replicas() != oldID {
+		t.Fatalf("SET served by replica%d, primary was replica%d", at%c.Replicas(), oldID)
+	}
+	dials = 0
+	if got := request("rr:2", "GET key"); got != "VALUE before" {
+		t.Fatalf("post-failover GET = %q", got)
+	}
+	if dials < 2 {
+		t.Fatalf("post-failover GET took %d dial(s); the failed primary answered", dials)
+	}
+}
+
+// TestWaitQuiescentWaitsForLaggingBackup: a backup that has not learned
+// the last commits has nothing queued and no connection open, so it looks
+// drained. WaitQuiescent must still wait until it has executed them.
+func TestWaitQuiescentWaitsForLaggingBackup(t *testing.T) {
+	c, err := StartCluster(testConfig(ModeCrane), newTestKV(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	p, err := c.Primary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lagging := (p.ID() + 1) % c.Replicas()
+	c.PartitionReplica(lagging)
+	if got := kvRequest(t, c, "lag:1", "SET lag 1"); got != "OK" {
+		t.Fatalf("SET = %q", got)
+	}
+	if err := c.WaitQuiescent(300 * time.Millisecond); err == nil {
+		t.Fatalf("WaitQuiescent returned while replica%d had executed none of the request", lagging)
+	}
+	c.HealReplica(lagging)
+	if err := c.WaitQuiescent(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if divs := trace.DiffAll(c.OutputLogs()); len(divs) != 0 {
+		t.Fatalf("output logs differ after the heal: %v", divs)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"crane/internal/apps/clients"
 	"crane/internal/apps/httpd"
 	"crane/internal/simnet"
 )
@@ -76,7 +77,7 @@ func runDetHTTPDWorkload(t *testing.T) (sums []uint64, fps []uint64) {
 	for i := 0; i < 6; i++ {
 		req := []byte(fmt.Sprintf("GET /page%d.php HTTP/1.0\r\n\r\n", i%2))
 		released := holdBubbleRound(t, cluster)
-		if _, err := cluster.DialAndRequest(fmt.Sprintf("det:%d", i), 8080, req, 1); err != nil {
+		if _, err := clients.Request(cluster.Dial, fmt.Sprintf("det:%d", i), 8080, req, firstByte); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		released()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"crane/internal/apps/clients"
 	"crane/internal/trace"
 )
 
@@ -27,12 +28,12 @@ func TestSoakMixedWorkload(t *testing.T) {
 	dumpJournalsForCI(t, c, "soak-mixed-workload")
 
 	const (
-		clients  = 4
+		conns    = 4
 		requests = 15 // per client
 	)
 	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for ci := 0; ci < clients; ci++ {
+	errs := make(chan error, conns)
+	for ci := 0; ci < conns; ci++ {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
@@ -48,7 +49,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 				default:
 					req = fmt.Sprintf("DEL %s\n", key)
 				}
-				resp, err := c.DialAndRequest(fmt.Sprintf("soak%d:%d", ci, r), 7000, []byte(req), 3)
+				resp, err := clients.Request(c.Dial, fmt.Sprintf("soak%d:%d", ci, r), 7000, []byte(req), clients.UntilLine)
 				if err != nil {
 					errs <- fmt.Errorf("client %d req %d: %w", ci, r, err)
 					return

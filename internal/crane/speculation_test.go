@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"crane/internal/apps/clients"
 	"crane/internal/apps/httpd"
 	"crane/internal/simnet"
 	"crane/internal/trace"
@@ -37,7 +38,7 @@ func TestSpeculationHTTPDHitPath(t *testing.T) {
 	waitScheduleStable(t, c)
 	for i := 0; i < 6; i++ {
 		req := []byte(fmt.Sprintf("GET /page%d.php HTTP/1.0\r\n\r\n", i%2))
-		resp, err := c.DialAndRequest(fmt.Sprintf("spec:%d", i), 8080, req, 1)
+		resp, err := clients.Request(c.Dial, fmt.Sprintf("spec:%d", i), 8080, req, firstByte)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -78,7 +79,7 @@ func forceSpecAbort(t *testing.T, c *Cluster, canary string) int {
 func forceSpecAbortAfter(t *testing.T, c *Cluster, canary string, connected func(p *Replica)) int {
 	t.Helper()
 	// Committed warm-up traffic, so the restart's replay is non-trivial.
-	if _, err := c.DialAndRequest("warm:1", 8080, []byte("GET /index.html HTTP/1.0\r\n\r\n"), 1); err != nil {
+	if _, err := clients.Request(c.Dial, "warm:1", 8080, []byte(indexGET), firstByte); err != nil {
 		t.Fatal(err)
 	}
 	waitScheduleStable(t, c)
@@ -158,7 +159,7 @@ func healAndRestart(t *testing.T, c *Cluster, old int, canary string) {
 	}
 	// One more committed request after the restart, then all three must
 	// agree.
-	if _, err := c.DialAndRequest("post:1", 8080, []byte("GET /page0.php HTTP/1.0\r\n\r\n"), 1); err != nil {
+	if _, err := clients.Request(c.Dial, "post:1", 8080, []byte("GET /page0.php HTTP/1.0\r\n\r\n"), firstByte); err != nil {
 		t.Fatal(err)
 	}
 	ids := allReplicaIDs(c)
@@ -188,9 +189,9 @@ func TestSpeculationForcedMismatchRollback(t *testing.T) {
 	waitScheduleStable(t, c)
 	old := forceSpecAbort(t, c, "MISMATCH-CANARY")
 
-	resp := requestNewPrimary(t, c, old, "GET /index.html HTTP/1.0\r\n\r\n")
+	resp, err := clients.Request(newPrimary(t, c, old), "nb:1", 8080, []byte(indexGET), untilClose)
 	if !bytes.Contains(resp, []byte("It works!")) {
-		t.Fatalf("new primary response: %q", resp)
+		t.Fatalf("new primary response: %q, %v", resp, err)
 	}
 	healAndRestart(t, c, old, "MISMATCH-CANARY")
 }
@@ -209,9 +210,9 @@ func TestSpeculationLeaderKillDuringWindow(t *testing.T) {
 	old := forceSpecAbort(t, c, "LEADERKILL-CANARY")
 	c.FailReplica(old)
 
-	resp := requestNewPrimary(t, c, old, "GET /index.html HTTP/1.0\r\n\r\n")
+	resp, err := clients.Request(newPrimary(t, c, old), "nb:1", 8080, []byte(indexGET), untilClose)
 	if !bytes.Contains(resp, []byte("It works!")) {
-		t.Fatalf("new primary response: %q", resp)
+		t.Fatalf("new primary response: %q, %v", resp, err)
 	}
 	var survivors []int
 	for i := 0; i < c.Replicas(); i++ {
@@ -239,7 +240,9 @@ func TestSpeculationAbortDiscardsBufferedEffects(t *testing.T) {
 	const canary = "SPECLEAK-CANARY"
 	old := forceSpecAbort(t, c, canary)
 
-	requestNewPrimary(t, c, old, "GET /index.html HTTP/1.0\r\n\r\n")
+	if _, err := clients.Request(newPrimary(t, c, old), "nb:1", 8080, []byte(indexGET), untilClose); err != nil {
+		t.Fatal(err)
+	}
 	healAndRestart(t, c, old, canary)
 }
 
@@ -284,46 +287,21 @@ func waitNewPrimary(t *testing.T, c *Cluster, exclude int) *Replica {
 	return nil
 }
 
-// requestNewPrimary sends req to the primary elected in place of old,
-// bypassing Cluster.Dial's primary discovery, and reads until close. A
-// replica that has just won an election can lose it to a concurrent view
-// change; its proxy then refuses or closes the connection unanswered, and
-// the client reconnects to whichever replica leads now (proxy.propose),
-// until a response arrives or 10 s have passed.
-func requestNewPrimary(t *testing.T, c *Cluster, old int, req string) []byte {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 1; ; i++ {
-		np := waitNewPrimary(t, c, old)
-		if resp := rawRequest(c, fmt.Sprintf("nb:%d", i), np.ID(), req); len(resp) > 0 || time.Now().After(deadline) {
-			return resp
-		}
-		time.Sleep(time.Millisecond)
+// newPrimary dials the primary elected in place of old. A partitioned
+// stale leader may still answer Cluster.Primary, so each dial looks for a
+// leader other than old; clients.Request retries when the one it finds
+// loses its view before it answers (proxy.propose).
+func newPrimary(t *testing.T, c *Cluster, old int) clients.Dialer {
+	return func(client string, port int) (*simnet.Conn, error) {
+		return c.Net().Dial(simnet.Addr(client), c.Addr(waitNewPrimary(t, c, old).ID(), port))
 	}
 }
 
-// rawRequest sends one request to a specific replica's proxy and reads
-// until close; a refused connection reads as an empty response.
-func rawRequest(c *Cluster, client string, replica int, req string) []byte {
-	conn, err := c.Net().Dial(simnet.Addr(client), c.Addr(replica, 8080))
-	if err != nil {
-		return nil
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte(req)); err != nil {
-		return nil
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	var out []byte
-	buf := make([]byte, 4096)
-	for {
-		n, rerr := conn.Read(buf)
-		out = append(out, buf[:n]...)
-		if rerr != nil {
-			return out
-		}
-	}
-}
+// indexGET asks httpd for its static page; the server closes after it.
+const indexGET = "GET /index.html HTTP/1.0\r\n\r\n"
+
+// untilClose completes a request only when the server closes.
+func untilClose([]byte) bool { return false }
 
 // assertReplicasConverged waits for the listed replicas to go quiescent
 // with stable, equal ScheduleSums and equal output fingerprints — the

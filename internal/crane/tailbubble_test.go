@@ -470,8 +470,8 @@ func TestTailBubbleSpeculationRollback(t *testing.T) {
 		return stranded.ro.tailBubbles.Value() > tails0
 	})
 
-	if resp := requestNewPrimary(t, c, old, "GET /index.html HTTP/1.0\r\n\r\n"); len(resp) == 0 {
-		t.Fatal("new primary served nothing")
+	if _, err := clients.Request(newPrimary(t, c, old), "nb:1", 8080, []byte(indexGET), untilClose); err != nil {
+		t.Fatalf("new primary served nothing: %v", err)
 	}
 	healAndRestart(t, c, old, "TAILBUBBLE-CANARY")
 }
