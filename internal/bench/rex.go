@@ -8,6 +8,7 @@ import (
 	"crane/internal/apps/clients"
 	"crane/internal/cfs"
 	"crane/internal/crane"
+	"crane/internal/obs/flight"
 	"crane/internal/papi"
 	"crane/internal/simnet"
 )
@@ -19,6 +20,9 @@ import (
 // with schedule recording (measuring how many synchronization-schedule
 // bytes a Rex primary would ship) and once under full CRANE (measuring the
 // consensus payload bytes actually shipped), and reports both per request.
+// The schedule is read off the flight journal the Parrot scheduler keeps:
+// its tick entries are exactly the non-idle (thread, op) steps a Rex
+// primary would ship.
 type RexComparison struct {
 	Requests          int
 	ScheduleOps       int
@@ -31,12 +35,17 @@ type RexComparison struct {
 // varint + op byte, as Rex's interleaving stream would carry).
 const scheduleBytesPerOp = 5
 
+// rexEntriesPerRequest sizes the journal ring: an Apache request journals
+// about 60 entries (ticks, waits, signals), so this keeps every entry of
+// the run with room to spare.
+const rexEntriesPerRequest = 512
+
 // AblationRex runs the comparison.
 func AblationRex(s Scale, w io.Writer) (RexComparison, error) {
 	res := RexComparison{Requests: s.Requests}
 	spec := Specs()[0] // Apache
 
-	// --- Rex side: record the DMT schedule under plain Parrot. ---
+	// --- Rex side: journal the DMT schedule under plain Parrot. ---
 	net := simnet.New(simnet.Options{Latency: 30 * time.Microsecond})
 	fs := cfs.New()
 	prog := spec.Program(false)
@@ -44,7 +53,8 @@ func AblationRex(s Scale, w io.Writer) (RexComparison, error) {
 		prog.Install(fs)
 	}
 	proc := papi.NewParrotProc(net, "server", fs)
-	rec := proc.Sched.StartRecording()
+	journal := flight.New("rex", 1, flight.Options{Capacity: rexEntriesPerRequest * s.Requests}).Lane(0)
+	proc.Sched.SetFlight(journal)
 	proc.Start(prog.New(fs))
 	dial := func(client string, port int) (*simnet.Conn, error) {
 		var c *simnet.Conn
@@ -64,8 +74,16 @@ func AblationRex(s Scale, w io.Writer) (RexComparison, error) {
 	if sum.Errors > 0 {
 		return res, fmt.Errorf("bench: rex recording had %d errors", sum.Errors)
 	}
-	res.ScheduleOps = rec.Len()
-	res.ScheduleBytesPerR = float64(rec.Len()*scheduleBytesPerOp) / float64(s.Requests)
+	entries := journal.Entries()
+	if n := journal.Len(); n > uint64(len(entries)) {
+		return res, fmt.Errorf("bench: rex journal ring wrapped (%d entries, %d kept): raise rexEntriesPerRequest", n, len(entries))
+	}
+	for _, e := range entries {
+		if e.Kind == flight.EvTick {
+			res.ScheduleOps++
+		}
+	}
+	res.ScheduleBytesPerR = float64(res.ScheduleOps*scheduleBytesPerOp) / float64(s.Requests)
 
 	// --- CRANE side: measure consensus payload bytes. ---
 	cluster, err := crane.StartCluster(ClusterConfig(crane.ModeCrane), spec.Program(false))

@@ -10,10 +10,10 @@ import (
 
 // auditor is the leader half of the live divergence audit: backups
 // piggyback their freshest flight-recorder marks (per-lane rolling chain
-// hashes plus the output fingerprint) on AcceptOK replies, and the
-// auditor cross-checks each against the leader's own mark at the same
-// consumed position. A mismatch means the replicas' determinism-relevant
-// event streams split at or before that position — raised as a structured
+// hashes, which fold in every output the lane sent) on AcceptOK replies,
+// and the auditor cross-checks each against the leader's own mark at the
+// same consumed position. A mismatch means the replicas' schedules or
+// replies split at or before that position — raised as a structured
 // alarm and the crane_divergence_detected counter while the run is still
 // going, instead of surfacing as an output diff at teardown.
 //
@@ -43,11 +43,11 @@ const maxAlarms = 16
 // DivergenceAlarm is one detected cross-replica divergence.
 type DivergenceAlarm struct {
 	Replica int    // peer whose sample mismatched
-	Lane    int32  // journal lane (flight.OutputLane for output samples)
-	Pos     uint64 // consumed position (or cumulative output count)
-	Want    uint64 // this replica's chain/fingerprint at Pos
+	Lane    int32  // journal lane
+	Pos     uint64 // consumed position
+	Want    uint64 // this replica's chain at Pos
 	Got     uint64 // the peer's
-	Kind    string // "chain-mismatch", "output-mismatch", or "mark-misaligned"
+	Kind    string // "chain-mismatch" or "mark-misaligned"
 }
 
 // String renders the alarm for logs and test failures.
@@ -98,25 +98,16 @@ const (
 )
 
 func (au *auditor) checkLocked(from int, s flight.AuditSample) auditOutcome {
-	rec := au.r.flt
-	if s.Lane == flight.OutputLane {
-		m, ok, within := rec.OutputMarkAt(s.Pos)
-		return au.verdictLocked(from, s, m, ok, within, "output-mismatch")
-	}
-	j := rec.Lane(int(s.Lane))
+	j := au.r.flt.Lane(int(s.Lane))
 	if j == nil {
 		return auditDone
 	}
 	m, ok, within := j.MarkAt(s.Pos)
-	return au.verdictLocked(from, s, m, ok, within, "chain-mismatch")
-}
-
-func (au *auditor) verdictLocked(from int, s flight.AuditSample, m flight.Mark, ok, within bool, kind string) auditOutcome {
 	if ok {
 		au.checked.Inc()
 		if m.Chain != s.Chain {
 			au.alarmLocked(DivergenceAlarm{Replica: from, Lane: s.Lane, Pos: s.Pos,
-				Want: m.Chain, Got: s.Chain, Kind: kind})
+				Want: m.Chain, Got: s.Chain, Kind: "chain-mismatch"})
 		}
 		return auditDone
 	}
@@ -136,14 +127,7 @@ func (au *auditor) verdictLocked(from int, s flight.AuditSample, m flight.Mark, 
 // this replica's retained mark window — unverifiable forever, so the
 // auditor drops it instead of stashing it.
 func (au *auditor) stale(s flight.AuditSample) bool {
-	rec := au.r.flt
-	if s.Lane == flight.OutputLane {
-		if newest, has := rec.NewestOutputMark(); has && s.Pos < newest.Pos {
-			return true
-		}
-		return false
-	}
-	j := rec.Lane(int(s.Lane))
+	j := au.r.flt.Lane(int(s.Lane))
 	if j == nil {
 		return false
 	}

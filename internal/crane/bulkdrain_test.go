@@ -46,12 +46,7 @@ func assertLaneSchedulesAgree(t *testing.T, c *Cluster, lanes int) {
 	}
 	for i := 0; i < c.Replicas(); i++ {
 		for _, a := range c.Replica(i).DivergenceAlarms() {
-			// The whole-log output fingerprint orders outputs across lanes by
-			// physical time, so it is only meaningful at one lane; the lane
-			// journal chains are per lane and always are.
-			if lanes == 1 || a.Kind != "output-mismatch" {
-				t.Errorf("replica %d raised %v", i, a)
-			}
+			t.Errorf("replica %d raised %v", i, a)
 		}
 	}
 }

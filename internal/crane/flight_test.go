@@ -10,7 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"crane/internal/apps/clients"
+	"crane/internal/apps/httpd"
+	"crane/internal/cfs"
 	"crane/internal/obs/flight"
+	"crane/internal/papi"
 	"crane/internal/seq"
 	"crane/internal/trace"
 )
@@ -332,4 +336,130 @@ func TestFlightCorruptedJournalAlarmsNotCrashes(t *testing.T) {
 	if got := kvRequest(t, c, "cjz:1", "GET c0"); !strings.HasPrefix(got, "VALUE") {
 		t.Fatalf("cluster unhealthy after alarm: %q", got)
 	}
+}
+
+// motdServer answers each request line with the content of its motd
+// file, read from the replica's container filesystem outside any turn:
+// a replica whose file differs replies differently on the same schedule.
+type motdServer struct{ fs *cfs.FS }
+
+func motdProgram() papi.Program {
+	return papi.Program{
+		Name:    "motd",
+		Ports:   []int{7000},
+		Install: func(fs *cfs.FS) { fs.Write("motd", []byte("message of the day\n")) },
+		New:     func(fs *cfs.FS) papi.Instance { return &motdServer{fs: fs} },
+	}
+}
+
+func (m *motdServer) Snapshot() ([]byte, error) { return nil, nil }
+func (m *motdServer) Restore([]byte) error      { return nil }
+
+func (m *motdServer) Run(t papi.T) {
+	l, err := t.Listen(7000)
+	if err != nil {
+		return
+	}
+	buf := make([]byte, 512)
+	for !t.Killed() {
+		c, err := l.Accept(t)
+		if err != nil {
+			return
+		}
+		for {
+			n, err := c.Recv(t, buf)
+			if err != nil || bytes.IndexByte(buf[:n], '\n') >= 0 {
+				break
+			}
+		}
+		motd, _ := m.fs.Read("motd")
+		c.Send(t, motd)
+		c.Close(t)
+	}
+}
+
+// TestFlightReplyDivergenceSameSchedule: one backup's reply bytes differ
+// while its schedule stays the same (its copy of the served file was
+// altered). The outputs are comparable lane events, so the live audit
+// raises a chain mismatch and the journals localize the split to the
+// first differing output entry.
+func TestFlightReplyDivergenceSameSchedule(t *testing.T) {
+	c, err := StartCluster(testConfig(ModeCrane), motdProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	p := currentPrimary(t, c)
+	var backup *Replica
+	for i := 0; i < c.Replicas(); i++ {
+		if r := c.Replica(i); r.ID() != p.ID() {
+			backup = r
+			break
+		}
+	}
+	backup.FS().Write("motd", []byte("message of the DAY\n")) // same length, other bytes
+
+	var alarms []DivergenceAlarm
+	deadline := time.Now().Add(15 * time.Second)
+	for i := 0; len(alarms) == 0 && time.Now().Before(deadline); i++ {
+		if got := kvRequest(t, c, fmt.Sprintf("motd%d:1", i), "GET"); got != "message of the day" {
+			t.Fatalf("reply %d = %q", i, got)
+		}
+		alarms = p.DivergenceAlarms()
+	}
+	if len(alarms) == 0 {
+		t.Fatal("live audit raised no alarm for differing replies")
+	}
+	for _, a := range alarms {
+		if a.Replica != backup.ID() || a.Kind != "chain-mismatch" {
+			t.Fatalf("alarm %v, want a chain-mismatch implicating replica %d", a, backup.ID())
+		}
+	}
+	if err := c.WaitQuiescent(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := backup.pproc.Sched.Stats().ScheduleSum, p.pproc.Sched.Stats().ScheduleSum; got != want {
+		t.Fatalf("schedules differ (%#x vs %#x): the test must diverge in replies alone", got, want)
+	}
+	d := flight.FirstDivergence(dumpJournal(t, p), dumpJournal(t, backup))
+	if d == nil || !d.Exact {
+		t.Fatalf("journal comparison did not localize the divergence: %+v", d)
+	}
+	if d.A.Kind != flight.EvOutput || d.B.Kind != flight.EvOutput || d.A.A != d.B.A || d.A.B == d.B.B {
+		t.Fatalf("first divergent entries %+v / %+v, want one output on the same connection with differing digests", *d.A, *d.B)
+	}
+}
+
+// TestFlightTwoLaneOutputsAudited: at two lanes the per-lane output order
+// is replica-deterministic while the whole-log order is not, so a healthy
+// run serving well over one audit interval of outputs per replica
+// verifies samples and raises no alarm.
+func TestFlightTwoLaneOutputsAudited(t *testing.T) {
+	hcfg := httpd.DefaultConfig()
+	hcfg.Workers = 8
+	hcfg.PHPChunks = 4
+	hcfg.PHPChunkWork = 1000
+	cfg := integrationConfig(ModeCrane)
+	cfg.Lanes = 2
+	c, err := StartCluster(cfg, httpd.Program(hcfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	const requests = 6 * flight.DefaultAuditEvery
+	if sum := clients.ApacheBench(c.Dial, 8080, "/page0.php", 8, requests); sum.Errors != 0 {
+		t.Fatalf("ab: %+v", sum)
+	}
+	if err := c.WaitOutputs(requests, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	p := currentPrimary(t, c)
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; p.AuditChecked() == 0 && time.Now().Before(deadline); i++ {
+		clients.Curl(c.Dial, fmt.Sprintf("audit%d:1", i), 8080, "GET", "/index.html", nil)
+	}
+	if p.AuditChecked() == 0 {
+		t.Fatal("leader verified no audit samples")
+	}
+	assertNoDivergenceAlarms(t, c)
 }

@@ -733,8 +733,7 @@ func (r *Replica) emitOutput(conn uint64, data []byte) {
 	if r.spec != nil && r.spec.emit(conn, data) {
 		return
 	}
-	n, fp := r.out.Record(conn, data) //crane:specleak-ok the speculator declined the output above: no window is open, the effect is committed
-	r.flt.NoteOutput(uint64(n), fp)
+	r.out.Record(conn, data) //crane:specleak-ok the speculator declined the output above: no window is open, the effect is committed
 	r.ro.recordOutput(conn, r.logicalClock(), r.laneForConn(conn), r.groupForConn(conn))
 	if r.px != nil && r.IsPrimary() {
 		r.px.forward(conn, data)

@@ -6,8 +6,10 @@ import (
 	"sync"
 	"time"
 
+	"crane/internal/obs/flight"
 	"crane/internal/papi"
 	"crane/internal/seq"
+	"crane/internal/trace"
 )
 
 // ErrKilled is returned from socket calls on a torn-down replica.
@@ -200,14 +202,19 @@ func (c *dmtConn) Recv(t papi.T, buf []byte) (int, error) {
 }
 
 // Send is scheduled by DMT and forwarded through the proxy: the primary
-// responds to the client; backups log and drop (§2.1).
+// responds to the client; backups log and drop (§2.1). The output joins
+// the lane's flight journal as a comparable event, so replicas whose
+// replies differ split their lane chains even when their schedules agree.
+// The digest is taken before the turn, keeping the hash off the token.
 func (c *dmtConn) Send(t papi.T, data []byte) (int, error) {
 	th, ok := papi.DMTThreadOf(t)
 	if !ok {
 		return 0, errors.New("crane: send from non-DMT thread")
 	}
+	digest := trace.Digest(data)
 	th.GetTurn()
 	th.Admit()
+	c.r.flt.Lane(th.LaneID()).Emit(flight.EvOutput, th.LaneClock(), flight.PosUnchanged, c.id, digest)
 	c.r.emitOutput(c.id, data)
 	th.PutTurn()
 	return len(data), nil

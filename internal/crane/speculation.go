@@ -376,8 +376,7 @@ func (sp *speculator) flushLocked() {
 			sp.r.px.closeConn(o.conn)
 			continue
 		}
-		n, fp := sp.r.out.Record(o.conn, o.data) //crane:specleak-ok flush path: the window's commits all confirmed, these effects are committed
-		sp.r.flt.NoteOutput(uint64(n), fp)
+		sp.r.out.Record(o.conn, o.data)                              //crane:specleak-ok flush path: the window's commits all confirmed, these effects are committed
 		sp.r.ro.recordOutput(o.conn, sp.r.logicalClock(), o.lane, 0) // speculation implies one group
 		if primary {
 			sp.r.px.forward(o.conn, o.data)

@@ -84,10 +84,10 @@ type Stats struct {
 
 // Scheduler is a Parrot-style round-robin DMT scheduler.
 type Scheduler struct {
-	// mu guards the run queue, wait table, reentry queue, barriers, and
-	// record/replay state. The token holder takes it once per scheduled
-	// operation; nothing else takes it on the hot path (stats, clock and
-	// gauge reads are all served by the atomic mirrors below).
+	// mu guards the run queue, wait table, reentry queue and barriers. The
+	// token holder takes it once per scheduled operation; nothing else
+	// takes it on the hot path (stats, clock and gauge reads are all
+	// served by the atomic mirrors below).
 	mu sync.Mutex
 
 	// Run queue: a power-of-two ring. runq[rhead] is the token holder;
@@ -163,12 +163,8 @@ type Scheduler struct {
 	// schedHash, so the journaled stream is replica-deterministic.
 	flight *flight.Journal
 
-	gate      Gate
-	barriers  []*SoftBarrier
-	recording *Schedule
-	replay    *Schedule
-	replayPos int
-	replayErr error
+	gate     Gate
+	barriers []*SoftBarrier
 
 	nextID  int
 	killedA atomic.Bool
@@ -585,18 +581,6 @@ func (s *Scheduler) runqInsertLocked(w *Thread, pos int) {
 	s.runqLenA.Store(int64(s.rlen))
 }
 
-// runqMoveToFrontLocked promotes position i to the head (replay reorder).
-func (s *Scheduler) runqMoveToFrontLocked(i int) {
-	if i == 0 {
-		return
-	}
-	th := s.runqAt(i)
-	for j := i; j > 0; j-- {
-		s.runqSet(j, s.runqAt(j-1))
-	}
-	s.runq[s.rhead] = th
-}
-
 // Spawn creates a thread running fn and schedules it at the tail of the
 // run queue — the parent's lane's queue when parent is non-nil (children
 // inherit their parent's lane), the receiver's otherwise. Spawn is itself
@@ -782,7 +766,6 @@ func (t *Thread) PutTurn() {
 	s.drainReentryLocked()
 	s.releaseExpiredBarriersLocked()
 	s.runqRotateLocked()
-	s.replayReorderLocked()
 	s.tokenPasses++
 	head := s.runq[s.rhead]
 	if head == t {
@@ -811,8 +794,6 @@ func (t *Thread) PutTurn() {
 func (s *Scheduler) tickLocked(t *Thread, op byte) {
 	s.clock++
 	s.clockA.Store(s.clock)
-	s.recordLocked(t, op)
-	s.replayAdvanceLocked(t, op)
 	if t.isIdle {
 		s.pubLocked()
 		return
@@ -881,7 +862,6 @@ func (t *Thread) WaitOn(key any) {
 	// exactly as the slice implementation did.
 	s.releaseExpiredBarriersLocked()
 	s.runqPopFrontLocked()
-	s.replayReorderLocked()
 	s.tokenPasses++
 	s.pubLocked() // t stops ticking until signaled: publish its last op
 	var head *Thread
@@ -983,7 +963,6 @@ func (t *Thread) Exit() {
 	s.drainReentryLocked()
 	s.releaseExpiredBarriersLocked()
 	s.runqPopFrontLocked()
-	s.replayReorderLocked()
 	s.pubLocked() // t is gone: its counters must be visible to Stats readers
 	var head *Thread
 	if s.rlen > 0 {
@@ -1034,7 +1013,6 @@ func (t *Thread) BlockingEnter() {
 	s.drainReentryLocked()
 	s.releaseExpiredBarriersLocked()
 	s.runqPopFrontLocked()
-	s.replayReorderLocked()
 	s.tokenPasses++
 	s.pubLocked() // t leaves the scheduled world: publish its last op
 	var head *Thread

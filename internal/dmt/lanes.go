@@ -74,9 +74,9 @@ type crossDomain struct {
 }
 
 // SetLanes splits the scheduler into n deterministic token domains. Must be
-// called before Start, at most once, and is incompatible with record/replay
-// (schedules are per-lane; record a 1-lane configuration instead). n <= 1
-// leaves the scheduler in its single-token configuration.
+// called before Start, at most once; each lane then keeps its own schedule
+// (and its own flight journal, see SetFlight). n <= 1 leaves the scheduler
+// in its single-token configuration.
 func (s *Scheduler) SetLanes(n int) {
 	if n <= 1 {
 		return
@@ -91,9 +91,6 @@ func (s *Scheduler) SetLanes(n int) {
 	}
 	if s.lanes != nil {
 		panic("dmt: SetLanes called twice")
-	}
-	if s.recording != nil || s.replay != nil {
-		panic("dmt: SetLanes is incompatible with record/replay")
 	}
 	x := &crossDomain{pending: make([]uint64, n), has: make([]bool, n)}
 	s.idStride = n
@@ -237,10 +234,10 @@ func (s *Scheduler) CrossPending() bool {
 // there were, advances the lane clock by that count and reports true. Nothing
 // can interleave with the skipped operations — no application thread is
 // runnable, none is re-entering, no soft-barrier deadline is counting ticks —
-// and idle ticks fold into neither the schedule hash, the recordings nor the
-// flight chain, so the only thing they would have changed is the clock value
-// the next application operation reads, which this sets directly. For any
-// other caller it calls nothing and reports false: a clock jump would skip
+// and idle ticks fold into neither the schedule hash nor the flight chain,
+// so the only thing they would have changed is the clock value the next
+// application operation reads, which this sets directly. For any other
+// caller it calls nothing and reports false: a clock jump would skip
 // turns other threads were owed, and the caller takes its turns one by one
 // instead. The caller must hold the token (it panics otherwise); turns runs
 // outside the scheduler lock.

@@ -306,12 +306,6 @@ func TestSetLanesGuards(t *testing.T) {
 	s2 := New()
 	s2.SetLanes(2)
 	mustPanic("twice", func() { s2.SetLanes(2) })
-	mustPanic("record with lanes", func() { s2.StartRecording() })
-	mustPanic("replay with lanes", func() { s2.SetReplay(&Schedule{}) })
-
-	s3 := New()
-	s3.StartRecording()
-	mustPanic("lanes with recording", func() { s3.SetLanes(2) })
 
 	s4 := New()
 	s4.SetLanes(1) // no-op: single lane stays the pre-lane configuration

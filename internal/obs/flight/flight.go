@@ -1,18 +1,19 @@
 // Package flight is the divergence-forensics flight recorder: an
 // always-on, bounded journal of the determinism-relevant event stream a
 // CRANE replica executes — scheduler ticks, wait/signal keys, cross-lane
-// merge stamps, Paxos-sequence consumption acts — plus an annotation
-// journal for events that are *about* the run but not themselves
-// replica-deterministic (speculation windows, view changes, output
-// records).
+// merge stamps, Paxos-sequence consumption acts, network outputs — plus
+// an annotation journal for events that are *about* the run but not
+// themselves replica-deterministic (speculation windows, view changes,
+// sharded commits).
 //
 // Comparable events are stored in per-lane rings, each entry carrying the
 // lane's logical clock, its sequence consumption position, and a rolling
 // FNV-1a chain hash folded over every comparable event so far. Two
 // replicas executing the same committed stream record byte-identical
 // per-lane event streams, so equal chain values at equal entry indexes
-// mean equal prefixes — and the first divergent scheduling decision can
-// be found by binary search over the chains instead of replaying logs.
+// mean equal prefixes — equal schedules and equal per-lane outputs — and
+// the first divergent scheduling decision or reply can be found by
+// binary search over the chains instead of replaying logs.
 // Periodic segment checksums extend that comparison horizon far beyond
 // the entry ring: the ring retains the last few thousand entries, the
 // segment ring summarizes the chain every segEvery entries over a much
@@ -26,11 +27,11 @@
 //
 // Writer discipline: all comparable-event emission for a lane happens
 // while holding that lane's DMT token (scheduler ticks under the
-// scheduler mutex, consumption acts under the sequence mutex, both only
-// ever by the thread holding the lane token), so each journal has a
-// single logical writer. The per-journal mutex is therefore uncontended
-// on the hot path; it exists to fence rare dump/audit readers, and Emit
-// allocates nothing.
+// scheduler mutex, consumption acts under the sequence mutex, outputs
+// inside the send wrapper's turn — each only ever by the thread holding
+// the lane token), so each journal has a single logical writer. The
+// per-journal mutex is therefore uncontended on the hot path; it exists
+// to fence rare dump/audit readers, and Emit allocates nothing.
 package flight
 
 import (
@@ -42,6 +43,9 @@ import (
 // Comparable event kinds: folded into the rolling chain hash. These are
 // exactly the events that are replica-deterministic under the CRANE gate
 // (idle-thread ticks are excluded upstream, mirroring ScheduleSum).
+// Outputs are among them: §7.2 judges consistency by the replicas'
+// network outputs, so a reply that differs with an unchanged schedule
+// still splits the chain.
 const (
 	EvTick    uint8 = 1 // scheduler tick: A=thread id, B=op byte
 	EvWait    uint8 = 2 // thread parked on a wait key: A=thread id, B=key
@@ -51,13 +55,13 @@ const (
 	EvSend    uint8 = 6 // SEND fully consumed: A=conn, B=pos after
 	EvClose   uint8 = 7 // CLOSE consumed: A=conn, B=pos after
 	EvBubble  uint8 = 8 // time bubble exhausted: A=granted clocks, B=pos after
+	EvOutput  uint8 = 9 // network output sent: A=conn, B=FNV-1a digest of the bytes
 )
 
 // Annotation event kinds: recorded in the control journal for forensics
 // but never folded into a chain — their timing is physical (view changes,
 // speculation) so folding them would raise false alarms.
 const (
-	EvOutput      uint8 = 64 // output recorded: A=conn, B=cumulative count
 	EvSpecOpen    uint8 = 65 // speculation window opened: A=entries fed
 	EvSpecConfirm uint8 = 66 // window confirmed: A=confirmed entries
 	EvSpecAbort   uint8 = 67 // window aborted: A=entries, B=1 if contaminated (the replica fail-stops)
@@ -105,12 +109,12 @@ func KindName(kind uint8) string {
 
 // kindByName is the inverse of KindName for the parser.
 func kindByName(name string) uint8 {
-	for k := uint8(1); k <= EvBubble; k++ {
+	for k := uint8(1); k <= EvOutput; k++ {
 		if KindName(k) == name {
 			return k
 		}
 	}
-	for k := EvOutput; k <= EvGroupCommit; k++ {
+	for k := EvSpecOpen; k <= EvGroupCommit; k++ {
 		if KindName(k) == name {
 			return k
 		}
@@ -149,18 +153,13 @@ type Mark struct {
 	Chain uint64
 }
 
-// AuditSample is one mark shipped across the consensus transport for the
-// live audit. Lane >= 0 identifies a journal chain sample; Lane ==
-// OutputLane carries an output-fingerprint sample where Pos is the
-// cumulative output count and Chain the incremental output FNV hash.
+// AuditSample is one lane's mark shipped across the consensus transport
+// for the live audit.
 type AuditSample struct {
 	Lane  int32
 	Pos   uint64
 	Chain uint64
 }
-
-// OutputLane is the sentinel lane for output-fingerprint samples.
-const OutputLane int32 = -2
 
 // Defaults.
 const (
@@ -416,11 +415,6 @@ type Recorder struct {
 	ctl   *Journal
 
 	auditEvery uint64
-
-	outMu       sync.Mutex
-	outMarks    []Mark
-	outMarkhead uint64
-	nextOutMark uint64
 }
 
 // Options configures a Recorder; zero values take defaults.
@@ -449,7 +443,6 @@ func New(name string, lanes int, opts Options) *Recorder {
 		ctl:        newJournal(-1, opts.Capacity, 0, 0),
 		auditEvery: opts.AuditEvery,
 	}
-	r.nextOutMark = opts.AuditEvery
 	for i := 0; i < lanes; i++ {
 		r.lanes = append(r.lanes, newJournal(int32(i), opts.Capacity, opts.SegEvery, opts.AuditEvery))
 	}
@@ -497,97 +490,11 @@ func (r *Recorder) AuditEvery() uint64 {
 	return r.auditEvery
 }
 
-// NoteOutput records an output-fingerprint audit mark whenever the
-// cumulative output count crosses a mark interval. count and fp must be
-// a coherent pair (taken under the output log's lock).
-func (r *Recorder) NoteOutput(count, fp uint64) {
-	if r == nil || r.auditEvery == 0 {
-		return
-	}
-	r.outMu.Lock()
-	if count >= r.nextOutMark {
-		if uint64(len(r.outMarks)) < markCap {
-			r.outMarks = append(r.outMarks, Mark{Pos: count, Chain: fp})
-		} else {
-			r.outMarks[r.outMarkhead%markCap] = Mark{Pos: count, Chain: fp}
-		}
-		r.outMarkhead++
-		r.nextOutMark = (count/r.auditEvery + 1) * r.auditEvery
-	}
-	r.outMu.Unlock()
-}
-
-// OutputMarkAt looks up the output-fingerprint mark at exactly count.
-func (r *Recorder) OutputMarkAt(count uint64) (m Mark, ok, within bool) {
-	if r == nil {
-		return Mark{}, false, false
-	}
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	n := uint64(len(r.outMarks))
-	if n == 0 {
-		return Mark{}, false, false
-	}
-	start := uint64(0)
-	if r.outMarkhead > n {
-		start = r.outMarkhead - n
-	}
-	oldest := r.outMarks[start%markCap].Pos
-	newest := r.outMarks[(r.outMarkhead-1)%markCap].Pos
-	within = count >= oldest && count <= newest
-	for i := start; i < r.outMarkhead; i++ {
-		if c := r.outMarks[i%markCap]; c.Pos == count {
-			return c, true, within
-		}
-	}
-	return Mark{}, false, within
-}
-
-// NewestOutputMark returns the most recent retained output-fingerprint
-// mark.
-func (r *Recorder) NewestOutputMark() (Mark, bool) {
-	if r == nil {
-		return Mark{}, false
-	}
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	if r.outMarkhead == 0 || len(r.outMarks) == 0 {
-		return Mark{}, false
-	}
-	return r.outMarks[(r.outMarkhead-1)%markCap], true
-}
-
-// outputMarksSince mirrors MarksSince for the output-fingerprint ring.
-func (r *Recorder) outputMarksSince(after uint64, max int) []Mark {
-	if r == nil {
-		return nil
-	}
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	var out []Mark
-	n := uint64(len(r.outMarks))
-	start := uint64(0)
-	if r.outMarkhead > n {
-		start = r.outMarkhead - n
-	}
-	for i := start; i < r.outMarkhead; i++ {
-		m := r.outMarks[i%markCap]
-		if m.Pos > after {
-			out = append(out, m)
-		}
-	}
-	if max > 0 && len(out) > max {
-		out = out[len(out)-max:]
-	}
-	return out
-}
-
 // AuditCursor tracks which marks a backup has already piggybacked, so
 // each AcceptOK carries only fresh samples (usually none).
 type AuditCursor struct {
-	mu       sync.Mutex
-	lanePos  []uint64
-	outCount uint64
+	mu      sync.Mutex
+	lanePos []uint64
 }
 
 // maxSamplesPerLane bounds how many marks one message carries per lane.
@@ -613,12 +520,6 @@ func (r *Recorder) CollectAudit(cur *AuditCursor) []AuditSample {
 			if m.Pos > cur.lanePos[i] {
 				cur.lanePos[i] = m.Pos
 			}
-		}
-	}
-	for _, m := range r.outputMarksSince(cur.outCount, maxSamplesPerLane) {
-		out = append(out, AuditSample{Lane: OutputLane, Pos: m.Pos, Chain: m.Chain})
-		if m.Pos > cur.outCount {
-			cur.outCount = m.Pos
 		}
 	}
 	return out

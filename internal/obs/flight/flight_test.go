@@ -127,31 +127,43 @@ func TestCollectAudit(t *testing.T) {
 	for i := 1; i <= 24; i++ {
 		r.Lane(0).Emit(EvSend, uint64(i), uint64(i), 1, uint64(i))
 	}
-	r.NoteOutput(8, 0xabc)
 	got := r.CollectAudit(&cur)
-	var lanes, outs int
 	for _, s := range got {
-		switch s.Lane {
-		case 0:
-			lanes++
-			if s.Pos%8 != 0 {
-				t.Fatalf("bad lane sample %+v", s)
-			}
-		case OutputLane:
-			outs++
-			if s.Pos != 8 || s.Chain != 0xabc {
-				t.Fatalf("bad output sample %+v", s)
-			}
-		default:
-			t.Fatalf("unexpected lane %d", s.Lane)
+		if s.Lane != 0 || s.Pos%8 != 0 {
+			t.Fatalf("bad lane sample %+v", s)
 		}
 	}
-	if lanes != 3 || outs != 1 {
-		t.Fatalf("collected %d lane + %d output samples, want 3 + 1", lanes, outs)
+	if len(got) != 3 {
+		t.Fatalf("collected %d samples, want 3", len(got))
 	}
 	// Second collection with no new marks: nothing.
 	if got := r.CollectAudit(&cur); got != nil {
 		t.Fatalf("re-collection returned %v, want nil", got)
+	}
+}
+
+// TestMarksCoverOutputs: an output is a comparable lane event, so two
+// lanes that consume the same positions but reply with different bytes
+// agree on every mark before the reply and on none after it.
+func TestMarksCoverOutputs(t *testing.T) {
+	run := func(digest uint64) []AuditSample {
+		r := New("r", 1, Options{AuditEvery: 8})
+		for i := uint64(1); i <= 24; i++ {
+			r.Lane(0).Emit(EvSend, i, i, 1, i)
+			if i == 12 {
+				r.Lane(0).Emit(EvOutput, i, PosUnchanged, 1, digest)
+			}
+		}
+		return r.CollectAudit(&AuditCursor{})
+	}
+	a, b := run(0xabc), run(0xabd)
+	if len(a) != 3 || len(b) != 3 {
+		t.Fatalf("collected %d and %d samples, want 3 each", len(a), len(b))
+	}
+	for i := range a {
+		if equal, before := a[i] == b[i], a[i].Pos < 12; equal != before {
+			t.Errorf("mark at pos %d: equal=%v, want %v", a[i].Pos, equal, before)
+		}
 	}
 }
 
@@ -169,7 +181,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.Lane(0).Emit(EvTick, 1, 2, 3, 4)
 	r.Control().Note(EvViewChange, 1, 2, 3, "x")
-	r.NoteOutput(1, 2)
 	if got := r.CollectAudit(&AuditCursor{}); got != nil {
 		t.Fatalf("nil recorder collected %v", got)
 	}

@@ -69,7 +69,6 @@ type Message struct {
 	From      int
 	View      uint64
 	Index     uint64
-	Payload   []byte
 	CommitIdx uint64
 	LastNorm  uint64 // last view in which the sender was in Normal status
 	Entries   []LogEntry
@@ -86,8 +85,8 @@ type Message struct {
 	// and never triggers GC.
 	Done uint64
 	// Audit piggybacks the sender's latest flight-recorder audit samples
-	// (rolling journal hashes + output fingerprint) on AcceptOK replies so
-	// the primary can cross-check replicas without extra messages.
+	// (per-lane rolling journal hashes) on AcceptOK replies so the primary
+	// can cross-check replicas without extra messages.
 	Audit []flight.AuditSample
 }
 
@@ -605,6 +604,13 @@ func (n *Node) broadcast(msg Message) {
 	}
 }
 
+// broadcastAccept sends one Accept round for ents, a contiguous run of
+// log entries, in the current view.
+func (n *Node) broadcastAccept(ents []LogEntry) {
+	n.broadcast(Message{Type: MsgAccept, View: n.view, Index: ents[0].Index,
+		Entries: ents, CommitIdx: n.commitIdx})
+}
+
 func (n *Node) send(to int, msg Message) {
 	msg.From = n.cfg.ID
 	n.cfg.Transport.Send(to, msg)
@@ -677,14 +683,7 @@ func (n *Node) sendBatch() {
 		}
 		n.roundSeq++
 	}
-	if count == 1 {
-		// Single-entry wire form, identical to the pre-batching protocol.
-		n.broadcast(Message{Type: MsgAccept, View: n.view, Index: first,
-			Payload: ents[0].Payload, CommitIdx: n.commitIdx})
-	} else {
-		n.broadcast(Message{Type: MsgAccept, View: n.view, Index: first,
-			Entries: ents, CommitIdx: n.commitIdx})
-	}
+	n.broadcastAccept(ents)
 	// Single-replica degenerate case: self-ack is already a majority.
 	n.tryAdvanceCommit()
 }
@@ -792,29 +791,10 @@ func (n *Node) onAccept(msg Message) {
 		return
 	}
 	n.lastHB = time.Now() //crane:detflow-ok heartbeat timer, below the consensus boundary
-	if len(msg.Entries) > 0 {
-		n.onAcceptBatch(msg)
-		return
-	}
-	switch {
-	case msg.Index == n.lastLogIndex()+1:
-		n.log = append(n.log, LogEntry{Index: msg.Index, View: msg.View, Payload: msg.Payload})
-		n.sendAcceptOK(msg.From, msg.Index)
-	case msg.Index <= n.lastLogIndex():
-		// Duplicate (e.g. retransmission): re-ack idempotently.
-		n.sendAcceptOK(msg.From, msg.Index)
-	default:
-		// Gap: request catch-up.
-		n.send(msg.From, Message{Type: MsgRequestEntries, Index: n.lastLogIndex() + 1})
-	}
-	n.applyCommit(msg.CommitIdx)
-}
-
-// onAcceptBatch handles a multi-entry Accept round: append the entries that
-// extend our log and answer with one cumulative AcceptOK covering the whole
-// round. Within a view the primary's appends are sequential, so an OK at
-// index i acknowledges every entry at or below i.
-func (n *Node) onAcceptBatch(msg Message) {
+	// Append the entries that extend our log and answer with one
+	// cumulative AcceptOK covering the whole round. Within a view the
+	// primary's appends are sequential, so an OK at index i acknowledges
+	// every entry at or below i.
 	if msg.Entries[0].Index > n.lastLogIndex()+1 {
 		// Gap ahead of the batch: request catch-up.
 		n.send(msg.From, Message{Type: MsgRequestEntries, Index: n.lastLogIndex() + 1})
@@ -1128,13 +1108,7 @@ func (n *Node) maybeWinPhase2() {
 			n.acks[i] = map[int]bool{n.cfg.ID: true}
 			ents = append(ents, *n.entryAt(i))
 		}
-		if len(ents) == 1 {
-			n.broadcast(Message{Type: MsgAccept, View: n.view, Index: first,
-				Payload: ents[0].Payload, CommitIdx: n.commitIdx})
-		} else {
-			n.broadcast(Message{Type: MsgAccept, View: n.view, Index: first,
-				Entries: ents, CommitIdx: n.commitIdx})
-		}
+		n.broadcastAccept(ents)
 		first = last + 1
 	}
 	n.mu.Lock()

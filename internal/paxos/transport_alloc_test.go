@@ -17,7 +17,7 @@ func TestChanTransportSendDoesNotAllocate(t *testing.T) {
 	src, dst := hub.Endpoint(0), hub.Endpoint(1)
 	got := make(chan struct{}, 1)
 	dst.SetHandler(func(Message) { got <- struct{}{} })
-	msg := Message{Type: MsgHeartbeat, Payload: []byte("x")}
+	msg := Message{Type: MsgHeartbeat, Index: 1}
 	roundTrip := func() {
 		if err := src.Send(1, msg); err != nil {
 			t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"regexp"
+	"strconv"
 	"sync"
 )
 
@@ -56,23 +57,32 @@ func (l *OutputLog) SetNormalizer(re *regexp.Regexp) {
 	}
 }
 
-// hashEvent folds one event into the running FNV-1a hash, using the same
-// framing Fingerprint historically used: "conn|" + data + NUL.
-func hashEvent(h, conn uint64, data []byte) uint64 {
-	for _, b := range []byte(fmt.Sprintf("%d|", conn)) {
-		h = (h ^ uint64(b)) * fnvPrime
-	}
+// fold folds data into the running FNV-1a hash h.
+func fold(h uint64, data []byte) uint64 {
 	for _, b := range data {
 		h = (h ^ uint64(b)) * fnvPrime
 	}
+	return h
+}
+
+// Digest returns the FNV-1a hash of one output's bytes: the value a
+// replica's flight journal records for each output it sends.
+func Digest(data []byte) uint64 { return fold(fnvOffset, data) }
+
+// hashEvent folds one event into the running FNV-1a hash, using the same
+// framing Fingerprint historically used: "conn|" + data + NUL. The
+// decimal connection id is formatted into a stack buffer, so hashing
+// allocates nothing.
+func hashEvent(h, conn uint64, data []byte) uint64 {
+	var buf [21]byte // 20 decimal digits of a uint64, then '|'
+	h = fold(h, append(strconv.AppendUint(buf[:0], conn, 10), '|'))
+	h = fold(h, data)
 	return (h ^ 0) * fnvPrime // trailing NUL separator
 }
 
 // Record appends one outgoing socket call and folds it into the running
 // fingerprint, keeping Fingerprint O(1) instead of rehashing every event.
-// It returns the new output count and rolling fingerprint so callers can
-// feed divergence-audit samples without re-locking.
-func (l *OutputLog) Record(conn uint64, data []byte) (n int, fp uint64) {
+func (l *OutputLog) Record(conn uint64, data []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.events = append(l.events, Event{
@@ -81,7 +91,6 @@ func (l *OutputLog) Record(conn uint64, data []byte) (n int, fp uint64) {
 		Data: append([]byte(nil), data...),
 	})
 	l.hash = hashEvent(l.hash, conn, l.normalized(data))
-	return len(l.events), l.hash
 }
 
 // Len returns the number of recorded outputs.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"regexp"
 	"testing"
 )
@@ -100,5 +101,22 @@ func TestEventsCopy(t *testing.T) {
 	}
 	if l.Len() != 1 || l.Name() != "r" {
 		t.Fatal("Len/Name broken")
+	}
+}
+
+// TestHashEventFramingAndAllocs: the fingerprint frames each event as
+// "conn|" + data + NUL (fixed by the goldens' output lines), and folding
+// one event allocates nothing.
+func TestHashEventFramingAndAllocs(t *testing.T) {
+	data := []byte("HTTP/1.0 200 OK\r\n\r\nbody")
+	for _, conn := range []uint64{0, 7, 1 << 40, ^uint64(0)} {
+		framed := append(append([]byte(fmt.Sprintf("%d|", conn)), data...), 0)
+		if got, want := hashEvent(fnvOffset, conn, data), fold(fnvOffset, framed); got != want {
+			t.Errorf("conn %d: hashEvent = %#x, want %#x", conn, got, want)
+		}
+	}
+	var sink uint64
+	if n := testing.AllocsPerRun(200, func() { sink = hashEvent(sink, 1<<40, data) }); n != 0 {
+		t.Errorf("hashEvent allocates %v times per event, want 0", n)
 	}
 }
