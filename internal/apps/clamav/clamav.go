@@ -158,10 +158,8 @@ type scanResults struct {
 	scanned int
 }
 
-// laneCtx is one lane's complete private machinery: job queue, connection
-// queue, and their locks. With lanes, clamd partitions entirely — nothing
-// is shared across lanes (the lane argument -1 means single-lane, where
-// sync objects are created unbound exactly as before).
+// laneCtx is one lane's complete private machinery: job queue,
+// connection queue, and their locks. Nothing is shared across lanes.
 type laneCtx struct {
 	lane   int
 	jobs   []scanJob
@@ -172,46 +170,21 @@ type laneCtx struct {
 	cCv    papi.Cond
 }
 
-// Run implements papi.Instance.
+// Run implements papi.Instance, partitioned by lane: each lane has its own
+// acceptor, handler share, scanner share, job queue, and connection queue,
+// and a scan request never leaves its lane. One lane is the N=1 case: the
+// paper's daemon, one listener, all handlers and the whole scanner pool,
+// where the files of every in-flight request scan in parallel.
+//
+// Each lane is built by its own lane-main thread (the bootstrap discipline
+// cross-lane spawns require): the lane main creates the lane's queues and
+// pools with in-lane spawns, then becomes the lane's acceptor. The main
+// thread is lane 0's lane main.
 func (s *Server) Run(t papi.T) {
 	l, err := t.Listen(s.cfg.Port)
 	if err != nil {
 		return
 	}
-	if t.Lanes() > 1 {
-		s.runLanes(t, l)
-		return
-	}
-	lc := &laneCtx{
-		lane:  -1,
-		jobMu: t.NewMutex(),
-		jobCv: t.NewCond(),
-		cMu:   t.NewMutex(),
-		cCv:   t.NewCond(),
-	}
-	// Scanner pool: files from all in-flight requests scan in parallel.
-	for i := 0; i < s.cfg.Scanners; i++ {
-		t.Spawn(fmt.Sprintf("scanner%d", i), func(wt papi.T) {
-			s.scannerLoop(wt, lc)
-		})
-	}
-	// Handler threads: one connection at a time each.
-	for i := 0; i < s.cfg.Handlers; i++ {
-		t.Spawn(fmt.Sprintf("handler%d", i), func(wt papi.T) {
-			s.handlerLoop(wt, lc)
-		})
-	}
-	s.acceptLoop(t, l, lc)
-}
-
-// runLanes partitions the daemon completely: each lane has its own
-// acceptor, handler share, scanner share, job queue, and connection queue.
-// Scan requests never leave their lane.
-//
-// Each lane is built by its own lane-main thread (the bootstrap discipline
-// cross-lane spawns require): the lane main creates the lane's queues and
-// pools with in-lane spawns, then becomes the lane's acceptor.
-func (s *Server) runLanes(t papi.T, l papi.Listener) {
 	lanes := t.Lanes()
 	share := func(total, lane int) int {
 		n := total / lanes
@@ -236,6 +209,7 @@ func (s *Server) runLanes(t papi.T, l papi.Listener) {
 				s.scannerLoop(wt, lc)
 			})
 		}
+		// Handler threads: one connection at a time each.
 		for i := 0; i < share(s.cfg.Handlers, lane); i++ {
 			lt.Spawn(fmt.Sprintf("lane%d-handler%d", lane, i), func(wt papi.T) {
 				s.handlerLoop(wt, lc)
@@ -340,13 +314,9 @@ func (s *Server) serveConn(t papi.T, c papi.Conn, lc *laneCtx) {
 // completion, and streams the report.
 func (s *Server) scanTree(t papi.T, c papi.Conn, root string, lc *laneCtx) {
 	files := s.fs.List(root)
-	res := &scanResults{pending: len(files)}
-	if lc.lane >= 0 {
-		// The request and its scan jobs live entirely on this lane.
-		res.mu, res.cond = t.NewMutexLane(lc.lane), t.NewCondLane(lc.lane)
-	} else {
-		res.mu, res.cond = t.NewMutex(), t.NewCond()
-	}
+	// The request and its scan jobs live entirely on this lane.
+	res := &scanResults{pending: len(files),
+		mu: t.NewMutexLane(lc.lane), cond: t.NewCondLane(lc.lane)}
 	if len(files) == 0 {
 		c.Send(t, []byte(root+": no files\nSCAN SUMMARY: scanned 0 infected 0\n"))
 		return

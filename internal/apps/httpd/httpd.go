@@ -162,57 +162,6 @@ func (s *Server) Served() uint64 {
 	return s.served
 }
 
-// Run implements papi.Instance: the paper's Fig. 2 structure. With more
-// than one execution lane it switches to the partitioned structure of
-// runLanes; the single-lane body below is byte-for-byte the pre-lane
-// server, so 1-lane schedules are unchanged.
-func (s *Server) Run(t papi.T) {
-	if t.Lanes() > 1 {
-		s.runLanes(t)
-		return
-	}
-	l, err := t.Listen(s.cfg.Port)
-	if err != nil {
-		return
-	}
-	var (
-		worklist []papi.Conn
-		wlMu     = t.NewMutex()
-		wlCond   = t.NewCond()
-		pageMu   = t.NewMutex() // request-processing lock (Fig. 2 line 19)
-		allocMu  = t.NewMutex() // interpreter/allocator lock
-	)
-	// Soft-barrier hint line 1: initialize at main() (§7.4).
-	var hint papi.Barrier
-	if s.cfg.UseHints {
-		group := s.cfg.HintGroup
-		if group <= 0 {
-			group = s.cfg.Workers
-		}
-		hint = t.SoftBarrier("php", group, 60)
-	}
-	for i := 0; i < s.cfg.Workers; i++ {
-		t.Spawn(fmt.Sprintf("worker%d", i), func(wt papi.T) {
-			s.worker(wt, &worklist, wlMu, wlCond, pageMu, allocMu, hint)
-		})
-	}
-	// Listener thread body runs on the main thread (Fig. 2 runs it on a
-	// dedicated thread; either way it is one poller).
-	for !t.Killed() {
-		if !l.Poll(t, 50*time.Millisecond) {
-			continue
-		}
-		c, err := l.Accept(t)
-		if err != nil {
-			return
-		}
-		wlMu.Lock(t)
-		worklist = append(worklist, c)
-		wlMu.Unlock(t)
-		wlCond.Signal(t)
-	}
-}
-
 // laneState is one lane's private accept/dispatch machinery: its own
 // worklist, worklist lock and cond, allocator lock, and soft barrier. Only
 // pageMu (cache and filesystem mutations) is shared across lanes.
@@ -224,19 +173,22 @@ type laneState struct {
 	hint     papi.Barrier
 }
 
-// runLanes is the conflict-partitioned structure: connections are routed
-// to lanes by the conflict map (round-robin on connection id), and each
-// lane runs an independent copy of Fig. 2 — one acceptor plus a share of
-// the worker pool, all lane-bound. Lanes only meet at pageMu, the
-// cross-lane mutex guarding the page cache and document-root writes.
+// Run implements papi.Instance: the paper's Fig. 2 structure, partitioned
+// by lane. Connections are routed to lanes by the conflict map
+// (round-robin on connection id), and each lane runs its own copy of
+// Fig. 2 — one acceptor plus a share of the worker pool, all lane-bound.
+// Lanes only meet at pageMu, the cross-lane mutex guarding the page cache
+// and document-root writes. One lane is the N=1 case: the paper's server,
+// one acceptor and the whole pool.
 //
 // Each lane is built by its own lane-main thread (the bootstrap discipline
 // cross-lane spawns require): the lane main creates the lane's sync
 // objects and worker pool with in-lane spawns — all scheduled operations
 // of the lane itself, hence replica-deterministic — then becomes the
 // lane's acceptor. Lane L's acceptor only ever sees lane L's CONNECTs
-// (the gate routes them by the conflict map).
-func (s *Server) runLanes(t papi.T) {
+// (the gate routes them by the conflict map). The main thread is lane 0's
+// lane main.
+func (s *Server) Run(t papi.T) {
 	l, err := t.Listen(s.cfg.Port)
 	if err != nil {
 		return
@@ -247,8 +199,9 @@ func (s *Server) runLanes(t papi.T) {
 		ls := &laneState{
 			wlMu:    lt.NewMutexLane(lane),
 			wlCond:  lt.NewCondLane(lane),
-			allocMu: lt.NewMutexLane(lane),
+			allocMu: lt.NewMutexLane(lane), // interpreter/allocator lock
 		}
+		// Soft-barrier hint line 1: initialize at main() (§7.4).
 		if s.cfg.UseHints {
 			group := s.cfg.HintGroup
 			if group <= 0 {
@@ -263,6 +216,8 @@ func (s *Server) runLanes(t papi.T) {
 				s.worker(wt, &ls.worklist, ls.wlMu, ls.wlCond, pageMu, ls.allocMu, ls.hint)
 			})
 		}
+		// Listener thread body runs on the lane main (Fig. 2 runs it on a
+		// dedicated thread; either way it is one poller per lane).
 		s.acceptLoop(lt, l, ls)
 	}
 	for lane := 1; lane < lanes; lane++ {
@@ -379,8 +334,8 @@ func (s *Server) handle(t papi.T, req *httpkit.Request, pageMu, allocMu papi.Mut
 		}
 		// With the cache off there is nothing shared to publish; skipping
 		// the (cross-lane) pageMu lets disjoint-path GETs on different
-		// lanes complete without ever synchronizing. Single-lane keeps the
-		// lock pair so pre-lane schedules are unchanged.
+		// lanes complete without ever synchronizing. One lane keeps the
+		// paper's lock pair (Fig. 2 line 19), which costs no merge there.
 		if s.cfg.CacheEnabled || t.Lanes() == 1 {
 			pageMu.Lock(t)
 			if s.cfg.CacheEnabled {

@@ -127,56 +127,24 @@ type mailbox struct {
 	queue []papi.Conn
 }
 
-// Run implements papi.Instance. Multi-lane configurations switch to the
-// partitioned structure of runLanes; the single-lane body below is the
-// pre-lane server unchanged.
-func (s *Server) Run(t papi.T) {
-	if t.Lanes() > 1 {
-		s.runLanes(t)
-		return
-	}
-	l, err := t.Listen(s.cfg.Port)
-	if err != nil {
-		return
-	}
-	dispatchMu := t.NewMutex() // coarse dispatch lock
-	var hint papi.Barrier
-	if s.cfg.UseHints {
-		group := s.cfg.HintGroup
-		if group <= 0 {
-			group = s.cfg.Workers
-		}
-		hint = t.SoftBarrier("script", group, 60)
-	}
-	boxes := make([]*mailbox, s.cfg.Workers)
-	for i := range boxes {
-		boxes[i] = &mailbox{mu: t.NewMutex(), cond: t.NewCond()}
-	}
-	for i := 0; i < s.cfg.Workers; i++ {
-		box := boxes[i]
-		t.Spawn(fmt.Sprintf("mg-worker%d", i), func(wt papi.T) {
-			s.workerLoop(wt, box, dispatchMu, dispatchMu, hint)
-		})
-	}
-	s.acceptLoop(t, l, boxes, dispatchMu)
-}
-
-// runLanes is the conflict-partitioned structure: each lane gets its own
-// acceptor, a share of the worker pool with per-worker mailboxes, its own
+// Run implements papi.Instance, partitioned by lane: each lane gets its
+// own acceptor, a share of the worker pool with per-worker mailboxes, a
 // scripting-engine lock, and its own soft barrier. Lanes only meet at the
-// cross-lane dispatch mutex, which multi-lane configurations take solely
-// for document-root writes (PUT/DELETE).
+// cross-lane dispatch mutex, which several lanes take solely for
+// document-root writes (PUT/DELETE). One lane is the N=1 case: the paper's
+// server, whose one coarse mutex is both the dispatch and the engine lock.
 //
 // Each lane is built by its own lane-main thread (the bootstrap discipline
 // cross-lane spawns require): the lane main creates the lane's mailboxes
 // and worker pool with in-lane spawns, then becomes the lane's acceptor.
-func (s *Server) runLanes(t papi.T) {
+// The main thread is lane 0's lane main.
+func (s *Server) Run(t papi.T) {
 	l, err := t.Listen(s.cfg.Port)
 	if err != nil {
 		return
 	}
 	lanes := t.Lanes()
-	dispatchMu := t.NewMutex() // cross-lane: document-root writes
+	dispatchMu := t.NewMutex() // coarse dispatch lock; cross-lane
 	laneMain := func(lt papi.T, lane int) {
 		workers := s.cfg.Workers / lanes
 		if lane < s.cfg.Workers%lanes {
@@ -185,7 +153,10 @@ func (s *Server) runLanes(t papi.T) {
 		if workers < 1 {
 			workers = 1
 		}
-		engineMu := lt.NewMutexLane(lane)
+		engineMu := dispatchMu
+		if lanes > 1 {
+			engineMu = lt.NewMutexLane(lane)
+		}
 		var hint papi.Barrier
 		if s.cfg.UseHints {
 			group := s.cfg.HintGroup
@@ -204,7 +175,7 @@ func (s *Server) runLanes(t papi.T) {
 				s.workerLoop(wt, box, dispatchMu, engineMu, hint)
 			})
 		}
-		s.acceptLoop(lt, l, boxes, dispatchMu)
+		s.acceptLoop(lt, l, boxes)
 	}
 	for lane := 1; lane < lanes; lane++ {
 		t.SpawnLane(lane, fmt.Sprintf("lane%d-mg-main", lane), func(bt papi.T) {
@@ -227,7 +198,7 @@ func (s *Server) workerLoop(t papi.T, box *mailbox, dispatchMu, engineMu papi.Mu
 	}
 }
 
-func (s *Server) acceptLoop(t papi.T, l papi.Listener, boxes []*mailbox, dispatchMu papi.Mutex) {
+func (s *Server) acceptLoop(t papi.T, l papi.Listener, boxes []*mailbox) {
 	next := 0
 	for !t.Killed() {
 		if !l.Poll(t, 50*time.Millisecond) {
@@ -276,10 +247,10 @@ func (s *Server) handle(t papi.T, req *httpkit.Request, dispatchMu, engineMu pap
 	file := "www/" + path
 	switch req.Method {
 	case "GET":
-		// Multi-lane GETs read the (internally synchronized) filesystem
-		// without the cross-lane dispatch lock: reads on different lanes
-		// commute. Single-lane keeps the lock pair, preserving pre-lane
-		// schedules.
+		// With several lanes, GETs read the (internally synchronized)
+		// filesystem without the cross-lane dispatch lock: reads on
+		// different lanes commute. One lane keeps the paper's coarse lock
+		// pair, which costs no merge there.
 		if t.Lanes() == 1 {
 			dispatchMu.Lock(t)
 		}

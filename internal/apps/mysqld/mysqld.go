@@ -170,7 +170,27 @@ func (s *Server) TableRows(name string) int {
 	return 0
 }
 
-// Run implements papi.Instance.
+// laneQueue is one lane's private connection queue.
+type laneQueue struct {
+	conns []papi.Conn
+	cMu   papi.Mutex
+	cCv   papi.Cond
+}
+
+// Run implements papi.Instance, partitioned by lane: each lane runs its
+// own acceptor and a share of the worker pool over a lane-private
+// connection queue. Sessions are the same on every lane — table access
+// synchronizes through the catalog and per-table locks, which are created
+// unbound and so become cross-lane locks when there are several lanes:
+// statements that cross a lane's partition stay correct, and pay the
+// cross-lane cost the paper attributes to MySQL's fine-grained locking.
+// One lane is the N=1 case: the paper's server, one acceptor and the whole
+// pool.
+//
+// Each lane is built by its own lane-main thread (the bootstrap discipline
+// cross-lane spawns require): the lane main creates the lane's queue and
+// worker pool with in-lane spawns, then becomes the lane's acceptor. The
+// main thread is lane 0's lane main.
 func (s *Server) Run(t papi.T) {
 	// Materialize restored tables with fresh lock objects.
 	s.stateMu.Lock()
@@ -187,66 +207,8 @@ func (s *Server) Run(t papi.T) {
 	if err != nil {
 		return
 	}
-	// catalogMu and the per-table locks are created unbound: with lanes
-	// they become cross-lane locks automatically, so statements that cross
-	// a lane's partition stay correct (they pay the cross-lane cost the
-	// paper attributes to MySQL's fine-grained locking).
-	catalogMu := t.NewMutex()
-	if t.Lanes() > 1 {
-		s.runLanes(t, l, catalogMu)
-		return
-	}
-	var (
-		conns []papi.Conn
-		cMu   = t.NewMutex()
-		cCv   = t.NewCond()
-	)
-	for i := 0; i < s.cfg.Workers; i++ {
-		t.Spawn(fmt.Sprintf("sql-worker%d", i), func(wt papi.T) {
-			for !wt.Killed() {
-				cMu.Lock(wt)
-				for len(conns) == 0 {
-					cCv.Wait(wt, cMu)
-				}
-				c := conns[0]
-				conns = conns[1:]
-				cMu.Unlock(wt)
-				s.session(wt, c, catalogMu)
-			}
-		})
-	}
-	for !t.Killed() {
-		if !l.Poll(t, 50*time.Millisecond) {
-			continue
-		}
-		c, err := l.Accept(t)
-		if err != nil {
-			return
-		}
-		cMu.Lock(t)
-		conns = append(conns, c)
-		cMu.Unlock(t)
-		cCv.Signal(t)
-	}
-}
-
-// laneQueue is one lane's private connection queue.
-type laneQueue struct {
-	conns []papi.Conn
-	cMu   papi.Mutex
-	cCv   papi.Cond
-}
-
-// runLanes is the conflict-partitioned structure: each lane runs its own
-// acceptor and a share of the worker pool over a lane-private connection
-// queue. Sessions themselves are unchanged — table access synchronizes
-// through the cross-lane catalog and per-table locks.
-//
-// Each lane is built by its own lane-main thread (the bootstrap discipline
-// cross-lane spawns require): the lane main creates the lane's queue and
-// worker pool with in-lane spawns, then becomes the lane's acceptor.
-func (s *Server) runLanes(t papi.T, l papi.Listener, catalogMu papi.Mutex) {
 	lanes := t.Lanes()
+	catalogMu := t.NewMutex()
 	laneMain := func(lt papi.T, lane int) {
 		workers := s.cfg.Workers / lanes
 		if lane < s.cfg.Workers%lanes {

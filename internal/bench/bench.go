@@ -213,28 +213,6 @@ func (c *Cell) bubbleAccounting(cluster *crane.Cluster) {
 	}
 }
 
-// RunCellWithMetrics is RunCell plus per-replica metric lines captured at
-// the end of the workload (for interactive tools).
-func RunCellWithMetrics(spec AppSpec, cfg crane.Config, useHints bool, s Scale) (Cell, []string, error) {
-	cluster, err := crane.StartCluster(cfg, spec.Program(useHints))
-	if err != nil {
-		return Cell{}, nil, fmt.Errorf("bench: %s/%s: %w", spec.Name, cfg.Mode, err)
-	}
-	defer cluster.Stop()
-	if spec.Prepare != nil {
-		if err := spec.Prepare(cluster.Dial, s); err != nil {
-			return Cell{}, nil, fmt.Errorf("bench: %s prepare: %w", spec.Name, err)
-		}
-	}
-	cell := Cell{App: spec.Name, Mode: cfg.Mode.String(), Summary: spec.Workload(cluster.Dial, s)}
-	cell.bubbleAccounting(cluster)
-	var lines []string
-	for _, m := range cluster.ClusterMetrics() {
-		lines = append(lines, m.String())
-	}
-	return cell, lines, nil
-}
-
 // RunCell deploys spec under cfg, runs the workload, and returns the cell.
 func RunCell(spec AppSpec, cfg crane.Config, useHints bool, s Scale) (Cell, error) {
 	cluster, err := crane.StartCluster(cfg, spec.Program(useHints))

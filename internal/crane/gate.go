@@ -210,15 +210,12 @@ func (g *gate) awaitInput(t *dmt.Thread, sq *seq.Sequence) bool {
 	return true
 }
 
-// Busy implements dmt.BusyGate: while entries are pending the idle thread
-// must keep rotating (it is the mechanism that exhausts bubble clocks
-// rapidly when every server thread is blocked, §3.1/§4).
-func (g *gate) Busy() bool { return !g.r.sqs[0].Empty() }
-
-// BusyLane implements dmt.LaneBusyGate: lane L's idle thread rotates while
-// lane L's own sequence has pending entries. A pre-boot lane is never busy
-// (its sequence is withheld), so its idle thread sleeps instead of burning
-// a core on the bubble clones piling up for post-boot consumption.
+// BusyLane implements dmt.Gate: lane L's idle thread keeps rotating while
+// lane L's own sequence has pending entries (it is the mechanism that
+// exhausts bubble clocks rapidly when every server thread is blocked,
+// §3.1/§4). A pre-boot lane is never busy (its sequence is withheld), so
+// its idle thread sleeps instead of burning a core on the bubble clones
+// piling up for post-boot consumption.
 func (g *gate) BusyLane(lane int) bool {
 	if g.booted != nil && !g.booted[lane].Load() {
 		return false
@@ -226,11 +223,11 @@ func (g *gate) BusyLane(lane int) bool {
 	return !g.r.sqs[lane].Empty()
 }
 
-// StampLane implements dmt.LaneStampGate: lane L's cross-lane merge stamp
-// is its sequence's consumption position (bubble clocks + consumed client
-// calls). It is replica-deterministic at every lane operation — nothing is
-// consumed before the lane's first application op, and every consumption
-// after it is serialized by the lane token — and it keeps advancing while
-// a lane is quiescent (its idle thread drains bubble clones), which is
-// what lets other lanes' merge waits complete.
+// StampLane implements dmt.Gate: lane L's cross-lane merge stamp is its
+// sequence's consumption position (bubble clocks + consumed client calls).
+// It is replica-deterministic at every lane operation — nothing is consumed
+// before the lane's first application op, and every consumption after it is
+// serialized by the lane token — and it keeps advancing while a lane is
+// quiescent (its idle thread drains bubble clones), which is what lets
+// other lanes' merge waits complete.
 func (g *gate) StampLane(lane int) uint64 { return g.r.sqs[lane].Progress() }

@@ -223,12 +223,12 @@ func TestGateDiscardsClosedConnEntries(t *testing.T) {
 func TestGateBusy(t *testing.T) {
 	h := newGateHarness(t, true)
 	g := newGate(h.r, true)
-	if g.Busy() {
-		t.Fatal("Busy on empty sequence")
+	if g.BusyLane(0) {
+		t.Fatal("BusyLane(0) on empty sequence")
 	}
 	h.inject(&seq.Entry{Index: 1, Kind: seq.KindBubble, NClock: 1})
-	if !g.Busy() {
-		t.Fatal("not Busy with pending entry")
+	if !g.BusyLane(0) {
+		t.Fatal("not BusyLane(0) with pending entry")
 	}
 }
 

@@ -3,13 +3,16 @@ package crane
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"crane/internal/apps/clamav"
 	"crane/internal/apps/clients"
 	"crane/internal/apps/httpd"
 	"crane/internal/apps/mongoose"
+	"crane/internal/apps/mysqld"
 	"crane/internal/trace"
 )
 
@@ -62,6 +65,51 @@ func waitLanesSettled(t *testing.T, c *Cluster, k int) {
 	t.Fatal("lane schedules never settled")
 }
 
+// checkLaneContract waits until every replica has settled after k outputs
+// (waitLanesSettled) and asserts the lane-level determinism contract across
+// replicas: the deployment runs the given number of lanes, every lane
+// spawned threads and served at least one connection, every lane's
+// ScheduleSum and the merged ScheduleSum agree, and so does every
+// connection's output stream.
+func checkLaneContract(t *testing.T, c *Cluster, lanes, k int) {
+	t.Helper()
+	for i := 0; i < c.Replicas(); i++ {
+		if got := c.Replica(i).lanes; got != lanes {
+			t.Fatalf("replica %d running %d lanes, want %d", i, got, lanes)
+		}
+	}
+	waitLanesSettled(t, c, k)
+	ref := c.Replica(0)
+	outs := perConnOutputs(ref.Outputs())
+	served := make([]int, lanes)
+	for conn := range outs {
+		served[ref.laneForConn(conn)]++
+	}
+	for lane := 0; lane < lanes; lane++ {
+		if ref.pproc.Sched.LaneStats(lane).Spawned == 0 {
+			t.Fatalf("lane %d spawned no threads", lane)
+		}
+		if served[lane] == 0 {
+			t.Fatalf("lane %d served no connection (per lane: %v)", lane, served)
+		}
+	}
+	for i := 1; i < c.Replicas(); i++ {
+		sched := c.Replica(i).pproc.Sched
+		for lane := 0; lane < lanes; lane++ {
+			got, want := sched.LaneStats(lane).ScheduleSum, ref.pproc.Sched.LaneStats(lane).ScheduleSum
+			if got != want {
+				t.Fatalf("replica %d lane %d ScheduleSum %#x != replica 0 %#x", i, lane, got, want)
+			}
+		}
+		if got, want := sched.Stats().ScheduleSum, ref.pproc.Sched.Stats().ScheduleSum; got != want {
+			t.Fatalf("replica %d merged ScheduleSum %#x != replica 0 %#x", i, got, want)
+		}
+		if got := perConnOutputs(c.Replica(i).Outputs()); !reflect.DeepEqual(got, outs) {
+			t.Fatalf("replica %d per-connection outputs diverge from replica 0", i)
+		}
+	}
+}
+
 // TestCraneHTTPDLanes runs a 4-lane httpd deployment under full CRANE with
 // concurrent clients and asserts the lane-level determinism contract
 // across replicas: every lane's ScheduleSum, the merged ScheduleSum, and
@@ -84,11 +132,6 @@ func TestCraneHTTPDLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	for i := 0; i < c.Replicas(); i++ {
-		if got := c.Replica(i).lanes; got != 4 {
-			t.Fatalf("replica %d running %d lanes, want 4", i, got)
-		}
-	}
 
 	// 12 concurrent single-request connections: conn ids are consensus
 	// state, so every replica routes the same connection to the same lane
@@ -138,43 +181,7 @@ func TestCraneHTTPDLanes(t *testing.T) {
 		}
 	}
 
-	waitLanesSettled(t, c, 16) // 12 GET + 4 PUT responses
-
-	// Per-lane and merged schedule fingerprints agree across replicas.
-	ref := c.Replica(0).pproc.Sched
-	busy := 0
-	for lane := 0; lane < 4; lane++ {
-		if ref.LaneStats(lane).Spawned > 0 {
-			busy++
-		}
-	}
-	if busy < 4 {
-		t.Fatalf("only %d/4 lanes spawned threads", busy)
-	}
-	for i := 1; i < c.Replicas(); i++ {
-		sched := c.Replica(i).pproc.Sched
-		for lane := 0; lane < 4; lane++ {
-			got, want := sched.LaneStats(lane).ScheduleSum, ref.LaneStats(lane).ScheduleSum
-			if got != want {
-				t.Fatalf("replica %d lane %d ScheduleSum %#x != replica 0 %#x", i, lane, got, want)
-			}
-		}
-		if got, want := sched.Stats().ScheduleSum, ref.Stats().ScheduleSum; got != want {
-			t.Fatalf("replica %d merged ScheduleSum %#x != replica 0 %#x", i, got, want)
-		}
-	}
-
-	// Per-connection output streams agree across replicas.
-	want := perConnOutputs(c.Replica(0).Outputs())
-	if len(want) == 0 {
-		t.Fatal("replica 0 recorded no outputs")
-	}
-	for i := 1; i < c.Replicas(); i++ {
-		got := perConnOutputs(c.Replica(i).Outputs())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("replica %d per-connection outputs diverge from replica 0", i)
-		}
-	}
+	checkLaneContract(t, c, 4, 16) // 12 GET + 4 PUT responses
 }
 
 // TestCraneMongooseLanes is the same contract on mongoose's per-worker
@@ -216,20 +223,99 @@ func TestCraneMongooseLanes(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	waitLanesSettled(t, c, 8)
-	for i := 1; i < c.Replicas(); i++ {
-		for lane := 0; lane < 2; lane++ {
-			got := c.Replica(i).pproc.Sched.LaneStats(lane).ScheduleSum
-			want := c.Replica(0).pproc.Sched.LaneStats(lane).ScheduleSum
-			if got != want {
-				t.Fatalf("replica %d lane %d ScheduleSum %#x != replica 0 %#x", i, lane, got, want)
+	checkLaneContract(t, c, 2, 8)
+}
+
+// TestCraneMySQLLanes is the contract on mysqld at its 2-lane cap
+// (ConflictMap.MaxUseful): sessions on both lanes update and read the same
+// rows, so every statement takes the cross-lane catalog and table locks,
+// whose merge order decides what each SELECT returns.
+func TestCraneMySQLLanes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster workload in -short mode")
+	}
+	mcfg := mysqld.DefaultConfig()
+	mcfg.Workers = 4
+	ccfg := integrationConfig(ModeCrane)
+	ccfg.Lanes = 2
+	c, err := StartCluster(ccfg, mysqld.Program(mcfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	const rows = 10
+	if err := clients.SysBenchPrepare(c.Dial, "prep:1", 3306, rows); err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 8
+	var wg sync.WaitGroup
+	errs := make([]error, sessions)
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			id := i%3 + 1
+			req := fmt.Sprintf("UPDATE sbtest SET c = 'w%d' WHERE id = %d\nSELECT * FROM sbtest WHERE id = %d\nQUIT\n", i, id, id)
+			reply, err := clients.Request(c.Dial, fmt.Sprintf("sql%d:1", i), 3306, []byte(req),
+				func([]byte) bool { return false })
+			if err != nil {
+				errs[i] = err
+			} else if !strings.HasPrefix(string(reply), "OK 1\nROWS 1\n") {
+				errs[i] = fmt.Errorf("reply %q", reply)
 			}
-		}
-		got, want := perConnOutputs(c.Replica(i).Outputs()), perConnOutputs(c.Replica(0).Outputs())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("replica %d per-connection outputs diverge from replica 0", i)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
 		}
 	}
+	checkLaneContract(t, c, 2, 1+rows+2*sessions) // CREATE, INSERTs, then UPDATE + SELECT per session
+}
+
+// TestCraneClamAVLanes is the contract on clamd's fully partitioned
+// structure: concurrent scans of disjoint trees, at least one on each lane,
+// each fanning its files out to its own lane's scanner pool.
+func TestCraneClamAVLanes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster workload in -short mode")
+	}
+	ccfg := clamav.DefaultConfig()
+	ccfg.Handlers = 4
+	ccfg.Scanners = 4
+	ccfg.WorkPerKB = 5
+	cl := integrationConfig(ModeCrane)
+	cl.Lanes = 2
+	c, err := StartCluster(cl, clamav.Program(ccfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	// Disjoint prefixes: a scan deletes what it finds infected, so two
+	// scans of one tree on different lanes would race on the deletion.
+	roots := []string{"src/clamav/file0", "src/clamav/file1", "src/clamav/malware", "src/clamav/deep"}
+	var wg sync.WaitGroup
+	errs := make([]error, len(roots))
+	for i, root := range roots {
+		wg.Add(1)
+		go func(i int, root string) {
+			defer wg.Done()
+			report, err := clients.ClamdScan(c.Dial, fmt.Sprintf("cs%d:1", i), 3310, root)
+			if err != nil {
+				errs[i] = err
+			} else if !strings.Contains(report, "SCAN SUMMARY: scanned ") {
+				errs[i] = fmt.Errorf("report %q", report)
+			}
+		}(i, root)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("scan %s: %v", roots[i], err)
+		}
+	}
+	checkLaneContract(t, c, 2, len(roots))
 }
 
 // TestOvercommitServesEveryConnection: more concurrent connections than the

@@ -96,8 +96,8 @@ type Replica struct {
 	// proposing, so each group's committed stamps are monotone.
 	stampCtr atomic.Uint64
 	// sqs holds one Paxos sequence per execution lane. Committed entries
-	// are routed by the connection's class (laneForConn) and bubbles are
-	// cloned into every lane, keeping each lane's clock bubble-paced.
+	// are routed by lanesOf: a call to its connection's lane, a bubble
+	// into every lane, keeping each lane's clock bubble-paced.
 	sqs []*seq.Sequence
 	// inbound[L] is what lane L's consumer filed off sqs[L] for the socket
 	// wrappers: listener backlogs and receive buffers.
@@ -513,27 +513,36 @@ func (r *Replica) afterMerge(ent *seq.Entry) {
 	r.enqueueDelivered(ent)
 }
 
+// lanesOf is the one lane-routing rule for sequence entries: it returns
+// the lanes [lo, hi) whose sequences ent goes to. A call goes to its
+// connection's lane. A bubble goes to every lane: bubbles pace each lane's
+// logical clock, and keep a starved lane's merge stamp advancing, which the
+// cross-lane merge relies on. Each of a bubble's lanes needs its own copy,
+// because TickBubble mutates NClock in place.
+func (r *Replica) lanesOf(ent *seq.Entry) (lo, hi int) {
+	if ent.Kind == seq.KindBubble {
+		return 0, r.lanes
+	}
+	lane := r.laneForConn(ent.Conn)
+	return lane, lane + 1
+}
+
 // enqueueDelivered routes one committed entry into the lane sequences —
 // the tail of onDeliver, split out so the divergence-seeding hook can
-// reorder entries while reusing the exact production routing.
+// reorder entries while reusing the exact production routing. The last of
+// the entry's lanes takes ent itself, the others a copy.
 func (r *Replica) enqueueDelivered(ent *seq.Entry) {
-	if ent.Kind == seq.KindBubble && r.lanes > 1 {
-		// A bubble paces every lane's logical clock: clone it into each
-		// lane's sequence (TickBubble mutates NClock in place, so the
-		// lanes cannot share one entry). Bubbles are what keep a starved
-		// lane's clock advancing, which the cross-lane merge relies on.
-		for _, lsq := range r.sqs {
-			if len(r.cloneArena) == 0 {
-				r.cloneArena = make([]seq.Entry, 64)
-			}
-			clone := &r.cloneArena[0]
-			r.cloneArena = r.cloneArena[1:]
-			*clone = *ent
-			lsq.Enqueue(clone)
+	lo, hi := r.lanesOf(ent)
+	for lane := lo; lane < hi-1; lane++ {
+		if len(r.cloneArena) == 0 {
+			r.cloneArena = make([]seq.Entry, 64)
 		}
-	} else {
-		r.sqs[r.laneForConn(ent.Conn)].Enqueue(ent)
+		clone := &r.cloneArena[0]
+		r.cloneArena = r.cloneArena[1:]
+		*clone = *ent
+		r.sqs[lane].Enqueue(clone)
 	}
+	r.sqs[hi-1].Enqueue(ent)
 	if ent.Kind == seq.KindBubble {
 		r.bubblePending.Store(false)
 	}

@@ -200,20 +200,12 @@ func (sp *speculator) feed(ents []*seq.Entry) bool {
 				uint64(len(ents)), 0, "")
 		}
 		rec := specRec{orig: *e}
-		if e.Kind == seq.KindBubble && sp.r.lanes > 1 {
-			// Mirror onDeliver's commit-time fan-out: one clone per lane
-			// (TickBubble mutates NClock in place).
-			for _, lsq := range sp.r.sqs {
-				clone := new(seq.Entry)
-				*clone = *e
-				rec.clones = append(rec.clones, clone)
-				lsq.EnqueueSpec(clone)
-			}
-		} else {
+		lo, hi := sp.r.lanesOf(e)
+		for lane := lo; lane < hi; lane++ {
 			clone := new(seq.Entry)
 			*clone = *e
-			rec.clones = []*seq.Entry{clone}
-			sp.r.sqs[sp.r.laneForConn(e.Conn)].EnqueueSpec(clone)
+			rec.clones = append(rec.clones, clone)
+			sp.r.sqs[lane].EnqueueSpec(clone)
 		}
 		sp.pending = append(sp.pending, rec)
 		if e.Kind != seq.KindBubble {
@@ -290,12 +282,9 @@ func (sp *speculator) onCommitted(ent *seq.Entry) bool {
 		return stopped
 	}
 	sp.popPendingLocked()
-	if rec.orig.Kind == seq.KindBubble && sp.r.lanes > 1 {
-		for i, clone := range rec.clones {
-			sp.r.sqs[i].ClearSpec(clone, ent.Index)
-		}
-	} else {
-		sp.r.sqs[sp.r.laneForConn(ent.Conn)].ClearSpec(rec.clones[0], ent.Index)
+	lo, _ := sp.r.lanesOf(ent)
+	for i, clone := range rec.clones {
+		sp.r.sqs[lo+i].ClearSpec(clone, ent.Index)
 	}
 	sp.hits++
 	sp.cHits.Inc()

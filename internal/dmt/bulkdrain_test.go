@@ -45,6 +45,10 @@ func (p *advanceProbe) CheckAdmit(t *Thread) {
 	r.ok = t.IdleAdvance(func() uint64 { r.called = true; return p.n })
 }
 
+func (p *advanceProbe) BusyLane(int) bool { return false }
+
+func (p *advanceProbe) StampLane(int) uint64 { return 0 }
+
 func (p *advanceProbe) result(t *testing.T) probeResult {
 	t.Helper()
 	select {

@@ -61,12 +61,26 @@ import (
 )
 
 // Gate is CRANE's hook into the scheduler (the check_add_timebubble
-// function of Fig. 10). CheckAdmit is invoked by the token holder at the
-// start of every scheduled operation. Implementations may block (e.g.
-// while the Paxos sequence is empty), consume time-bubble clocks, and
-// signal threads blocked on socket keys via t.SignalKey.
+// function of Fig. 10). A one-lane scheduler is the N=1 case of the lane
+// contract, so every gate answers per lane.
 type Gate interface {
+	// CheckAdmit is invoked by the token holder at the start of every
+	// scheduled operation. It may block (e.g. while the Paxos sequence is
+	// empty), consume time-bubble clocks, and signal threads blocked on
+	// socket keys via t.SignalKey.
 	CheckAdmit(t *Thread)
+	// BusyLane reports whether lane L has pending work (e.g. a time bubble
+	// being exhausted), so its idle thread keeps rotating instead of
+	// sleeping. It asks about lane L only: one lane exhausting a bubble
+	// does not keep every other lane's idle thread spinning.
+	BusyLane(lane int) bool
+	// StampLane returns lane L's cross-lane merge stamp: a monotone count
+	// of the lane's position in its committed input stream (CRANE's gate
+	// reports bubble clocks plus consumed client calls — see crane's
+	// gate.StampLane for why that is the only replica-deterministic
+	// choice). Other lanes read it lock-free while they poll for their
+	// merge turn; with one lane nothing reads it.
+	StampLane(lane int) uint64
 }
 
 // Stats is a snapshot of scheduler counters. Counters are read from atomic
@@ -293,11 +307,7 @@ func (s *Scheduler) StartMain(name string, fn func(*Thread)) *Thread {
 		// Gate and idle pacing are installed on the root before Start;
 		// fan them out to every lane.
 		if s.gate != nil {
-			sg, ok := s.gate.(LaneStampGate)
-			if !ok {
-				panic("dmt: a gate on a multi-lane scheduler must implement LaneStampGate (cross-lane merge stamps come from the committed input stream)")
-			}
-			s.cross.stamp = sg.StampLane
+			s.cross.stamp = s.gate.StampLane
 		}
 		for _, ln := range s.lanes[1:] {
 			ln.gate = s.gate
@@ -1080,7 +1090,7 @@ func (s *Scheduler) idleLoop(t *Thread) {
 			panic(killedPanic{})
 		}
 		alone := s.runqLenA.Load() == 1 && s.reentryLenA.Load() == 0
-		busy := s.gate != nil && s.gateBusy()
+		busy := s.gate != nil && s.gate.BusyLane(s.laneID)
 		t.PutTurn()
 		if alone && !busy {
 			busySpins = 0
@@ -1111,32 +1121,4 @@ func (s *Scheduler) idleLoop(t *Thread) {
 			}
 		}
 	}
-}
-
-// BusyGate is implemented by gates that can indicate pending work (e.g. a
-// time bubble being exhausted) so the idle thread spins instead of
-// sleeping.
-type BusyGate interface{ Busy() bool }
-
-// LaneBusyGate refines BusyGate for multi-lane schedulers: lane L's idle
-// thread asks about lane L's pending work only, so one lane exhausting a
-// bubble does not keep every other lane's idle thread spinning.
-type LaneBusyGate interface{ BusyLane(lane int) bool }
-
-// LaneStampGate must be implemented by any gate installed on a multi-lane
-// scheduler. StampLane returns lane L's cross-lane merge stamp: a monotone
-// count of the lane's position in its committed input stream (CRANE's gate
-// reports bubble clocks plus consumed client calls — see crane's
-// gate.StampLane for why that is the only replica-deterministic choice).
-// It is read lock-free by other lanes while they poll for their merge turn.
-type LaneStampGate interface{ StampLane(lane int) uint64 }
-
-func (s *Scheduler) gateBusy() bool {
-	if b, ok := s.gate.(LaneBusyGate); ok {
-		return b.BusyLane(s.laneID)
-	}
-	if b, ok := s.gate.(BusyGate); ok {
-		return b.Busy()
-	}
-	return false
 }

@@ -549,6 +549,10 @@ type gateCounter struct{ n atomic.Int64 }
 
 func (g *gateCounter) CheckAdmit(t *Thread) { g.n.Add(1) }
 
+func (g *gateCounter) BusyLane(int) bool { return false }
+
+func (g *gateCounter) StampLane(int) uint64 { return 0 }
+
 func TestGateCalledPerOp(t *testing.T) {
 	s := New()
 	g := &gateCounter{}

@@ -25,12 +25,14 @@ package dmt
 // ordinary scheduled operation in the caller's lane (ticking that lane's
 // clock) whose trylock body executes at the attempt's merge position. The
 // number of retries is itself determined by the merge order, so per-lane
-// schedules stay deterministic. Condition variables and Join do not span
+// schedules stay deterministic. Each primitive has one acquire and one
+// release body (sync.go); the in-lane wait path and the cross-lane helper
+// (crossOp) both run it. Condition variables and Join do not span
 // lanes (they panic); apps partition waiters per lane instead.
 //
 // Merge stamps come in two flavours:
 //
-//   - gated (a CRANE gate is installed): the gate's LaneStampGate value —
+//   - gated (a CRANE gate is installed): the gate's StampLane value —
 //     the lane's consumption position in its committed input stream
 //     (bubble clocks + consumed client calls). The lane *clock* is NOT
 //     usable here: idle ticks before a lane's bootstrap thread lands are
@@ -62,7 +64,7 @@ import (
 // crossDomain is the shared merge point for operations that span lanes.
 type crossDomain struct {
 	mu sync.Mutex
-	// stamp, when non-nil, is the gate's LaneStampGate method (gated
+	// stamp, when non-nil, is the gate's StampLane method (gated
 	// mode); nil means gateless (app-clock stamps + parked-lane escape).
 	stamp func(lane int) uint64
 	lanes []*Scheduler
@@ -308,13 +310,14 @@ func (x *crossDomain) turnLocked(c uint64, L int) bool {
 	return true
 }
 
-// crossDo executes f as a merge-ordered cross-lane operation. The caller
-// holds its lane token (between Admit and PutTurn), so the lane's stamp is
-// frozen at the op's value; registration publishes the stamp, the poll
-// waits until every lower-stamped op has drained, and f runs under x.mu at
-// exactly its merge position. The caller must PutTurn immediately after
-// (the tick is what lets other lanes' equal-stamped ops proceed).
-func (s *Scheduler) crossDo(t *Thread, f func()) {
+// crossDo executes f as a merge-ordered cross-lane operation and returns
+// its result. The caller holds its lane token (between Admit and PutTurn),
+// so the lane's stamp is frozen at the op's value; registration publishes
+// the stamp, the poll waits until every lower-stamped op has drained, and f
+// runs under x.mu at exactly its merge position. The caller must PutTurn
+// immediately after (the tick is what lets other lanes' equal-stamped ops
+// proceed).
+func (s *Scheduler) crossDo(t *Thread, f func() bool) bool {
 	x := s.cross
 	L := s.laneID
 	c := x.stampOf(s)
@@ -348,9 +351,10 @@ func (s *Scheduler) crossDo(t *Thread, f func()) {
 		// single-writer discipline holds.
 		s.flight.Emit(flight.EvMerge, s.clockA.Load(), flight.PosUnchanged, uint64(t.id), c)
 	}
-	f()
+	ok := f()
 	x.has[L] = false
 	x.mu.Unlock()
+	return ok
 }
 
 // BindLane pins the mutex to a lane: only threads of that lane may use it,
@@ -364,133 +368,31 @@ func (c *Cond) BindLane(lane int) { c.lane = int32(lane) + 1 }
 // BindLane pins the rwmutex to a lane (NewRWMutexLane).
 func (rw *RWMutex) BindLane(lane int) { rw.lane = int32(lane) + 1 }
 
-// crossLock acquires a cross-lane mutex by deterministic trylock-spin: each
-// attempt is one scheduled op in the caller's lane whose trylock executes
-// at the attempt's merge position. Whether attempt k succeeds is a pure
-// function of the merge order, so the retry count — and with it the lane's
-// schedule — is deterministic.
-func (t *Thread) crossLock(m *Mutex) {
-	for {
-		t.GetTurn()
-		t.Admit()
-		var ok bool
-		t.s.crossDo(t, func() {
-			if !m.locked {
-				m.locked = true
-				m.owner = t
-				ok = true
-			}
-		})
-		t.PutTurn()
-		if ok {
-			return
-		}
+// crossLane reports whether t uses a synchronization object with the given
+// lane binding (1-based, 0 = unbound) across lanes: only an unbound object
+// with more than one lane configured is. A bound object used from another
+// lane panics (assertLane).
+func (t *Thread) crossLane(lane int32, what string) bool {
+	if t.s.cross == nil {
+		return false
 	}
+	if lane == 0 {
+		return true
+	}
+	t.assertLane(lane, what)
+	return false
 }
 
-// crossTryLock is a single merge-ordered trylock attempt.
-func (t *Thread) crossTryLock(m *Mutex) bool {
+// crossOp runs one of a primitive's acquire or release bodies as a
+// merge-ordered cross-lane operation: one scheduled op in the caller's lane
+// whose body executes at the op's merge position. It reports the body's
+// result. A cross-lane acquire is a trylock-spin over crossOp: whether
+// attempt k succeeds is a pure function of the merge order, so the retry
+// count — and with it the lane's schedule — is deterministic.
+func (t *Thread) crossOp(body func() bool) bool {
 	t.GetTurn()
 	t.Admit()
-	var ok bool
-	t.s.crossDo(t, func() {
-		if !m.locked {
-			m.locked = true
-			m.owner = t
-			ok = true
-		}
-	})
+	ok := t.s.crossDo(t, body)
 	t.PutTurn()
 	return ok
-}
-
-// crossUnlock releases a cross-lane mutex at its merge position.
-func (t *Thread) crossUnlock(m *Mutex) {
-	t.GetTurn()
-	t.Admit()
-	var bad bool
-	t.s.crossDo(t, func() {
-		if !m.locked {
-			bad = true
-			return
-		}
-		m.locked = false
-		m.owner = nil
-	})
-	t.PutTurn()
-	if bad {
-		panic("dmt: Unlock of unlocked Mutex")
-	}
-}
-
-// crossRLock / crossRUnlock / crossWLock / crossWUnlock apply the same
-// trylock-spin discipline to reader-writer locks.
-func (t *Thread) crossRLock(rw *RWMutex) {
-	for {
-		t.GetTurn()
-		t.Admit()
-		var ok bool
-		t.s.crossDo(t, func() {
-			if !rw.writer {
-				rw.readers++
-				ok = true
-			}
-		})
-		t.PutTurn()
-		if ok {
-			return
-		}
-	}
-}
-
-func (t *Thread) crossRUnlock(rw *RWMutex) {
-	t.GetTurn()
-	t.Admit()
-	var bad bool
-	t.s.crossDo(t, func() {
-		if rw.readers <= 0 {
-			bad = true
-			return
-		}
-		rw.readers--
-	})
-	t.PutTurn()
-	if bad {
-		panic("dmt: RUnlock without read lock")
-	}
-}
-
-func (t *Thread) crossWLock(rw *RWMutex) {
-	for {
-		t.GetTurn()
-		t.Admit()
-		var ok bool
-		t.s.crossDo(t, func() {
-			if !rw.writer && rw.readers == 0 {
-				rw.writer = true
-				ok = true
-			}
-		})
-		t.PutTurn()
-		if ok {
-			return
-		}
-	}
-}
-
-func (t *Thread) crossWUnlock(rw *RWMutex) {
-	t.GetTurn()
-	t.Admit()
-	var bad bool
-	t.s.crossDo(t, func() {
-		if !rw.writer {
-			bad = true
-			return
-		}
-		rw.writer = false
-	})
-	t.PutTurn()
-	if bad {
-		panic("dmt: WUnlock without write lock")
-	}
 }

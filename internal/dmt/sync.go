@@ -23,62 +23,70 @@ type Mutex struct {
 	wkey   uint64 // lazily assigned wait-table id (waitq.go); 0 = unassigned
 }
 
-// Lock acquires m, blocking deterministically (Fig. 9's try-lock loop:
-// never block while holding the token).
-func (t *Thread) Lock(m *Mutex) {
-	if t.s.cross != nil {
-		if m.lane == 0 {
-			t.crossLock(m)
-			return
-		}
-		t.assertLane(m.lane, "Mutex")
-	}
-	t.GetTurn()
-	t.Admit()
-	for m.locked {
-		t.WaitOn(m)
+// acquire takes m if it is free and reports whether it did. It is the one
+// acquire body: the in-lane path retries it after each wait, a cross-lane
+// acquire retries it at each merge position (crossOp).
+func (m *Mutex) acquire(t *Thread) bool {
+	if m.locked {
+		return false
 	}
 	m.locked = true
 	m.owner = t
+	return true
+}
+
+// release frees m and reports whether it was held: the one release body.
+func (m *Mutex) release() bool {
+	if !m.locked {
+		return false
+	}
+	m.locked = false
+	m.owner = nil
+	return true
+}
+
+// Lock acquires m, blocking deterministically (Fig. 9's try-lock loop:
+// never block while holding the token).
+func (t *Thread) Lock(m *Mutex) {
+	if t.crossLane(m.lane, "Mutex") {
+		for !t.crossOp(func() bool { return m.acquire(t) }) {
+		}
+		return
+	}
+	t.GetTurn()
+	t.Admit()
+	for !m.acquire(t) {
+		t.WaitOn(m)
+	}
 	t.PutTurn()
 }
 
 // TryLock attempts to acquire m without blocking; it reports success.
 func (t *Thread) TryLock(m *Mutex) bool {
-	if t.s.cross != nil {
-		if m.lane == 0 {
-			return t.crossTryLock(m)
-		}
-		t.assertLane(m.lane, "Mutex")
+	if t.crossLane(m.lane, "Mutex") {
+		return t.crossOp(func() bool { return m.acquire(t) })
 	}
 	t.GetTurn()
 	t.Admit()
-	ok := !m.locked
-	if ok {
-		m.locked = true
-		m.owner = t
-	}
+	ok := m.acquire(t)
 	t.PutTurn()
 	return ok
 }
 
 // Unlock releases m and wakes the first deterministic waiter.
 func (t *Thread) Unlock(m *Mutex) {
-	if t.s.cross != nil {
-		if m.lane == 0 {
-			t.crossUnlock(m)
-			return
+	if t.crossLane(m.lane, "Mutex") {
+		if !t.crossOp(m.release) {
+			panic("dmt: Unlock of unlocked Mutex")
 		}
-		t.assertLane(m.lane, "Mutex")
+		return
 	}
 	t.GetTurn()
 	t.Admit()
-	if !m.locked {
+	if !m.release() {
 		t.PutTurn()
 		panic("dmt: Unlock of unlocked Mutex")
 	}
-	m.locked = false
-	m.owner = nil
 	t.SignalKey(m)
 	t.PutTurn()
 }
@@ -116,15 +124,12 @@ func (t *Thread) CondWait(c *Cond, m *Mutex) {
 		t.PutTurn()
 		panic("dmt: CondWait without holding the mutex")
 	}
-	m.locked = false
-	m.owner = nil
+	m.release()
 	t.SignalKey(m)
 	t.WaitOn(c)
-	for m.locked {
+	for !m.acquire(t) {
 		t.WaitOn(m)
 	}
-	m.locked = true
-	m.owner = t
 	t.PutTurn()
 }
 
@@ -160,40 +165,70 @@ type RWMutex struct {
 	wkey    uint64 // lazily assigned wait-table id (waitq.go); 0 = unassigned
 }
 
+// rlock, runlock, wlock and wunlock are the RWMutex's one acquire and
+// release bodies, shared by the in-lane and cross-lane paths like Mutex's:
+// each reports whether it took effect.
+func (rw *RWMutex) rlock() bool {
+	if rw.writer {
+		return false
+	}
+	rw.readers++
+	return true
+}
+
+func (rw *RWMutex) runlock() bool {
+	if rw.readers <= 0 {
+		return false
+	}
+	rw.readers--
+	return true
+}
+
+func (rw *RWMutex) wlock() bool {
+	if rw.writer || rw.readers > 0 {
+		return false
+	}
+	rw.writer = true
+	return true
+}
+
+func (rw *RWMutex) wunlock() bool {
+	if !rw.writer {
+		return false
+	}
+	rw.writer = false
+	return true
+}
+
 // RLock acquires a read lock.
 func (t *Thread) RLock(rw *RWMutex) {
-	if t.s.cross != nil {
-		if rw.lane == 0 {
-			t.crossRLock(rw)
-			return
+	if t.crossLane(rw.lane, "RWMutex") {
+		for !t.crossOp(rw.rlock) {
 		}
-		t.assertLane(rw.lane, "RWMutex")
+		return
 	}
 	t.GetTurn()
 	t.Admit()
-	for rw.writer {
+	for !rw.rlock() {
 		t.WaitOn(rw)
 	}
-	rw.readers++
 	t.PutTurn()
 }
 
 // RUnlock releases a read lock.
 func (t *Thread) RUnlock(rw *RWMutex) {
-	if t.s.cross != nil {
-		if rw.lane == 0 {
-			t.crossRUnlock(rw)
-			return
+	if t.crossLane(rw.lane, "RWMutex") {
+		if !t.crossOp(rw.runlock) {
+			panic("dmt: RUnlock without read lock")
 		}
-		t.assertLane(rw.lane, "RWMutex")
+		return
 	}
 	t.GetTurn()
 	t.Admit()
-	if rw.readers <= 0 {
+	if !rw.runlock() {
 		t.PutTurn()
 		panic("dmt: RUnlock without read lock")
 	}
-	rw.readers--
 	if rw.readers == 0 {
 		t.BroadcastKey(rw)
 	}
@@ -202,39 +237,34 @@ func (t *Thread) RUnlock(rw *RWMutex) {
 
 // WLock acquires the write lock.
 func (t *Thread) WLock(rw *RWMutex) {
-	if t.s.cross != nil {
-		if rw.lane == 0 {
-			t.crossWLock(rw)
-			return
+	if t.crossLane(rw.lane, "RWMutex") {
+		for !t.crossOp(rw.wlock) {
 		}
-		t.assertLane(rw.lane, "RWMutex")
+		return
 	}
 	t.GetTurn()
 	t.Admit()
-	for rw.writer || rw.readers > 0 {
+	for !rw.wlock() {
 		t.WaitOn(rw)
 	}
-	rw.writer = true
 	t.PutTurn()
 }
 
 // WUnlock releases the write lock and wakes all waiters (they re-check,
 // so a mix of pending readers and writers resolves deterministically).
 func (t *Thread) WUnlock(rw *RWMutex) {
-	if t.s.cross != nil {
-		if rw.lane == 0 {
-			t.crossWUnlock(rw)
-			return
+	if t.crossLane(rw.lane, "RWMutex") {
+		if !t.crossOp(rw.wunlock) {
+			panic("dmt: WUnlock without write lock")
 		}
-		t.assertLane(rw.lane, "RWMutex")
+		return
 	}
 	t.GetTurn()
 	t.Admit()
-	if !rw.writer {
+	if !rw.wunlock() {
 		t.PutTurn()
 		panic("dmt: WUnlock without write lock")
 	}
-	rw.writer = false
 	t.BroadcastKey(rw)
 	t.PutTurn()
 }

@@ -139,12 +139,6 @@ func (h *Histogram) ObserveValue(v uint64) {
 	h.buckets[bucketIndex(v)].Add(1)
 }
 
-// QuantileValue is Quantile for unitless histograms: the raw bucket
-// midpoint of the q-th observation.
-func (h *Histogram) QuantileValue(q float64) float64 {
-	return float64(h.Quantile(q))
-}
-
 func bucketIndex(ns uint64) int {
 	i := bits.Len64(ns) // 0 for 0, 1 for 1, 2 for 2-3, ...
 	if i >= histBuckets {

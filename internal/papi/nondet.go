@@ -52,8 +52,8 @@ func NewNondetProc(net *simnet.Network, host string, fs *cfs.FS) *NondetProc {
 
 // SetLanes records the lane count for the structural lane API. The
 // baseline runtime has no token domains — goroutines already run in
-// parallel — so lanes only shape Lanes()/Lane() partitioning decisions the
-// app makes; all lane-tagged spawns and sync objects degrade to the plain
+// parallel — so lanes only shape the partitioning the app builds from
+// Lanes(); all lane-tagged spawns and sync objects degrade to the plain
 // variants.
 func (p *NondetProc) SetLanes(n int) {
 	if n < 1 {
@@ -155,8 +155,6 @@ func (t *nondetT) Lanes() int {
 	}
 	return t.p.lanes
 }
-
-func (t *nondetT) Lane(key uint64) int { return int(key % uint64(t.Lanes())) }
 
 func (t *nondetT) SpawnLane(lane int, name string, fn func(T)) Handle {
 	return t.Spawn(name, fn)

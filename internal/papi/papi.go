@@ -47,9 +47,6 @@ type T interface {
 	// runs with: 1 unless the program declares a ConflictMap and the
 	// deployment enables more. Lane indices range over [0, Lanes()).
 	Lanes() int
-	// Lane maps a conflict key (a table id, connection id, path hash —
-	// whatever the program's ConflictMap partitions on) to a lane index.
-	Lane(key uint64) int
 	// SpawnLane creates a thread pinned to the given lane. Threads of
 	// different lanes run concurrently; only lane-bound synchronization
 	// stays on the fast in-lane path, while unbound objects go through the

@@ -92,10 +92,6 @@ type parrotT struct {
 	th *dmt.Thread
 }
 
-// DMTThread exposes the underlying scheduler thread (used by the crane
-// runtime's socket wrappers).
-func (t *parrotT) DMTThread() *dmt.Thread { return t.th }
-
 type parrotHandle struct{ th *dmt.Thread }
 
 func (*parrotHandle) handle() {}
@@ -114,10 +110,6 @@ func (t *parrotT) Join(h Handle) {
 }
 
 func (t *parrotT) Lanes() int { return t.p.Sched.Lanes() }
-
-func (t *parrotT) Lane(key uint64) int {
-	return int(key % uint64(t.p.Sched.Lanes()))
-}
 
 func (t *parrotT) SpawnLane(lane int, name string, fn func(T)) Handle {
 	child := t.p.Sched.SpawnLane(t.th, lane, name, func(th *dmt.Thread) {

@@ -25,11 +25,3 @@ func DMTThreadOf(t T) (*dmt.Thread, bool) {
 	}
 	return nil, false
 }
-
-// SchedulerOf extracts the DMT scheduler behind a DMT-backed process's T.
-func SchedulerOf(t T) (*dmt.Scheduler, bool) {
-	if pt, ok := t.(*parrotT); ok {
-		return pt.p.Sched, true
-	}
-	return nil, false
-}

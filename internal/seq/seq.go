@@ -642,7 +642,7 @@ func (s *Sequence) ReadInto(conn uint64, b []byte) (n int, eof bool) {
 // on a partial SEND read — the value is a pure function of how far the
 // consumer has worked through the decided prefix, which makes it
 // replica-deterministic at every consumer operation. CRANE's gate reports
-// it as the cross-lane merge stamp (dmt.LaneStampGate). Lock-free.
+// it as the cross-lane merge stamp (dmt.Gate's StampLane). Lock-free.
 func (s *Sequence) Progress() uint64 { return s.progressA.Load() }
 
 func (s *Sequence) popLocked() {

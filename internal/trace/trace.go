@@ -30,7 +30,6 @@ type OutputLog struct {
 	name       string
 	events     []Event
 	normalizer *regexp.Regexp
-	hash       uint64 // incremental FNV-1a over normalized outputs
 }
 
 // fnvOffset and fnvPrime are the FNV-1a 64-bit parameters.
@@ -41,20 +40,15 @@ const (
 
 // NewOutputLog creates a log named after its replica.
 func NewOutputLog(name string) *OutputLog {
-	return &OutputLog{name: name, hash: fnvOffset}
+	return &OutputLog{name: name}
 }
 
 // SetNormalizer installs a regexp whose matches are masked before
-// comparison (the paper's "except physical times" carve-out). The cached
-// fingerprint is recomputed over the stored events under the new rule.
+// comparison (the paper's "except physical times" carve-out).
 func (l *OutputLog) SetNormalizer(re *regexp.Regexp) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.normalizer = re
-	l.hash = fnvOffset
-	for _, e := range l.events {
-		l.hash = hashEvent(l.hash, e.Conn, l.normalized(e.Data))
-	}
 }
 
 // fold folds data into the running FNV-1a hash h.
@@ -80,8 +74,7 @@ func hashEvent(h, conn uint64, data []byte) uint64 {
 	return (h ^ 0) * fnvPrime // trailing NUL separator
 }
 
-// Record appends one outgoing socket call and folds it into the running
-// fingerprint, keeping Fingerprint O(1) instead of rehashing every event.
+// Record appends one outgoing socket call.
 func (l *OutputLog) Record(conn uint64, data []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -90,7 +83,6 @@ func (l *OutputLog) Record(conn uint64, data []byte) {
 		Conn: conn,
 		Data: append([]byte(nil), data...),
 	})
-	l.hash = hashEvent(l.hash, conn, l.normalized(data))
 }
 
 // Len returns the number of recorded outputs.
@@ -120,13 +112,17 @@ func (l *OutputLog) normalized(data []byte) []byte {
 }
 
 // Fingerprint returns an FNV-1a hash over the normalized ordered outputs;
-// equal fingerprints mean byte-identical (normalized) output streams. The
-// hash is maintained incrementally by Record, so this is O(1) — it can be
-// polled per request (e.g. by a metrics scrape) without rescanning the log.
+// equal fingerprints mean byte-identical (normalized) output streams. It
+// folds every retained event on each call: an end-of-run comparison, not
+// something to poll.
 func (l *OutputLog) Fingerprint() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.hash
+	h := uint64(fnvOffset)
+	for _, e := range l.events {
+		h = hashEvent(h, e.Conn, l.normalized(e.Data))
+	}
+	return h
 }
 
 // Divergence describes the first difference between two logs.
