@@ -425,6 +425,13 @@ func (c *Cluster) rejoin(i int, r *Replica) error {
 		c.hub.Reconnect(i)
 	}
 	if err := r.start(c.hub); err != nil {
+		// The failed one stays in place; release what start had opened.
+		for _, nd := range r.nodes {
+			nd.Stop()
+		}
+		for _, store := range r.stores {
+			store.Close() //crane:fsyncerr-ok the rebuilt replica is discarded; the next restart reopens and rescans its WAL
+		}
 		return err
 	}
 	c.replicas[i] = r
@@ -434,7 +441,9 @@ func (c *Cluster) rejoin(i int, r *Replica) error {
 // RestartReplica rebuilds a previously failed replica from its surviving
 // on-disk WAL alone — the paper's "start a server replica from scratch and
 // replay the entire sequence of socket calls" recovery path (§2.1), which
-// checkpoints exist to shortcut. Requires Config.WALDir.
+// checkpoints exist to shortcut. Requires Config.WALDir, and a WAL that
+// still begins at index 1: once GC has compacted its prefix, the restart
+// is refused and only RestoreReplica from a checkpoint brings it back.
 func (c *Cluster) RestartReplica(i int) error {
 	if c.cfg.WALDir == "" {
 		return errors.New("crane: RestartReplica requires Config.WALDir")

@@ -170,31 +170,47 @@ func waitBubbleFreeWindow(t *testing.T, cluster *Cluster, deadline time.Time) {
 }
 
 // holdBubbleRound closes the window waitBubbleFreeWindow only narrows. Once
-// the primary's sequence is empty and no bubble round is outstanding, it
-// claims the primary's round itself, with a grace that cannot run out, so no
-// starvation bubble can commit between the next request's CONNECT and its
-// SEND; it gives the round back as soon as the primary has committed both.
-// (A SEND that finds the pipeline idle still carries its own tail bubble,
-// which commits behind it.) The returned func waits for the release.
+// every lane sequence of the primary is empty and no bubble round is
+// outstanding, it claims the primary's round itself, with a grace that
+// cannot run out, so no starvation bubble can commit between the next
+// request's CONNECT and its SEND; it gives the round back as soon as the
+// primary has committed both. (A SEND that finds the pipeline idle still
+// carries its own tail bubble, which commits behind it.) The returned func
+// waits for the release.
 func holdBubbleRound(t *testing.T, cluster *Cluster) (released func()) {
 	t.Helper()
 	p := currentPrimary(t, cluster)
 	var calls uint64
 	waitFor(t, 5*time.Second, "an idle primary whose bubble round the test can hold", func() bool {
-		calls = p.sqs[0].Stats().ClientCalls
-		return p.sqs[0].Empty() && p.bubblePending.CompareAndSwap(false, true)
+		calls = p.SeqStats().ClientCalls
+		return lanesEmpty(p) && p.bubblePending.CompareAndSwap(false, true)
 	})
 	p.bubbleSince.Store(time.Now().Add(time.Hour).UnixNano())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline) &&
-			p.sqs[0].Stats().ClientCalls < calls+2; {
+			p.SeqStats().ClientCalls < calls+2; {
 			time.Sleep(50 * time.Microsecond)
 		}
 		p.bubblePending.Store(false)
+		// A gate that saw the held round sleeps out its grace, an hour;
+		// wake it to ask again.
+		for _, sq := range p.sqs {
+			sq.Nudge()
+		}
 	}()
 	return func() { <-done }
+}
+
+// lanesEmpty reports whether every lane sequence of r is empty.
+func lanesEmpty(r *Replica) bool {
+	for _, sq := range r.sqs {
+		if !sq.Empty() {
+			return false
+		}
+	}
+	return true
 }
 
 // TestHTTPDScheduleGolden locks the scheduler hot path to the rotation

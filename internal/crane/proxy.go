@@ -38,7 +38,8 @@ type submitReq struct {
 }
 
 // maxProxyBurst caps how many queued socket calls one ProposeBatch carries
-// (the paxos batcher enforces its own MaxBatch/MaxBatchBytes downstream).
+// (downstream, the paxos batcher caps each Accept round at its constants
+// paxos.MaxBatch entries and paxos.MaxBatchBytes bytes).
 const maxProxyBurst = 64
 
 func newProxy(r *Replica) *proxy {

@@ -2,6 +2,7 @@ package crane
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,6 +75,81 @@ func restartReplaysWAL(t *testing.T, sync bool) {
 	restored.mu.Lock()
 	defer restored.mu.Unlock()
 	t.Fatalf("replayed replica has %d keys, want 6", len(restored.data))
+}
+
+// TestRestartReplicaAfterGCRefused: once GC has compacted a backup's WAL
+// past index 1, RestartReplica must refuse it, naming both indexes, rather
+// than replay the suffix alone into a server that never saw the prefix. The
+// WAL spans several 1 MB segments, so compaction really drops one. The
+// backup then comes back through RestoreReplica from the checkpoint.
+func TestRestartReplicaAfterGCRefused(t *testing.T) {
+	cfg := testConfig(ModeCrane)
+	cfg.WALDir = t.TempDir()
+	c, err := StartCluster(cfg, newTestKV(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if got := kvRequest(t, c, "gc:prefix", "SET onlyprefix 1"); got != "OK" {
+		t.Fatalf("SET = %q", got)
+	}
+	value := strings.Repeat("v", 3<<10)
+	for i := 0; i < 600; i++ {
+		if got := kvRequest(t, c, fmt.Sprintf("gc:%d", i), fmt.Sprintf("SET k%d %s", i%16, value)); got != "OK" {
+			t.Fatalf("SET %d = %q", i, got)
+		}
+	}
+	if err := c.WaitQuiescent(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ck, _, err := c.CheckpointBackup(checkpoint.New(checkpoint.Options{Backoff: time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AnchorGC(ck)
+	p, _ := c.Primary()
+	victim := -1
+	for i := 0; i < c.Replicas(); i++ {
+		if c.Replica(i) != p {
+			victim = i
+			break
+		}
+	}
+	v := c.Replica(victim)
+	floorBy := time.Now().Add(5 * time.Second)
+	for v.GroupNode(0).GCFloor() < ck.GroupIndexes[0] {
+		if time.Now().After(floorBy) {
+			t.Fatalf("backup GC floor %d never reached the checkpoint's index %d",
+				v.GroupNode(0).GCFloor(), ck.GroupIndexes[0])
+		}
+		kvRequest(t, c, "gc:carry", "SET carry 1") // rounds carry the watermarks
+	}
+	first, _ := v.stores[0].First()
+	if first <= 1 {
+		t.Fatalf("backup WAL still begins at %d: GC dropped no segment", first)
+	}
+	c.FailReplica(victim)
+	err = c.RestartReplica(victim)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("index %d ", first)) ||
+		!strings.Contains(err.Error(), "index 1 ") {
+		t.Fatalf("RestartReplica over a WAL compacted to %d: err = %v, want a refusal naming %d and 1", first, err, first)
+	}
+	if err := c.RestoreReplica(victim, ck); err != nil {
+		t.Fatal(err)
+	}
+	restored := c.Replica(victim).inst.(*testKV)
+	deadline := time.Now().Add(15 * time.Second)
+	for time.Now().Before(deadline) {
+		restored.mu.Lock()
+		_, prefix := restored.data["onlyprefix"]
+		_, carry := restored.data["carry"]
+		restored.mu.Unlock()
+		if prefix && carry {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatal("replica restored from the checkpoint lacks the prefix or the suffix")
 }
 
 func TestRestartReplicaRequiresWAL(t *testing.T) {

@@ -304,10 +304,6 @@ func (r *Replica) start(hub *paxos.ChanHub) error {
 		mux := paxos.NewGroupMux(transport)
 		for g := 0; g < r.groups; g++ {
 			g := g
-			var store *wal.Log
-			if r.stores != nil {
-				store = r.stores[g]
-			}
 			var deliverFrom uint64
 			if r.deliverFroms != nil {
 				deliverFrom = r.deliverFroms[g]
@@ -316,13 +312,17 @@ func (r *Replica) start(hub *paxos.ChanHub) error {
 				ID:                r.id,
 				Peers:             peers,
 				Transport:         mux.Port(g),
-				Store:             store,
 				HeartbeatInterval: r.cfg.HeartbeatInterval,
 				ElectionTimeout:   r.cfg.ElectionTimeout,
 				DeliverFrom:       deliverFrom,
 				OnDeliver:         func(e paxos.LogEntry) { r.onDeliverGroup(g, e) },
 				InitialPrimary:    initialPrimary,
 				Obs:               r.groupReg(g),
+			}
+			if r.stores != nil {
+				// Set only with a WAL: a nil *wal.Log in the Store
+				// interface would not compare equal to nil.
+				pcfg.Store = r.stores[g]
 			}
 			if r.flt != nil {
 				if g == 0 {

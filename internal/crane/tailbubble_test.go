@@ -12,6 +12,7 @@ import (
 	"crane/internal/cfs"
 	"crane/internal/papi"
 	"crane/internal/seq"
+	"crane/internal/simnet"
 )
 
 // oneThreadServer serves one connection at a time on port 7200 from a single
@@ -347,8 +348,27 @@ func TestTailBubbleApacheTwoLanes(t *testing.T) {
 	}
 	defer c.Stop()
 	p := currentPrimary(t, c)
-	// Serial requests first: each finds the pipeline idle.
-	if sum := clients.ApacheBench(c.Dial, 8080, "/page0.php", 1, 4); sum.Errors != 0 {
+	// Serial requests first. The first is sure to find the pipeline idle at
+	// its SEND: the test holds the bubble round, so no starvation round's
+	// bubble clone waits at a lane head, and writes only once the CONNECT
+	// is consumed. Either would make tailRound refuse the tail bubble.
+	waitScheduleStable(t, c)
+	released := holdBubbleRound(t, c)
+	calls := p.SeqStats().ClientCalls
+	dialConsumed := func(name string, port int) (*simnet.Conn, error) {
+		conn, err := c.Dial(name, port)
+		if err == nil {
+			waitFor(t, 5*time.Second, "the serial request's CONNECT consumed", func() bool {
+				return p.SeqStats().ClientCalls > calls && lanesEmpty(p)
+			})
+		}
+		return conn, err
+	}
+	if _, err := clients.Request(dialConsumed, "serial:0", 8080, []byte("GET /page0.php HTTP/1.0\r\n\r\n"), firstByte); err != nil {
+		t.Fatal(err)
+	}
+	released()
+	if sum := clients.ApacheBench(c.Dial, 8080, "/page0.php", 1, 3); sum.Errors != 0 {
 		t.Fatalf("ab warm-up: %+v", sum)
 	}
 	before := countLoad(p)

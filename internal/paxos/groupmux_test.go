@@ -58,7 +58,7 @@ func TestDoneMinGC(t *testing.T) {
 	// floor are removed, a partial one is kept. With tiny segments the WAL
 	// head must have moved well past index 1 but never past the floor.
 	for i, nd := range tc.nodes {
-		first, ok := nd.cfg.Store.First()
+		first, ok := nd.c.cfg.Store.First()
 		if !ok || first <= 1 || first > 41 {
 			t.Fatalf("node %d WAL first=%d ok=%v, want in (1, 41]", i, first, ok)
 		}
@@ -66,7 +66,7 @@ func TestDoneMinGC(t *testing.T) {
 	// The records above the floor are still in the WAL
 	// (checkpoint-anchored recovery replays them).
 	var replayed int
-	if err := tc.nodes[0].cfg.Store.Scan(41, ^uint64(0), func(wal.Record) bool { replayed++; return true }); err != nil {
+	if err := tc.nodes[0].c.cfg.Store.Scan(41, ^uint64(0), func(wal.Record) bool { replayed++; return true }); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	if replayed == 0 {

@@ -81,23 +81,17 @@ func (h *ChanHub) Endpoint(id int) *ChanTransport {
 
 // Disconnect isolates node id (drops all traffic to and from it) until
 // Reconnect. Used to simulate replica failure without tearing state down.
-func (h *ChanHub) Disconnect(id int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if ep, ok := h.eps[id]; ok {
-		ep.mu.Lock()
-		ep.isolated = true
-		ep.mu.Unlock()
-	}
-}
+func (h *ChanHub) Disconnect(id int) { h.isolate(id, true) }
 
 // Reconnect restores node id's connectivity.
-func (h *ChanHub) Reconnect(id int) {
+func (h *ChanHub) Reconnect(id int) { h.isolate(id, false) }
+
+func (h *ChanHub) isolate(id int, on bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if ep, ok := h.eps[id]; ok {
 		ep.mu.Lock()
-		ep.isolated = false
+		ep.isolated = on
 		ep.mu.Unlock()
 	}
 }
